@@ -19,7 +19,7 @@ from .pivotalization import (
     from_matched_pivotal,
     signed_spectrum,
 )
-from .scalar import NumericScalar, cyc_arithmetic, factored_combine, galois_conjugate, parse_literal
+from .scalar import parse_literal
 from .spectrum import (
     SpectrumFactorization,
     char_poly_s2,
@@ -41,22 +41,18 @@ __all__ = [
     "FusionData",
     "LaurentPoly",
     "ModuleActionData",
-    "NumericScalar",
     "PivotalizationData",
     "SignedEigenvalue",
     "SpectrumFactorization",
     "VerificationReport",
     "char_poly_pivotalized",
     "char_poly_s2",
-    "cyc_arithmetic",
     "cyclotomic_polynomial",
     "d_action_triviality",
     "dimension_eigenspace",
     "dimension_identity",
-    "factored_combine",
     "fp_dimensions",
     "from_matched_pivotal",
-    "galois_conjugate",
     "global_dimension",
     "m_bar",
     "matched_checks",

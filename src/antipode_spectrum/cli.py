@@ -140,13 +140,14 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
         out.write(f"multiplicity {m}: {_eig_text(v)}\n")
 
 
-def _spectrum_for(doc: specfile.SpecDocument, override_m=None):
+def _trace_vector(doc: specfile.SpecDocument, override_m=None):
+    """The m-vector: --m, else the document's m_vector, else the unique
+    dimension eigenvector."""
     eigenspace = None
     m = override_m if override_m is not None else doc.m
     if m is None:
         eigenspace = dimension_eigenspace(doc.fusion, doc.module, doc.tolerance)
-    m = select_m(doc.fusion, doc.module, eigenspace, candidate=m, tol=doc.tolerance)
-    return char_poly_s2(doc.fusion, doc.module, m, doc.tolerance)
+    return select_m(doc.fusion, doc.module, eigenspace, candidate=m, tol=doc.tolerance)
 
 
 def _verify_doc(doc, strict):
@@ -213,7 +214,7 @@ def cmd_charpoly(args):
         print(rm, file=sys.stderr)
         return 1
     override = _parse_m_option(args.m, doc) if args.m else None
-    spec = _spectrum_for(doc, override)
+    spec = char_poly_s2(doc.fusion, doc.module, _trace_vector(doc, override), doc.tolerance)
     print_spectrum(spec, args.json)
     return 0
 
@@ -223,12 +224,7 @@ def cmd_pivotalize(args):
     if doc.pivotalization is not None:
         spec = char_poly_pivotalized(doc.pivotalization, doc.tolerance)
     else:
-        eigenspace = None
-        m = doc.m
-        if m is None:
-            eigenspace = dimension_eigenspace(doc.fusion, doc.module, doc.tolerance)
-        m = select_m(doc.fusion, doc.module, eigenspace, candidate=m, tol=doc.tolerance)
-        piv = from_matched_pivotal(doc.fusion, doc.module, m, tol=doc.tolerance)
+        piv = from_matched_pivotal(doc.fusion, doc.module, _trace_vector(doc), tol=doc.tolerance)
         spec = char_poly_pivotalized(piv, doc.tolerance)
     print_spectrum(spec, args.json)
     return 0
@@ -323,6 +319,18 @@ def cmd_family(args):
     return 0
 
 
+def _parse_candidate(text):
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"--candidate is not JSON: {e}")
+    if (not isinstance(rows, list) or not rows
+            or any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows)
+            or any(type(x) is not int for r in rows for x in r)):
+        raise ParseError("--candidate must be a JSON matrix of integers")
+    return rows
+
+
 def cmd_oracle(args):
     if args.what == "radical":
         if args.family == "taft":
@@ -338,7 +346,7 @@ def cmd_oracle(args):
             alg, gens = orc.algebra, oracle.taft_generators(orc.algebra)
             simples = oracle.taft_simple_modules(args.n, args.s)
             idem = oracle.taft_idempotents(args.n, args.s)
-            cand = (json.loads(args.candidate) if args.candidate
+            cand = (_parse_candidate(args.candidate) if args.candidate
                     else [[1] * args.n for _ in range(args.n)])
         else:
             alg = oracle.uqsl2_algebra(args.ell, args.s)
@@ -346,7 +354,7 @@ def cmd_oracle(args):
             simples = oracle.uqsl2_simple_modules(args.ell, args.s)
             idem = None
             if args.candidate:
-                cand = json.loads(args.candidate)
+                cand = _parse_candidate(args.candidate)
             else:
                 ell = args.ell
                 cand = np.zeros((ell, ell), dtype=int)
@@ -358,6 +366,8 @@ def cmd_oracle(args):
         print(rep)
         return 0 if rep.ok else 1
     if args.what == "s2":
+        if args.family != "taft":
+            raise BadParameters("oracle s2 computes the Taft spectrum only; use --family taft")
         spec = oracle.taft_s2_spectrum(args.n, args.s)
         print_spectrum(spec, args.json)
         return 0

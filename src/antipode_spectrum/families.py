@@ -3,8 +3,9 @@ dynamical families for simply-laced root systems, pointed categories Vec_G
 with a pivotal character, and regular modules.
 
 Each generator returns verified Grothendieck-level data together with the
-module-trace vector (and, for the dynamical families, the closed-form
-expected spectrum used as an independent cross-check).
+module-trace vector.  `uqg_family` instead evaluates the closed product
+formula of the dynamical families; for type A1 it is an independent
+cross-check of the block route on `uqsl2_family`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import os
 from collections import namedtuple
 from fractions import Fraction
 
@@ -23,7 +23,7 @@ from .errors import BadParameters, EmptyEigenspace, MissingDims, NotACharacter, 
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .scalar import DEFAULT_TOLERANCE
-from .spectrum import SpectrumFactorization, dimension_eigenspace
+from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum, pair_products
 from .symbolic import FactoredContext, FactoredValue
 
 
@@ -152,7 +152,7 @@ def taft_family(n: int, s: int = 1):
 
 # -- small quantum sl2 ------------------------------------------------------------
 
-DynamicalFamily = namedtuple("DynamicalFamily", "fusion module m expected")
+DynamicalFamily = namedtuple("DynamicalFamily", "fusion module m")
 
 
 def _uqsl2_fusion(ell: int, s: int) -> FusionData:
@@ -212,35 +212,11 @@ def _uqsl2_module(ell: int) -> ModuleActionData:
     return ModuleActionData(labels=[str(t) for t in range(ell)], action=action)
 
 
-def _merge_quadruples(values, mult, pairing, tol):
-    """Merge value(j) value(k) / (value(i) value(l)) over all label
-    quadruples with a uniform multiplicity."""
-    size = len(values)
-    if all(_exactish(v) or isinstance(v, FactoredValue) for v in values):
-        inv = [
-            v.inverse() if isinstance(v, CycNum)
-            else (FactoredValue.one(v.ctx) / v if isinstance(v, FactoredValue) else 1 / Fraction(v))
-            for v in values
-        ]
-        backend = "symbolic" if any(isinstance(v, FactoredValue) for v in values) else "cyclotomic"
-    else:
-        values = [complex(v) for v in values]
-        inv = [1 / v for v in values]
-        backend = "numeric"
-    num = [[values[a] * values[b] for b in range(size)] for a in range(size)]
-    den = [[inv[a] * inv[b] for b in range(size)] for a in range(size)]
-    pairs = []
-    for i, j, k, l in itertools.product(range(size), repeat=4):
-        a, b = pairing((i, j, k, l))
-        pairs.append((num[a[0]][a[1]] * den[b[0]][b[1]], mult))
-    return SpectrumFactorization.merge_pairs(pairs, backend, tol)
-
-
 def uqsl2_family(ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) -> DynamicalFamily:
     """The dynamical sl2 family at an odd root of unity: fusion ring from the
     Chebyshev presentation, the weight-space Cartan matrix, the Rep Z/ell
-    module, m_j = Lambda q^j - q^-j, and the closed-form expected spectrum
-    (every exponent ell)."""
+    module and m_j = Lambda q^j - q^-j.  Its spectrum is the closed product
+    formula, every exponent ell: uqg_family("A1", ell, s, [Lambda])."""
     if ell < 3 or ell % 2 == 0:
         raise BadParameters("ell must be odd and >= 3")
     if math.gcd(s, ell) != 1:
@@ -265,10 +241,7 @@ def uqsl2_family(ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) ->
                 raise ZeroEntry("Lambda^ell = 1 within tolerance")
             q = cmath.exp(2j * cmath.pi * s / ell)
             m = [lam0 * q**j - q**-j for j in range(ell)]
-    expected = _merge_quadruples(
-        m, ell, lambda t: ((t[1], t[2]), (t[0], t[3])), tol
-    )
-    return DynamicalFamily(fusion, module, m, expected)
+    return DynamicalFamily(fusion, module, m)
 
 
 # -- general simply-laced dynamical families --------------------------------------
@@ -307,13 +280,6 @@ _ROOT_PRESETS = {
 }
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("ANTIPODE_SPECTRUM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) -> SpectrumFactorization:
     """Spectrum of the dynamical family for a simply-laced g, evaluated
     directly from the closed product formula: eigenvalues
@@ -339,6 +305,7 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
     ]
 
     if point.is_symbolic:
+        backend = "symbolic"
         ctx = FactoredContext(ell, rs.rank)
         ys = []
         for idx in range(len(chars)):
@@ -346,12 +313,10 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
             for a, alpha in enumerate(rs.positive_roots):
                 y = y * FactoredValue.atom(ctx, alpha, (s * pairings[a][idx]) % ell)
             ys.append(y)
-        return _merge_quadruples(ys, mult, lambda t: ((t[0], t[3]), (t[1], t[2])), tol)
-
-    entries = point.entries
-    if all(_exactish(x) for x in entries):
+    elif all(_exactish(x) for x in point.entries):
+        backend = "cyclotomic"
         field = CycField(ell)
-        coords = [x if isinstance(x, CycNum) else field.from_rational(x) for x in entries]
+        coords = [x if isinstance(x, CycNum) else field.from_rational(x) for x in point.entries]
         ys = []
         for idx in range(len(chars)):
             y = field.one()
@@ -364,48 +329,21 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
             if not y:
                 raise ZeroEntry("Lambda_alpha^ell = 1: a torus character vanishes")
             ys.append(y)
-        return _merge_quadruples(ys, mult, lambda t: ((t[0], t[3]), (t[1], t[2])), tol)
-
-    # numeric path, vectorized
-    lamv = [complex(x) for x in entries]
-    q = cmath.exp(2j * cmath.pi * s / ell)
-    y = np.ones(len(chars), dtype=complex)
-    for a, alpha in enumerate(rs.positive_roots):
-        la = 1.0 + 0j
-        for x, e in zip(lamv, alpha):
-            la *= x**e
-        if abs(la**ell - 1) <= tol:
-            raise ZeroEntry(f"Lambda_alpha^ell = 1 for root {alpha}")
-        p = np.array(pairings[a])
-        y = y * (la * q**p - q ** (-p.astype(float)))
-    digits = max(1, min(12, int(round(-math.log10(tol)))))
-
-    def merge_chunk(lo, hi):
-        block = (
-            y[lo:hi, None, None, None]
-            * y[None, None, None, :]
-            / (y[None, :, None, None] * y[None, None, :, None])
-        )
-        rounded = np.round(block.real, digits) + 1j * np.round(block.imag, digits)
-        vals, counts = np.unique(rounded.ravel(), return_counts=True)
-        return vals, counts
-
-    threads = _thread_count()
-    nchar = len(chars)
-    acc: dict = {}
-    if threads > 1 and nchar >= 8:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, nchar, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda b: merge_chunk(b[0], b[1]), zip(bounds[:-1], bounds[1:])))
     else:
-        results = [merge_chunk(0, nchar)]
-    for vals, counts in results:
-        for v, c in zip(vals, counts):
-            acc[v] = acc.get(v, 0) + int(c)
-    pairs = [(complex(v), c * mult) for v, c in acc.items()]
-    return SpectrumFactorization.merge_pairs(pairs, "numeric", tol)
+        backend = "numeric"
+        lamv = [complex(x) for x in point.entries]
+        q = cmath.exp(2j * cmath.pi * s / ell)
+        ys = np.ones(len(chars), dtype=complex)
+        for a, alpha in enumerate(rs.positive_roots):
+            la = 1.0 + 0j
+            for x, e in zip(lamv, alpha):
+                la *= x**e
+            if abs(la**ell - 1) <= tol:
+                raise ZeroEntry(f"Lambda_alpha^ell = 1 for root {alpha}")
+            p = np.array(pairings[a])
+            ys = ys * (la * q**p - q ** (-p.astype(float)))
+    pairs = pair_products(ys, backend)
+    return pair_class_spectrum(pairs, pairs, mult, backend, tol)
 
 
 # -- pointed categories Vec_G -------------------------------------------------------

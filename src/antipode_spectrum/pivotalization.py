@@ -16,7 +16,13 @@ from .errors import NonRealSigns, SignSplitMismatch
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .scalar import DEFAULT_TOLERANCE, canonical_key, numeric_value
-from .spectrum import SpectrumFactorization, m_bar
+from .spectrum import (
+    SpectrumFactorization,
+    classify_scalars,
+    m_bar,
+    pair_class_spectrum,
+    pair_products,
+)
 
 
 def sign_of(x, tol=DEFAULT_TOLERANCE) -> int:
@@ -103,22 +109,15 @@ def char_poly_pivotalized(p: PivotalizationData, tol=DEFAULT_TOLERANCE) -> Spect
     n_plus = np.einsum("rji,rkl->ijkl", P, P) + np.einsum("rji,rkl->ijkl", M, M)
     n_minus = np.einsum("rji,rkl->ijkl", M, P) + np.einsum("rji,rkl->ijkl", P, M)
     size = len(p.module_labels)
-    nu = p.nu
-    inv = [1 / v if not isinstance(v, CycNum) else v.inverse() for v in nu]
-    pairs = []
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                for l in range(size):
-                    np_, nm_ = int(n_plus[i, j, k, l]), int(n_minus[i, j, k, l])
-                    if not (np_ or nm_):
-                        continue
-                    squared = nu[j] * nu[k] * inv[i] * inv[l]
-                    if np_:
-                        pairs.append((SignedEigenvalue(1, squared), np_))
-                    if nm_:
-                        pairs.append((SignedEigenvalue(-1, squared), nm_))
-    return SpectrumFactorization.merge_pairs(pairs, "signed", tol)
+    backend = "numeric" if classify_scalars(p.nu)[0] == "num" else "cyclotomic"
+    pairs = pair_products(p.nu, backend)
+    signed = []
+    for sign, n in ((1, n_plus), (-1, n_minus)):
+        # rows: pairs (j, k) of the numerator; columns: pairs (i, l) of the denominator
+        weights = n.transpose(1, 2, 0, 3).reshape(size * size, size * size)
+        spec = pair_class_spectrum(pairs, pairs, weights, backend, tol)
+        signed += [(SignedEigenvalue(sign, v), m) for v, m in spec.entries]
+    return SpectrumFactorization.merge_pairs(signed, "signed", tol)
 
 
 def from_matched_pivotal(f: FusionData, mod: ModuleActionData, m, mbar=None,

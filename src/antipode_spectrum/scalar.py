@@ -4,7 +4,7 @@ Three kinds of scalar flow through the package:
 
 * CycNum       exact element of Q(zeta_n)           (cyclotomic backend)
 * FactoredValue  factored rational function of torus parameters (symbolic)
-* complex / NumericScalar  tolerance-tagged floats  (numeric backend)
+* complex        floats compared within a tolerance   (numeric backend)
 
 Literals follow the grammar
 
@@ -27,79 +27,6 @@ from .errors import DivisionByZero, NotFactorable, ParseError
 from .symbolic import FactoredContext, FactoredValue, LaurentPoly
 
 DEFAULT_TOLERANCE = 1e-9
-
-
-class NumericScalar:
-    """A complex value with an explicit comparison tolerance."""
-
-    __slots__ = ("value", "tolerance")
-
-    def __init__(self, value, tolerance: float = DEFAULT_TOLERANCE):
-        self.value = complex(value)
-        self.tolerance = float(tolerance)
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-
-    def _val(self, other):
-        if isinstance(other, NumericScalar):
-            return other.value, max(self.tolerance, other.tolerance)
-        return complex(other), self.tolerance
-
-    def __eq__(self, other):
-        v, tol = self._val(other)
-        return abs(self.value - v) <= tol
-
-    def __add__(self, other):
-        v, tol = self._val(other)
-        return NumericScalar(self.value + v, tol)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v, tol = self._val(other)
-        return NumericScalar(self.value - v, tol)
-
-    def __mul__(self, other):
-        v, tol = self._val(other)
-        return NumericScalar(self.value * v, tol)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v, tol = self._val(other)
-        if v == 0:
-            raise DivisionByZero("numeric division by zero")
-        return NumericScalar(self.value / v, tol)
-
-    def __bool__(self):
-        return abs(self.value) > self.tolerance
-
-    def __repr__(self):
-        return f"NumericScalar({self.value}, tol={self.tolerance})"
-
-
-# -- spec-facing operation wrappers -------------------------------------------
-
-def cyc_arithmetic(a: CycNum, b: CycNum, op: str) -> CycNum:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def galois_conjugate(a: CycNum) -> CycNum:
-    return a.conjugate()
-
-
-def factored_combine(a: FactoredValue, b: FactoredValue, op: str) -> FactoredValue:
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- canonical merge / sort keys ----------------------------------------------
@@ -126,8 +53,6 @@ def canonical_key(x, tol: float = DEFAULT_TOLERANCE):
             return ("cyc", x.field.order, x.sort_key())
     if isinstance(x, FactoredValue):
         return ("fac", x.sort_key())
-    if isinstance(x, NumericScalar):
-        x = x.value
     if isinstance(x, Fraction):
         return ("cyc", 1, ((x.numerator, x.denominator),))
     v = complex(x)
@@ -143,10 +68,6 @@ def numeric_value(x, lam: tuple = ()) -> complex:
         return x.complex_value()
     if isinstance(x, FactoredValue):
         return x.complex_value(lam)
-    if isinstance(x, NumericScalar):
-        return x.value
-    if isinstance(x, Fraction):
-        return complex(x)
     return complex(x)
 
 

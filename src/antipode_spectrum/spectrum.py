@@ -31,7 +31,7 @@ from .errors import (
 )
 from .grothendieck import FusionData, VerificationReport, global_dimension, q_matrix
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE, canonical_key, numeric_value
+from .scalar import DEFAULT_TOLERANCE, _round_digits, canonical_key, numeric_value
 from .symbolic import FactoredValue, LaurentPoly
 
 
@@ -97,11 +97,6 @@ class SpectrumFactorization:
         self.backend = backend
         self.tol = tol
         self.total_degree = sum(m for _, m in self.entries)
-
-    @classmethod
-    def from_accumulator(cls, acc: dict, backend, tol=DEFAULT_TOLERANCE):
-        items = sorted(acc.items(), key=lambda kv: kv[0])
-        return cls([(v, m) for _, (v, m) in items], backend, tol)
 
     @classmethod
     def merge_pairs(cls, pairs, backend, tol=DEFAULT_TOLERANCE):
@@ -402,34 +397,94 @@ def char_poly_s2(f: FusionData, mod: ModuleActionData, m,
     size = mod.size
     kind, context = classify_scalars(m)
     backend = {"cyc": "cyclotomic", "frac": "cyclotomic", "num": "numeric", "sym": "symbolic"}[kind]
-    if kind == "sym":
-        mv = list(m)
-        inv = [FactoredValue.one(context) / x for x in mv]
+    pairs = pair_products(_lift(m, kind, context), backend)
+    # rows: pairs (j, l) of the numerator; columns: pairs (i, k) of the denominator
+    weights = n.transpose(1, 3, 0, 2).reshape(size * size, size * size)
+    return pair_class_spectrum(pairs, pairs, weights, backend, tol)
+
+
+def pair_products(values, backend):
+    """values[a] * values[b] for every pair (a, b), a major."""
+    if backend == "numeric":
+        v = np.array([numeric_value(x) for x in values], dtype=complex)
+        return np.multiply.outer(v, v).ravel()
+    return [a * b for a in values for b in values]
+
+
+def _inverse(x):
+    if isinstance(x, CycNum):
+        return x.inverse()
+    if isinstance(x, FactoredValue):
+        return FactoredValue.one(x.ctx) / x
+    return 1 / Fraction(x)
+
+
+def _exact_classes(values, tol):
+    """One representative per canonical key, and the class of each value."""
+    index, reps, classes = {}, [], []
+    for v in values:
+        c = index.setdefault(canonical_key(v, tol), len(reps))
+        if c == len(reps):
+            reps.append(v)
+        classes.append(c)
+    return reps, np.array(classes, dtype=np.intp)
+
+
+def _numeric_classes(values, tol):
+    """Classes of bitwise-equal floats; rounding never joins two values here."""
+    return np.unique(values, return_inverse=True)
+
+
+def pair_class_spectrum(num, den, weights, backend, tol=DEFAULT_TOLERANCE):
+    """The spectrum kernel: eigenvalue num[p] / den[q] with multiplicity
+    weights[p, q], where weights is an integer matrix or one integer shared
+    by every pair (p, q).
+
+    Equal pair values form one class, so a quotient is formed once per pair
+    of classes with nonzero total weight.  Exact backends merge the quotients
+    by canonical key; the numeric backend merges them by sort and sweep at
+    tol (see _sweep_numeric)."""
+    classes = _numeric_classes if backend == "numeric" else _exact_classes
+    num_reps, num_cls = classes(num, tol)
+    den_reps, den_cls = classes(den, tol)
+    if np.ndim(weights) == 0:
+        totals = int(weights) * np.outer(
+            np.bincount(num_cls, minlength=len(num_reps)),
+            np.bincount(den_cls, minlength=len(den_reps)),
+        )
     else:
-        mv = _lift(m, kind, context)
-        inv = [1 / x if not isinstance(x, CycNum) else x.inverse() for x in mv]
-    prod = [[mv[j] * mv[l] for l in range(size)] for j in range(size)]
-    iprod = [[inv[i] * inv[k] for k in range(size)] for i in range(size)]
-    acc = {}
-    for i in range(size):
-        for j in range(size):
-            pj = prod[j]
-            qi = iprod[i]
-            for k in range(size):
-                nk = n[i, j, k]
-                qik = qi[k]
-                for l in range(size):
-                    mult = int(nk[l])
-                    if not mult:
-                        continue
-                    lam = pj[l] * qik
-                    key = canonical_key(lam, tol)
-                    slot = acc.get(key)
-                    if slot is None:
-                        acc[key] = [lam, mult]
-                    else:
-                        slot[1] += mult
-    return SpectrumFactorization.from_accumulator(acc, backend, tol)
+        totals = np.zeros((len(num_reps), len(den_reps)), dtype=np.int64)
+        np.add.at(totals, np.ix_(num_cls, den_cls), weights)
+    nonzero = totals != 0
+    if backend == "numeric":
+        return _sweep_numeric(np.divide.outer(num_reps, den_reps)[nonzero], totals[nonzero], tol)
+    p, q = np.nonzero(nonzero)
+    inverse = {b: _inverse(den_reps[b]) for b in set(q.tolist())}
+    return SpectrumFactorization.merge_pairs(
+        [(num_reps[a] * inverse[b], int(totals[a, b])) for a, b in zip(p.tolist(), q.tolist())],
+        backend, tol,
+    )
+
+
+def _sweep_numeric(values, mults, tol):
+    """Merge numeric eigenvalues into clusters: sorted by real part, neighbours
+    at most tol apart chain together; each chain, sorted by imaginary part,
+    splits where neighbours are more than tol apart.  A cluster is listed as
+    its member of least imaginary part, rounded to the digits of tol."""
+    by_real = np.argsort(values.real)
+    chain = np.empty(len(values), dtype=np.intp)
+    chain[by_real] = np.cumsum(np.diff(values.real[by_real], prepend=-np.inf) > tol)
+    order = np.lexsort((values.imag, chain))
+    values, mults, chain = values[order], mults[order], chain[order]
+    new = (np.diff(chain, prepend=-1) != 0) | (np.diff(values.imag, prepend=-np.inf) > tol)
+    first = values[new]
+    digits = _round_digits(tol)
+    reps = np.round(first.real, digits) + 1j * np.round(first.imag, digits)
+    totals = np.add.reduceat(mults, np.flatnonzero(new))
+    order = np.lexsort((reps.imag, reps.real))
+    return SpectrumFactorization(
+        zip(reps[order].tolist(), totals[order].tolist()), "numeric", tol
+    )
 
 
 def pivotal_twist_invariance(f: FusionData, mod: ModuleActionData, m,

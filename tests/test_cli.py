@@ -5,7 +5,7 @@ import pytest
 from antipode_spectrum import specfile
 from antipode_spectrum.cli import main
 from antipode_spectrum.errors import ParseError, SchemaError
-from antipode_spectrum.families import taft_family, uqsl2_family
+from antipode_spectrum.families import taft_family, uqg_family, uqsl2_family
 
 
 def run(capsys, *argv):
@@ -86,10 +86,9 @@ class TestCliCommands:
         assert payload["backend"] == "symbolic"
         assert payload["total_degree"] == 5**5
         # cross-check against the closed product formula
-        fam = uqsl2_family(5)
         from antipode_spectrum.cli import spectrum_json
 
-        assert payload == spectrum_json(fam.expected)
+        assert payload == spectrum_json(uqg_family("A1", 5))
 
     def test_json_is_deterministic(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "taft", "--n", "5", "--s", "2")
@@ -179,6 +178,18 @@ class TestCliCommands:
         code, out, _ = run(capsys, "oracle", "cartan", "--family", "taft", "--n", "2",
                            "--candidate", "[[1, 2], [1, 1]]")
         assert code == 1
+
+    def test_oracle_cartan_bad_candidate_exits_2(self, capsys):
+        for candidate in ("notjson", "[[1, 1], [1]]", '[["x", 1], [1, 1]]', "5"):
+            code, _, err = run(capsys, "oracle", "cartan", "--family", "taft", "--n", "2",
+                               "--candidate", candidate)
+            assert code == 2, candidate
+            assert "--candidate" in err
+
+    def test_oracle_s2_other_family_exits_2(self, capsys):
+        code, out, err = run(capsys, "oracle", "s2", "--family", "uqsl2", "--ell", "5")
+        assert code == 2
+        assert out == "" and "taft" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/spec.json")

@@ -156,17 +156,17 @@ class TestUqsl2Family:
     def test_symbolic_spectrum_equals_product_formula(self):
         for ell in (3, 5):
             fam = uqsl2_family(ell)
-            assert char_poly_s2(fam.fusion, fam.module, fam.m) == fam.expected
+            assert char_poly_s2(fam.fusion, fam.module, fam.m) == uqg_family("A1", ell)
 
     def test_exact_lambda_spectrum_equals_product_formula(self):
         for lam in (Fraction(2), Fraction(-3, 7)):
             fam = uqsl2_family(5, lam=lam)
-            assert char_poly_s2(fam.fusion, fam.module, fam.m) == fam.expected
+            assert char_poly_s2(fam.fusion, fam.module, fam.m) == uqg_family("A1", 5, lam=[lam])
 
     def test_numeric_lambda_spectrum_equals_product_formula(self):
         fam = uqsl2_family(5, lam=0.37 - 1.2j)
         spec = char_poly_s2(fam.fusion, fam.module, fam.m)
-        assert spec.close_to(fam.expected, 1e-9)
+        assert spec.close_to(uqg_family("A1", 5, lam=[0.37 - 1.2j]), 1e-9)
 
     def test_lambda_zero_exact_limit(self):
         fam = uqsl2_family(3, lam=0)
@@ -196,15 +196,21 @@ class TestUqgFamily:
     def test_a1_specializes_to_uqsl2(self):
         for ell in (3, 5):
             fam = uqsl2_family(ell)
-            assert uqg_family("A1", ell) == fam.expected
+            assert uqg_family("A1", ell) == char_poly_s2(fam.fusion, fam.module, fam.m)
         # and with exact numeric lambda
         fam = uqsl2_family(5, lam=Fraction(2))
-        assert uqg_family("A1", 5, lam=[Fraction(2)]) == fam.expected
+        assert uqg_family("A1", 5, lam=[Fraction(2)]) == char_poly_s2(fam.fusion, fam.module, fam.m)
 
     def test_a2_degree_and_multiplicities(self):
         spec = uqg_family("A2", 5, lam=(0.7 + 0.2j, 1.3 - 0.4j))
         assert spec.total_degree == 5**12
         assert all(mult % 5**4 == 0 for _, mult in spec.entries)
+
+    def test_a2_merge_respects_tolerance(self):
+        # one eigenvalue here straddles a ninth-digit rounding boundary
+        spec = uqg_family("A2", 5, 1, [1.121274 - 1.180532j, -0.325045 - 1.419797j])
+        assert len(spec) == 72541
+        assert spec.total_degree == 5**12
 
     def test_a2_ell3_rejected(self):
         with pytest.raises(BadParameters):
@@ -243,13 +249,12 @@ class TestUqgFamily:
         with pytest.raises(BadParameters):
             TorusPoint.coerce(5, (1.0,), 2)
 
-    def test_threaded_enumeration_is_deterministic(self, monkeypatch):
+    def test_numeric_enumeration_is_deterministic(self):
         lam = (0.7 + 0.2j, 1.3 - 0.4j)
-        serial = uqg_family("A2", 5, lam=lam)
-        monkeypatch.setenv("ANTIPODE_SPECTRUM_THREADS", "4")
-        threaded = uqg_family("A2", 5, lam=lam)
-        assert threaded == serial
-        assert threaded.entries == serial.entries
+        first = uqg_family("A2", 5, lam=lam)
+        second = uqg_family("A2", 5, lam=lam)
+        assert first == second
+        assert first.entries == second.entries
 
 
 class TestVecGFamily:

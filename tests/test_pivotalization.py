@@ -88,6 +88,24 @@ class TestCharPolyPivotalized:
         signs = {v.sign for v, _ in spec.entries}
         assert signs == {1, -1}
 
+    def test_numeric_nu_matches_exact(self):
+        from antipode_spectrum.scalar import numeric_value
+
+        def signed_values(spec):
+            return sorted((v.sign, numeric_value(v.squared).real, m) for v, m in spec.entries)
+
+        for ex in matched_builtins():
+            if not ex.pivotal_suite:
+                continue
+            piv = from_matched_pivotal(ex.fusion, ex.module, ex.m)
+            approx = PivotalizationData(piv.module_labels, [numeric_value(x) for x in piv.nu],
+                                        piv.n_plus, piv.n_minus)
+            got, want = signed_values(char_poly_pivotalized(approx)), signed_values(
+                char_poly_pivotalized(piv))
+            assert len(got) == len(want), ex.name
+            for (s, v, m), (t, w, n) in zip(got, want):
+                assert (s, m) == (t, n) and abs(v - w) < 1e-9, ex.name
+
     def test_spectrum_symmetry_under_index_swap(self):
         # (lambda, n+), (-lambda, n-) multiset is inversion-closed per value
         from antipode_spectrum.scalar import canonical_key

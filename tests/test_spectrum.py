@@ -23,12 +23,14 @@ from antipode_spectrum.families import (
 )
 from antipode_spectrum.grothendieck import FusionData, global_dimension
 from antipode_spectrum.oracle import brute_force_spectrum
+from antipode_spectrum.scalar import canonical_key
 from antipode_spectrum.spectrum import (
     block_multiplicities,
     char_poly_s2,
     dimension_eigenspace,
     m_bar,
     matched_checks,
+    pair_class_spectrum,
     perron_m_vector,
     pivotal_twist_invariance,
     select_m,
@@ -208,6 +210,40 @@ class TestCharPolyS2:
         }
         assert spec.multiset() == expect
         assert spec.total_degree == 13
+
+
+class TestPairClassSpectrum:
+    def test_numeric_merge_across_a_rounding_boundary(self):
+        # 2e-14 apart, on the two sides of a ninth-digit rounding boundary
+        num = np.array([0.12345678849999, 0.12345678850001], dtype=complex)
+        spec = pair_class_spectrum(num, np.ones(1, dtype=complex), 1, "numeric", 1e-9)
+        assert spec.entries == [(0.123456788 + 0j, 2)]
+
+    def test_numeric_values_beyond_tolerance_stay_apart(self):
+        num = np.array([0.5, 0.5 + 3e-9, 0.5 + 3e-9j, 0.5 + 1e-10j])
+        spec = pair_class_spectrum(num, np.ones(1, dtype=complex), 1, "numeric", 1e-9)
+        assert spec.entries == [(0.5 + 0j, 2), (0.5 + 3e-9j, 1), (0.500000003 + 0j, 1)]
+
+    def test_weight_matrix_and_uniform_weight_agree(self):
+        F = CycField(5)
+        values = [F.zeta(t) for t in range(5)] + [F.zeta(2)]
+        uniform = pair_class_spectrum(values, values, 3, "cyclotomic")
+        full = pair_class_spectrum(values, values, np.full((6, 6), 3), "cyclotomic")
+        assert uniform.entries == full.entries
+        assert uniform.total_degree == 3 * 36
+        assert uniform.multiset()[canonical_key(F.one())] == 3 * 8
+
+    def test_zero_weights_are_skipped(self):
+        F = CycField(3)
+        weights = np.array([[0, 2], [0, 0]])
+        spec = pair_class_spectrum([F.one(), F.zeta(1)], [F.zeta(1), F.zeta(2)], weights,
+                                   "cyclotomic")
+        assert spec.entries == [(F.zeta(1), 2)]  # 1 / z^2 = z
+
+    def test_matched_builtins_equal_brute_force(self):
+        for ex in matched_builtins():
+            spec = char_poly_s2(ex.fusion, ex.module, ex.m)
+            assert spec == brute_force_spectrum(ex.fusion, ex.module, ex.m), ex.name
 
 
 class TestSpectrumInvariants:
