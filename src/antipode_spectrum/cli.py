@@ -8,34 +8,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import families, oracle, specfile
 from .cyclotomic import CycNum
-from .errors import (
-    AmbiguousM,
-    BadParameters,
-    DimensionMismatch,
-    DivisionByZero,
-    EmptyEigenspace,
-    FieldMismatch,
-    JDependence,
-    MissingDims,
-    NonConvergence,
-    NonRealSigns,
-    NotACharacter,
-    NotASubgroup,
-    NotFactorable,
-    NotInEigenspace,
-    NotInvertibleClass,
-    ParseError,
-    SignSplitMismatch,
-    ZeroEntry,
-    ZeroGlobalDimension,
-)
+from .errors import BadParameters, DataError, InputError, ParseError
 from .pivotalization import SignedEigenvalue, char_poly_pivotalized, from_matched_pivotal
 from .scalar import count_torus_vars, literal_to_cycnum, literal_to_factored
 from .spectrum import (
@@ -45,30 +27,6 @@ from .spectrum import (
     select_m,
 )
 from .symbolic import FactoredValue
-
-INPUT_ERRORS = (
-    ParseError,
-    BadParameters,
-    AmbiguousM,
-    ZeroEntry,
-    NotInEigenspace,
-    NotACharacter,
-    NotASubgroup,
-    FieldMismatch,
-    MissingDims,
-    DivisionByZero,
-    NotFactorable,
-    DimensionMismatch,
-)
-DATA_ERRORS = (
-    JDependence,
-    EmptyEigenspace,
-    SignSplitMismatch,
-    NonRealSigns,
-    ZeroGlobalDimension,
-    NonConvergence,
-    NotInvertibleClass,
-)
 
 
 # -- output helpers ------------------------------------------------------------------
@@ -102,14 +60,54 @@ def eigenvalue_json(v):
     return {"kind": "numeric", "re": z.real, "im": z.imag}
 
 
-def spectrum_json(spec: SpectrumFactorization) -> dict:
-    return {
-        "backend": spec.backend,
-        "total_degree": spec.total_degree,
-        "eigenvalues": [
-            {"value": eigenvalue_json(v), "multiplicity": m} for v, m in spec.entries
-        ],
-    }
+# entries rendered and written per write() call
+JSON_CHUNK = 4096
+
+
+def _float_text(x) -> str:
+    """A float as the json module writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as the json module writes it with indent=2 and sort_keys=True, when
+    obj starts on a line indented by pad."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [inner + _json_text(x, inner) for x in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def _entry_text(v, m) -> str:
+    """One item of the "eigenvalues" list, indented as the list's members."""
+    if type(v) is complex:
+        # the numeric payload of eigenvalue_json, written without building it:
+        # numeric spectra run to tens of thousands of entries
+        value = (f'{{\n        "im": {_float_text(v.imag)},\n'
+                 f'        "kind": "numeric",\n'
+                 f'        "re": {_float_text(v.real)}\n      }}')
+    else:
+        value = _json_text(eigenvalue_json(v), "      ")
+    return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
 
 
 def _eig_text(v) -> str:
@@ -127,10 +125,24 @@ def _eig_text(v) -> str:
 
 
 def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
+    """Write spec as text, or as the JSON object {"backend", "eigenvalues",
+    "total_degree"} laid out byte for byte as the json module writes it with
+    indent=2 and sort_keys=True, plus a newline.  The JSON is rendered and
+    written JSON_CHUNK entries at a time, without building the document."""
     out = out or sys.stdout
     if as_json:
-        json.dump(spectrum_json(spec), out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
+        entries = spec.entries
+        if entries:
+            sep = "[\n"
+            for start in range(0, len(entries), JSON_CHUNK):
+                chunk = entries[start:start + JSON_CHUNK]
+                out.write(sep + ",\n".join([_entry_text(v, m) for v, m in chunk]))
+                sep = ",\n"
+            out.write("\n  ]")
+        else:
+            out.write("[]")
+        out.write(f',\n  "total_degree": {_json_text(spec.total_degree, "  ")}\n}}\n')
         return
     rp = spec.uniform_root_power()
     out.write(f"total degree {spec.total_degree}, {len(spec.entries)} distinct eigenvalue(s)\n")
@@ -468,10 +480,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except DATA_ERRORS as e:
+    except DataError as e:
         print(f"failure: {e}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -2,99 +2,110 @@
 
 
 class SpectrumError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Each concrete
+    error derives from exactly one of InputError and DataError."""
+
+
+class InputError(SpectrumError):
+    """The input is malformed or does not meet a precondition: a bad literal,
+    document, option or candidate.  The command line exits with code 2."""
+
+
+class DataError(SpectrumError):
+    """Well-formed input whose data fails a mathematical condition, such as an
+    absent dimension character.  The command line exits with code 1."""
 
 
 # -- scalar backends ---------------------------------------------------------
 
-class FieldMismatch(SpectrumError):
+class FieldMismatch(InputError):
     """Operands live in different cyclotomic fields or factored contexts."""
 
 
-class DivisionByZero(SpectrumError):
+class DivisionByZero(InputError):
     pass
 
 
-class NotFactorable(SpectrumError):
+class NotFactorable(InputError):
     """Expression cannot be written as constant * monomial * product of
     (L_alpha * z^a - z^-a) atoms."""
 
 
 # -- grothendieck / modcat ---------------------------------------------------
 
-class ZeroGlobalDimension(SpectrumError):
+class ZeroGlobalDimension(DataError):
     pass
 
 
-class DimensionMismatch(SpectrumError):
+class DimensionMismatch(InputError):
     pass
 
 
-class NonConvergence(SpectrumError):
+class NonConvergence(DataError):
     """Perron iteration exceeded its budget."""
 
 
-class NotInvertibleClass(SpectrumError):
+class NotInvertibleClass(DataError):
     pass
 
 
-class MissingDims(SpectrumError):
+class MissingDims(InputError):
     pass
 
 
 # -- spectrum ----------------------------------------------------------------
 
-class EmptyEigenspace(SpectrumError):
+class EmptyEigenspace(DataError):
     pass
 
 
-class AmbiguousM(SpectrumError):
+class AmbiguousM(InputError):
     """Dimension character has multiplicity > 1 and no candidate was given."""
 
 
-class ZeroEntry(SpectrumError):
+class ZeroEntry(InputError):
     """Candidate m-vector has a vanishing coordinate."""
 
 
-class NotInEigenspace(SpectrumError):
+class NotInEigenspace(InputError):
     pass
 
 
-class JDependence(SpectrumError):
+class JDependence(DataError):
     """The m-bar vector computed from different columns of Q_M disagrees."""
 
 
-class InvalidTwist(SpectrumError):
+class InvalidTwist(InputError):
     pass
 
 
 # -- pivotalization ----------------------------------------------------------
 
-class SignSplitMismatch(SpectrumError):
+class SignSplitMismatch(DataError):
     """N+ and N- do not sum to the unsigned action matrices."""
 
 
-class NonRealSigns(SpectrumError):
+class NonRealSigns(DataError):
     pass
 
 
 # -- families ----------------------------------------------------------------
 
-class BadParameters(SpectrumError):
+class BadParameters(InputError):
     pass
 
 
-class NotACharacter(SpectrumError):
+class NotACharacter(InputError):
     pass
 
 
-class NotASubgroup(SpectrumError):
+class NotASubgroup(InputError):
     pass
 
 
 # -- cli ---------------------------------------------------------------------
 
-class ParseError(SpectrumError):
+class ParseError(InputError):
     """Bad scalar literal or malformed spec document.
 
     ``location`` is a human-readable position (offset in a literal, or a

@@ -257,29 +257,34 @@ def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=No
 
     Unique eigenvector: scaled to first entry 1, all entries checked nonzero.
     Higher multiplicity: a candidate is required and is verified to solve the
-    eigenvector equations with no vanishing entry.
+    eigenvector equations with no vanishing entry.  A verified candidate is a
+    dimension eigenvector, so the eigenspace is computed only when the
+    candidate fails, to report an absent dimension character first.
     """
-    if eigenspace is None:
-        eigenspace = dimension_eigenspace(f, mod, tol)
-    basis, mult = eigenspace
-    if mult == 0:
+    if eigenspace is not None and eigenspace[1] == 0:
         raise EmptyEigenspace("dimension character does not occur")
-    if candidate is None:
-        if mult > 1:
-            raise AmbiguousM(
-                f"dimension character has multiplicity {mult}; supply an m-vector"
-            )
-        v = basis[0]
-        for i, x in enumerate(v):
-            if _is_zero(x, tol):
-                raise ZeroEntry(f"m_{mod.labels[i]} = 0 in the unique eigenvector")
-        lead = v[0]
-        return [x / lead for x in v]
-    for i, x in enumerate(candidate):
-        if not isinstance(x, FactoredValue) and _is_zero(x, tol):
-            raise ZeroEntry(f"candidate m_{mod.labels[i]} = 0")
-    _verify_eigenvector(f, mod, candidate, tol)
-    return list(candidate)
+    if candidate is not None:
+        try:
+            for i, x in enumerate(candidate):
+                if not isinstance(x, FactoredValue) and _is_zero(x, tol):
+                    raise ZeroEntry(f"candidate m_{mod.labels[i]} = 0")
+            _verify_eigenvector(f, mod, candidate, tol)
+        except (ZeroEntry, NotInEigenspace):
+            if eigenspace is None:
+                dimension_eigenspace(f, mod, tol)  # raises EmptyEigenspace
+            raise
+        return list(candidate)
+    basis, mult = eigenspace if eigenspace is not None else dimension_eigenspace(f, mod, tol)
+    if mult > 1:
+        raise AmbiguousM(
+            f"dimension character has multiplicity {mult}; supply an m-vector"
+        )
+    v = basis[0]
+    for i, x in enumerate(v):
+        if _is_zero(x, tol):
+            raise ZeroEntry(f"m_{mod.labels[i]} = 0 in the unique eigenvector")
+    lead = v[0]
+    return [x / lead for x in v]
 
 
 def m_bar(f: FusionData, mod: ModuleActionData, m, tol=DEFAULT_TOLERANCE):

@@ -1,17 +1,40 @@
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from antipode_spectrum import specfile
-from antipode_spectrum.cli import main
+from antipode_spectrum import errors, specfile
+from antipode_spectrum.cli import JSON_CHUNK, eigenvalue_json, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
-from antipode_spectrum.families import taft_family, uqg_family, uqsl2_family
+from antipode_spectrum.families import Group, taft_family, uqg_family, uqsl2_family, vecg_family
+from antipode_spectrum.pivotalization import SignedEigenvalue
+from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2
+from antipode_spectrum.symbolic import FactoredValue
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def render(spec):
+    out = io.StringIO()
+    print_spectrum(spec, True, out)
+    return out.getvalue()
+
+
+def stdlib_render(spec):
+    """The JSON text of spec from an in-memory tree and the stdlib encoder."""
+    tree = {
+        "backend": spec.backend,
+        "total_degree": spec.total_degree,
+        "eigenvalues": [
+            {"value": eigenvalue_json(v), "multiplicity": m} for v, m in spec.entries
+        ],
+    }
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 class TestSpecFiles:
@@ -86,9 +109,7 @@ class TestCliCommands:
         assert payload["backend"] == "symbolic"
         assert payload["total_degree"] == 5**5
         # cross-check against the closed product formula
-        from antipode_spectrum.cli import spectrum_json
-
-        assert payload == spectrum_json(uqg_family("A1", 5))
+        assert out == render(uqg_family("A1", 5))
 
     def test_json_is_deterministic(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "taft", "--n", "5", "--s", "2")
@@ -202,3 +223,89 @@ class TestCliCommands:
         path = self.write_spec(tmp_path, json.dumps(doc))
         code, out, _ = run(capsys, "verify", path)
         assert code == 1
+
+
+class TestJsonRenderer:
+    """print_spectrum(..., as_json=True) writes what
+    json.dump(indent=2, sort_keys=True) would, followed by a newline."""
+
+    @pytest.mark.parametrize("argv", [
+        ("family", "taft", "--n", "4", "--s", "3", "--charpoly", "--json"),
+        ("family", "uqsl2", "--ell", "5", "--charpoly", "--json"),
+        ("family", "uqsl2", "--ell", "5", "--lambda", "7/5", "--charpoly", "--json"),
+        ("family", "uqg", "--type", "A1", "--ell", "5", "--lambda", "0.7+0.2j",
+         "--charpoly", "--json"),
+        ("family", "uqg", "--type", "A2", "--ell", "5", "--lambda=-0.6+0.9j,1.3-0.4j",
+         "--charpoly", "--json"),
+        ("oracle", "s2", "--n", "4", "--json"),
+    ])
+    def test_cli_output_round_trips(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+    def test_signed_output_round_trips(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "family", "vecg", "--group", "z2", "--kappa", "1,-1",
+                           "--subgroup", "0")
+        path = tmp_path / "spec.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "pivotalize", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["backend"] == "signed"
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+    def test_rational_output_round_trips(self):
+        f, mod, m = vecg_family(Group.cyclic(3), {str(a): Fraction(1) for a in range(3)}, ["0"])
+        out = render(char_poly_s2(f, mod, [Fraction(k + 1, 2) for k in range(len(m))]))
+        assert json.loads(out)["eigenvalues"][0]["value"]["kind"] == "rational"
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+    @pytest.mark.parametrize("entries", [
+        [],
+        [(7, 2)],
+        [(Fraction(-3, 4), 1), (Fraction(5), 3)],
+        [(SignedEigenvalue(-1, complex(0.5, -0.25)), 4), (SignedEigenvalue(1, Fraction(1, 3)), 1)],
+        [(complex(-0.0, 5e-324), 1), (complex(1e300, float("nan")), 2),
+         (complex(float("inf"), float("-inf")), 3), (complex(0.1, -1e-7), 10**30)],
+        [(complex(k, -k / 3), k + 1) for k in range(JSON_CHUNK + 1)],
+    ], ids=["empty", "int", "fraction", "signed", "floats", "chunk-boundary"])
+    def test_matches_stdlib(self, entries):
+        spec = SpectrumFactorization(entries, "numeric")
+        assert render(spec) == stdlib_render(spec)
+
+    def test_bare_factored_value_matches_stdlib(self):
+        ctx = uqsl2_family(3).m[1].ctx
+        bare = FactoredValue.one(ctx)
+        assert bare.factors == {} and not any(bare.monomial)
+        spec = SpectrumFactorization([(bare, 3), (SignedEigenvalue(1, bare), 1)], "symbolic")
+        assert render(spec) == stdlib_render(spec)
+
+    def test_numeric_entries_match_stdlib(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(st.tuples(
+            st.complex_numbers(allow_nan=True, allow_infinity=True),
+            st.integers(min_value=1, max_value=10**40),
+        ), max_size=20))
+        def check(entries):
+            spec = SpectrumFactorization(entries, "numeric")
+            assert render(spec) == stdlib_render(spec)
+
+        check()
+
+
+def test_every_error_has_one_exit_code():
+    """Exit code 2 for InputError, 1 for DataError: each concrete error is
+    exactly one of the two."""
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    bases = (errors.InputError, errors.DataError)
+    concrete = [c for c in subclasses(errors.SpectrumError) if c not in bases]
+    assert errors.InvalidTwist in concrete
+    for cls in concrete:
+        assert issubclass(cls, errors.InputError) != issubclass(cls, errors.DataError), cls

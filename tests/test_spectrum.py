@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from antipode_spectrum import spectrum
 from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.errors import (
     AmbiguousM,
@@ -113,6 +114,19 @@ class TestSelectM:
         fam = uqsl2_family(3, lam=Fraction(2))
         m = select_m(fam.fusion, fam.module, candidate=fam.m)
         assert all(x for x in m)
+
+    def test_verified_candidate_skips_eigenspace(self, monkeypatch):
+        def eigenspace(*args, **kwargs):
+            raise AssertionError("dimension eigenspace computed for a verified candidate")
+
+        monkeypatch.setattr(spectrum, "dimension_eigenspace", eigenspace)
+        for fam in (uqsl2_family(3, lam=Fraction(2)), uqsl2_family(5)):
+            assert select_m(fam.fusion, fam.module, candidate=fam.m) == fam.m
+
+    def test_candidate_for_unmatched_data_reports_empty_eigenspace(self):
+        f, mod, _ = vecg_family(Group.cyclic(2), {"0": 1, "1": -1}, ["0", "1"])
+        with pytest.raises(EmptyEigenspace):
+            select_m(f, mod, candidate=[1])
 
 
 class TestMBar:
