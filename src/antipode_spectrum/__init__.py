@@ -14,12 +14,11 @@ from .grothendieck import (
 from .modcat import ModuleActionData, d_action_triviality, dimension_identity, verify_module
 from .pivotalization import (
     PivotalizationData,
-    SignedEigenvalue,
     char_poly_pivotalized,
     from_matched_pivotal,
     signed_spectrum,
 )
-from .scalar import parse_literal
+from .scalar import SignedEigenvalue, parse_literal
 from .spectrum import (
     SpectrumFactorization,
     char_poly_s2,

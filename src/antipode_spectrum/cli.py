@@ -10,55 +10,18 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import families, oracle, specfile
-from .cyclotomic import CycNum
-from .errors import BadParameters, DataError, InputError, ParseError
-from .pivotalization import SignedEigenvalue, char_poly_pivotalized, from_matched_pivotal
-from .scalar import count_torus_vars, literal_to_cycnum, literal_to_factored
-from .spectrum import (
-    SpectrumFactorization,
-    char_poly_s2,
-    dimension_eigenspace,
-    select_m,
-)
-from .symbolic import FactoredValue
+from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
+from .pivotalization import char_poly_pivotalized, from_matched_pivotal
+from .scalar import count_torus_vars, from_literal, literal_to_cycnum, to_json, to_text
+from .spectrum import SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m
 
 
 # -- output helpers ------------------------------------------------------------------
-
-def eigenvalue_json(v):
-    if isinstance(v, SignedEigenvalue):
-        return {"kind": "signed", "sign": v.sign, "squared": eigenvalue_json(v.squared)}
-    if isinstance(v, CycNum):
-        a = v.complex_value()
-        return {
-            "kind": "cyclotomic",
-            "order": v.field.order,
-            "coeffs": [str(c) for c in v.coeffs],
-            "approx": [a.real, a.imag],
-            "str": str(v),
-        }
-    if isinstance(v, FactoredValue):
-        return {
-            "kind": "factored",
-            "constant": {"order": v.ctx.ell, "coeffs": [str(c) for c in v.constant.coeffs]},
-            "monomial": list(v.monomial),
-            "factors": [
-                {"root": list(coords), "class": cls, "power": p}
-                for (coords, cls), p in sorted(v.factors.items())
-            ],
-            "str": str(v),
-        }
-    if isinstance(v, (int, Fraction)):
-        return {"kind": "rational", "value": str(v)}
-    z = complex(v)
-    return {"kind": "numeric", "re": z.real, "im": z.imag}
-
 
 # entries rendered and written per write() call
 JSON_CHUNK = 4096
@@ -100,28 +63,14 @@ def _json_text(obj, pad: str) -> str:
 def _entry_text(v, m) -> str:
     """One item of the "eigenvalues" list, indented as the list's members."""
     if type(v) is complex:
-        # the numeric payload of eigenvalue_json, written without building it:
+        # the numeric payload of to_json, written without building it:
         # numeric spectra run to tens of thousands of entries
         value = (f'{{\n        "im": {_float_text(v.imag)},\n'
                  f'        "kind": "numeric",\n'
                  f'        "re": {_float_text(v.real)}\n      }}')
     else:
-        value = _json_text(eigenvalue_json(v), "      ")
+        value = _json_text(to_json(v), "      ")
     return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
-
-
-def _eig_text(v) -> str:
-    if isinstance(v, SignedEigenvalue):
-        return str(v)
-    if isinstance(v, CycNum):
-        a = v.complex_value()
-        return f"{v}  (~ {a.real:.6g}{a.imag:+.6g}j)"
-    if isinstance(v, FactoredValue):
-        return str(v)
-    if isinstance(v, (int, Fraction)):
-        return str(v)
-    z = complex(v)
-    return f"{z.real:.9g}{z.imag:+.9g}j"
 
 
 def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
@@ -149,7 +98,7 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     if rp:
         out.write(f"chi(z) = (z^{rp[0]} - 1)^{rp[1]}\n")
     for v, m in spec.entries:
-        out.write(f"multiplicity {m}: {_eig_text(v)}\n")
+        out.write(f"multiplicity {m}: {to_text(v)}\n")
 
 
 def _trace_vector(doc: specfile.SpecDocument, override_m=None):
@@ -177,6 +126,15 @@ def _load(args):
     doc = specfile.load(args.spec)
     if getattr(args, "tolerance", None) is not None:
         doc.tolerance = args.tolerance
+    return doc
+
+
+def _load_verified(args):
+    """The spec document, once its fusion and module data pass verification."""
+    doc = _load(args)
+    rf, rm = _verify_doc(doc, False)
+    if not (rf.ok and rm.ok):
+        raise VerificationFailed(f"{rf}\n{rm}")
     return doc
 
 
@@ -209,22 +167,11 @@ def _parse_m_option(text, doc):
             f"--m needs {doc.module.size} comma-separated literals, got {len(parts)}"
         )
     nvars = max((count_torus_vars(p) for p in parts), default=0)
-    if nvars:
-        return [literal_to_factored(p, doc.order, nvars) for p in parts]
-    if doc.mode == "numeric":
-        from .scalar import literal_to_complex
-
-        return [literal_to_complex(p, doc.order) for p in parts]
-    return [literal_to_cycnum(p, doc.order) for p in parts]
+    return [from_literal(p, doc.mode, doc.order, nvars) for p in parts]
 
 
 def cmd_charpoly(args):
-    doc = _load(args)
-    rf, rm = _verify_doc(doc, False)
-    if not (rf.ok and rm.ok):
-        print(rf, file=sys.stderr)
-        print(rm, file=sys.stderr)
-        return 1
+    doc = _load_verified(args)
     override = _parse_m_option(args.m, doc) if args.m else None
     spec = char_poly_s2(doc.fusion, doc.module, _trace_vector(doc, override), doc.tolerance)
     print_spectrum(spec, args.json)
@@ -232,7 +179,7 @@ def cmd_charpoly(args):
 
 
 def cmd_pivotalize(args):
-    doc = _load(args)
+    doc = _load_verified(args)
     if doc.pivotalization is not None:
         spec = char_poly_pivotalized(doc.pivotalization, doc.tolerance)
     else:
@@ -284,7 +231,7 @@ def _family_data(args):
         f, mod, m = families.vecg_family(group, kappa, subgroup)
         return f, mod, m, args.order
     if args.kind == "regular":
-        doc = specfile.load(args.spec)
+        doc = _load_verified(args)
         mod, m = families.regular_module(doc.fusion)
         return doc.fusion, mod, m, doc.order
     raise BadParameters(f"unknown family {args.kind!r}")

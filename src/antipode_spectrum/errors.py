@@ -53,6 +53,11 @@ class MissingDims(InputError):
     pass
 
 
+class VerificationFailed(DataError):
+    """Fusion or module data of a document fails its axiom checks; the
+    message holds both reports."""
+
+
 # -- spectrum ----------------------------------------------------------------
 
 class EmptyEigenspace(DataError):

@@ -14,15 +14,14 @@ import cmath
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField
 from .errors import BadParameters, EmptyEigenspace, MissingDims, NotACharacter, NotASubgroup, ZeroEntry
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE
+from .scalar import DEFAULT_TOLERANCE, inverse, lift
 from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum, pair_products
 from .symbolic import FactoredContext, FactoredValue
 
@@ -106,10 +105,6 @@ class TorusPoint:
         if rank != 1:
             raise BadParameters(f"torus point needs {rank} coordinates")
         return cls(ell, (lam,))
-
-
-def _exactish(x):
-    return isinstance(x, (int, Fraction, CycNum))
 
 
 # -- Taft family ------------------------------------------------------------------
@@ -229,18 +224,16 @@ def uqsl2_family(ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) ->
         ctx = FactoredContext(ell, 1)
         m = [FactoredValue.atom(ctx, (1,), (s * j) % ell) for j in range(ell)]
     else:
-        lam0 = point.entries[0]
-        if _exactish(lam0):
-            lam0 = lam0 if isinstance(lam0, CycNum) else field.from_rational(lam0)
-            m = [lam0 * field.zeta(s * j) - field.zeta(-s * j) for j in range(ell)]
-            if any(not x for x in m):
-                raise ZeroEntry("Lambda^ell = 1: some m_j vanishes")
-        else:
-            lam0 = complex(lam0)
+        backend, (lam0,) = lift(point.entries)
+        if backend == "numeric":
             if abs(lam0**ell - 1) <= tol:
                 raise ZeroEntry("Lambda^ell = 1 within tolerance")
             q = cmath.exp(2j * cmath.pi * s / ell)
             m = [lam0 * q**j - q**-j for j in range(ell)]
+        else:
+            m = [lam0 * field.zeta(s * j) - field.zeta(-s * j) for j in range(ell)]
+            if any(not x for x in m):
+                raise ZeroEntry("Lambda^ell = 1: some m_j vanishes")
     return DynamicalFamily(fusion, module, m)
 
 
@@ -304,8 +297,8 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
         for alpha in rs.positive_roots
     ]
 
+    backend, coords = ("symbolic", ()) if point.is_symbolic else lift(point.entries)
     if point.is_symbolic:
-        backend = "symbolic"
         ctx = FactoredContext(ell, rs.rank)
         ys = []
         for idx in range(len(chars)):
@@ -313,10 +306,8 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
             for a, alpha in enumerate(rs.positive_roots):
                 y = y * FactoredValue.atom(ctx, alpha, (s * pairings[a][idx]) % ell)
             ys.append(y)
-    elif all(_exactish(x) for x in point.entries):
-        backend = "cyclotomic"
+    elif backend == "cyclotomic":
         field = CycField(ell)
-        coords = [x if isinstance(x, CycNum) else field.from_rational(x) for x in point.entries]
         ys = []
         for idx in range(len(chars)):
             y = field.one()
@@ -330,13 +321,11 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
                 raise ZeroEntry("Lambda_alpha^ell = 1: a torus character vanishes")
             ys.append(y)
     else:
-        backend = "numeric"
-        lamv = [complex(x) for x in point.entries]
         q = cmath.exp(2j * cmath.pi * s / ell)
         ys = np.ones(len(chars), dtype=complex)
         for a, alpha in enumerate(rs.positive_roots):
             la = 1.0 + 0j
-            for x, e in zip(lamv, alpha):
+            for x, e in zip(coords, alpha):
                 la *= x**e
             if abs(la**ell - 1) <= tol:
                 raise ZeroEntry(f"Lambda_alpha^ell = 1 for root {alpha}")
@@ -416,9 +405,7 @@ def vecg_family(group: Group, kappa: dict, subgroup):
     vector is m_{gH} = kappa(g)^-1.  Otherwise a MatchFailure carrying the
     (empty) eigenspace evidence is returned in place of m.
     """
-    kappa = {
-        g: (v if isinstance(v, CycNum) else Fraction(v)) for g, v in kappa.items()
-    }
+    kappa = dict(zip(kappa, lift(list(kappa.values()))[1]))
     if set(kappa) != set(group.elements):
         raise NotACharacter("kappa must be defined on every group element")
     for a in group.elements:
@@ -467,11 +454,7 @@ def vecg_family(group: Group, kappa: dict, subgroup):
     module = ModuleActionData(labels=labels, action=action)
 
     if all(kappa[h] == 1 for h in H):
-        m = []
-        for r in reps:
-            v = kappa[r]
-            m.append(v.inverse() if isinstance(v, CycNum) else 1 / v)
-        return fusion, module, m
+        return fusion, module, [inverse(kappa[r]) for r in reps]
     try:
         dimension_eigenspace(fusion, module)
         multiplicity = -1  # unreachable for unmatched kappa

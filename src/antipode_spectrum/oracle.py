@@ -19,7 +19,7 @@ from .cyclotomic import CycField
 from .errors import BadParameters
 from .grothendieck import FusionData, VerificationReport
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE, canonical_key
+from .scalar import DEFAULT_TOLERANCE, lift
 from .spectrum import SpectrumFactorization
 
 
@@ -518,6 +518,7 @@ def brute_force_spectrum(f: FusionData, mod: ModuleActionData, m,
                          tol=DEFAULT_TOLERANCE) -> SpectrumFactorization:
     """Plain quadruple-loop evaluation of the block multiplicities and
     eigenvalue ratios, independent of the vectorized route in spectrum."""
+    backend, m = lift(m)
     size = mod.size
     cart = [[int(x) for x in row] for row in f.cartan_matrix()]
     mats = [mod.matrix(r) for r in f.labels]
@@ -538,6 +539,4 @@ def brute_force_spectrum(f: FusionData, mod: ModuleActionData, m,
                                 n += nq * c * int(mats[r][k, l])
                     if n:
                         pairs.append(((m[j] * m[l]) / (m[i] * m[k]), n))
-    kind = canonical_key(pairs[0][0], tol)[0]
-    backend = {"cyc": "cyclotomic", "fac": "symbolic", "num": "numeric"}[kind]
     return SpectrumFactorization.merge_pairs(pairs, backend, tol)

@@ -7,68 +7,13 @@ Square roots are never extracted: an eigenvalue is carried as the pair
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .cyclotomic import CycNum
 from .errors import NonRealSigns, SignSplitMismatch
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE, canonical_key, numeric_value
-from .spectrum import (
-    SpectrumFactorization,
-    classify_scalars,
-    m_bar,
-    pair_class_spectrum,
-    pair_products,
-)
-
-
-def sign_of(x, tol=DEFAULT_TOLERANCE) -> int:
-    """Sign of a real scalar; NonRealSigns when the value is not real."""
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    if isinstance(x, CycNum):
-        if not x.is_real():
-            raise NonRealSigns(f"{x} is not real")
-        v = x.complex_value().real
-        return (v > tol) - (v < -tol)
-    v = numeric_value(x)
-    if abs(v.imag) > tol:
-        raise NonRealSigns(f"{v} is not real")
-    return (v.real > tol) - (v.real < -tol)
-
-
-class SignedEigenvalue:
-    """sign * sqrt(squared); equality compares both components."""
-
-    __slots__ = ("sign", "squared")
-
-    def __init__(self, sign: int, squared):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.sign = sign
-        self.squared = squared
-
-    def canonical_key(self, tol=DEFAULT_TOLERANCE):
-        return ("sgn", self.sign, canonical_key(self.squared, tol))
-
-    def __eq__(self, other):
-        if not isinstance(other, SignedEigenvalue):
-            return NotImplemented
-        return self.sign == other.sign and canonical_key(self.squared) == canonical_key(
-            other.squared
-        )
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    def __str__(self):
-        s = "+" if self.sign > 0 else "-"
-        return f"{s}sqrt({self.squared})"
-
-    __repr__ = __str__
+from .scalar import DEFAULT_TOLERANCE, SignedEigenvalue, lift, sign
+from .spectrum import SpectrumFactorization, m_bar, pair_class_spectrum, pair_products
 
 
 class PivotalizationData:
@@ -81,7 +26,7 @@ class PivotalizationData:
         if len(self.nu) != k:
             raise ValueError("one nu per module label")
         for i, v in enumerate(self.nu):
-            if sign_of(v) <= 0:
+            if sign(v) <= 0:
                 raise ValueError(f"nu_{self.module_labels[i]} must be positive")
         self.n_plus = {r: np.asarray(m, dtype=np.int64) for r, m in n_plus.items()}
         self.n_minus = {r: np.asarray(m, dtype=np.int64) for r, m in n_minus.items()}
@@ -109,14 +54,14 @@ def char_poly_pivotalized(p: PivotalizationData, tol=DEFAULT_TOLERANCE) -> Spect
     n_plus = np.einsum("rji,rkl->ijkl", P, P) + np.einsum("rji,rkl->ijkl", M, M)
     n_minus = np.einsum("rji,rkl->ijkl", M, P) + np.einsum("rji,rkl->ijkl", P, M)
     size = len(p.module_labels)
-    backend = "numeric" if classify_scalars(p.nu)[0] == "num" else "cyclotomic"
-    pairs = pair_products(p.nu, backend)
+    backend, nu = lift(p.nu)
+    pairs = pair_products(nu, backend)
     signed = []
-    for sign, n in ((1, n_plus), (-1, n_minus)):
+    for s, n in ((1, n_plus), (-1, n_minus)):
         # rows: pairs (j, k) of the numerator; columns: pairs (i, l) of the denominator
         weights = n.transpose(1, 2, 0, 3).reshape(size * size, size * size)
         spec = pair_class_spectrum(pairs, pairs, weights, backend, tol)
-        signed += [(SignedEigenvalue(sign, v), m) for v, m in spec.entries]
+        signed += [(SignedEigenvalue(s, v), m) for v, m in spec.entries]
     return SpectrumFactorization.merge_pairs(signed, "signed", tol)
 
 
@@ -128,8 +73,8 @@ def from_matched_pivotal(f: FusionData, mod: ModuleActionData, m, mbar=None,
     if mbar is None:
         mbar = m_bar(f, mod, m, tol)
     dims = f.dims_vector()
-    d_sign = [sign_of(d, tol) for d in dims]
-    m_sign = [sign_of(x, tol) for x in m]
+    d_sign = [sign(d, tol) for d in dims]
+    m_sign = [sign(x, tol) for x in m]
     if any(s == 0 for s in d_sign) or any(s == 0 for s in m_sign):
         raise NonRealSigns("zero dimension or trace entry; signs undefined")
     nu = [x * y for x, y in zip(m, mbar)]
@@ -156,7 +101,7 @@ def signed_spectrum(spec: SpectrumFactorization, tol=DEFAULT_TOLERANCE) -> Spect
     (sign(lambda), lambda^2) for comparison against the pivotalized route."""
     pairs = []
     for v, mult in spec.entries:
-        s = sign_of(v, tol)
+        s = sign(v, tol)
         if s == 0:
             raise NonRealSigns("zero eigenvalue cannot be signed")
         pairs.append((SignedEigenvalue(s, v * v), mult))

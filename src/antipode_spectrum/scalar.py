@@ -1,10 +1,16 @@
 """Scalar backends and the literal grammar.
 
-Three kinds of scalar flow through the package:
+Four backends name the kinds of scalar that flow through the package:
 
-* CycNum       exact element of Q(zeta_n)           (cyclotomic backend)
-* FactoredValue  factored rational function of torus parameters (symbolic)
-* complex        floats compared within a tolerance   (numeric backend)
+* cyclotomic  CycNum, an exact element of Q(zeta_n); int and Fraction for
+              rationals
+* symbolic    FactoredValue, a factored rational function of torus parameters
+* numeric     complex, compared within a tolerance
+* signed      SignedEigenvalue, sign * sqrt(squared) from a pivotalization
+
+This module is the one place outside the scalar classes that asks which kind
+a value is: lifting to one backend, keys, zero and closeness tests, inverse,
+sign, and the JSON, text and literal renderings.
 
 Literals follow the grammar
 
@@ -19,17 +25,85 @@ number depending on the backend.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 from .cyclotomic import CycNum
-from .errors import DivisionByZero, NotFactorable, ParseError
+from .errors import DivisionByZero, FieldMismatch, NonRealSigns, NotFactorable, ParseError
 from .symbolic import FactoredContext, FactoredValue, LaurentPoly
 
 DEFAULT_TOLERANCE = 1e-9
 
+# kinds compared by exact equality; everything else is numeric
+_EXACT = (CycNum, Fraction, int, FactoredValue, LaurentPoly)
 
-# -- canonical merge / sort keys ----------------------------------------------
+
+class SignedEigenvalue:
+    """sign * sqrt(squared); equality compares both components."""
+
+    __slots__ = ("sign", "squared")
+
+    def __init__(self, sign: int, squared):
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        self.sign = sign
+        self.squared = squared
+
+    def __eq__(self, other):
+        if not isinstance(other, SignedEigenvalue):
+            return NotImplemented
+        return self.sign == other.sign and canonical_key(self.squared) == canonical_key(
+            other.squared
+        )
+
+    def __hash__(self):
+        return hash(canonical_key(self))
+
+    def __str__(self):
+        s = "+" if self.sign > 0 else "-"
+        return f"{s}sqrt({self.squared})"
+
+    __repr__ = __str__
+
+
+# -- one backend per computation -------------------------------------------------
+
+def lift(values):
+    """(backend, values) with every value brought into one kind.
+
+    symbolic when any value is a FactoredValue (constants become constant
+    FactoredValues), else numeric when any value is neither exact nor
+    rational (all become complex), else cyclotomic: CycNum in the one field
+    present, or Fraction when every value is rational."""
+    field = ctx = None
+    numeric = False
+    for v in values:
+        if isinstance(v, CycNum):
+            if field is not None and v.field is not field:
+                raise FieldMismatch("mixed cyclotomic orders; embed first")
+            field = v.field
+        elif isinstance(v, FactoredValue):
+            ctx = v.ctx
+        elif not isinstance(v, (int, Fraction)):
+            numeric = True
+    if ctx is not None:
+        if field is not None and field is not ctx.field:
+            raise FieldMismatch("constants live outside the symbolic context field")
+        field = ctx.field
+    elif numeric:
+        return "numeric", [numeric_value(v) for v in values]
+    if field is None:
+        return "cyclotomic", [Fraction(v) for v in values]
+    exact = [v if isinstance(v, (CycNum, FactoredValue)) else field.from_rational(v) for v in values]
+    if ctx is None:
+        return "cyclotomic", exact
+    return "symbolic", [
+        v if isinstance(v, FactoredValue) else FactoredValue.from_constant(ctx, v) for v in exact
+    ]
+
+
+# -- keys and comparisons ----------------------------------------------------------
 
 def _round_digits(tol: float) -> int:
     if tol <= 0:
@@ -42,24 +116,23 @@ def canonical_key(x, tol: float = DEFAULT_TOLERANCE):
 
     Keys are only compared within a single backend per run.
     """
-    if hasattr(x, "canonical_key"):
-        return x.canonical_key(tol)
-    if isinstance(x, int):
-        x = Fraction(x)
     if isinstance(x, CycNum):
-        if x.is_rational():
-            x = x.rational_value()  # field-independent key for rationals
-        else:
-            return ("cyc", x.field.order, x.sort_key())
-    if isinstance(x, FactoredValue):
-        return ("fac", x.sort_key())
+        if not x.is_rational():
+            return ("cyclotomic", x.field.order, x.sort_key())
+        x = x.rational_value()  # field-independent key for rationals
+    elif isinstance(x, FactoredValue):
+        return ("symbolic", x.sort_key())
+    elif isinstance(x, SignedEigenvalue):
+        return ("signed", x.sign, canonical_key(x.squared, tol))
+    elif isinstance(x, int):
+        x = Fraction(x)
     if isinstance(x, Fraction):
-        return ("cyc", 1, ((x.numerator, x.denominator),))
+        return ("cyclotomic", 1, ((x.numerator, x.denominator),))
     v = complex(x)
     d = _round_digits(tol)
     re = round(v.real, d) + 0.0  # normalize -0.0
     im = round(v.imag, d) + 0.0
-    return ("num", re, im)
+    return ("numeric", re, im)
 
 
 def numeric_value(x, lam: tuple = ()) -> complex:
@@ -69,6 +142,115 @@ def numeric_value(x, lam: tuple = ()) -> complex:
     if isinstance(x, FactoredValue):
         return x.complex_value(lam)
     return complex(x)
+
+
+def is_zero(x, tol: float = DEFAULT_TOLERANCE) -> bool:
+    """Exactly zero for exact kinds (never true of a FactoredValue); within
+    tol of zero for numeric ones."""
+    if isinstance(x, _EXACT):
+        return not x
+    return abs(x) <= tol
+
+
+def close(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
+    """Equal when both are exact; within tol of each other otherwise."""
+    if isinstance(a, _EXACT) and isinstance(b, _EXACT):
+        return a == b
+    return abs(numeric_value(a) - numeric_value(b)) <= tol
+
+
+def inverse(x):
+    """1 / x in the kind of x; a rational becomes a Fraction."""
+    if isinstance(x, CycNum):
+        return x.inverse()
+    if isinstance(x, FactoredValue):
+        return FactoredValue.one(x.ctx) / x
+    if isinstance(x, int):
+        x = Fraction(x)
+    return 1 / x
+
+
+def sign(x, tol: float = DEFAULT_TOLERANCE) -> int:
+    """Sign of a real scalar; NonRealSigns when the value is not real."""
+    if isinstance(x, (int, Fraction)):
+        return (x > 0) - (x < 0)
+    if isinstance(x, CycNum):
+        if not x.is_real():
+            raise NonRealSigns(f"{x} is not real")
+        v = x.complex_value().real
+        return (v > tol) - (v < -tol)
+    v = numeric_value(x)
+    if abs(v.imag) > tol:
+        raise NonRealSigns(f"{v} is not real")
+    return (v.real > tol) - (v.real < -tol)
+
+
+def roots_of_unity(values) -> bool:
+    """True iff the n pairwise distinct values are the n-th roots of unity;
+    cyclotomic values must moreover live in Q(zeta_n) itself."""
+    n = len(values)
+    if all(isinstance(v, CycNum) for v in values):
+        field = values[0].field
+        return n == field.order and set(values) == {field.zeta(t) for t in range(n)}
+    z = [numeric_value(v) for v in values]
+    roots = sorted(round(cmath.phase(x) / (2 * math.pi) * n) % n for x in z)
+    return roots == list(range(n)) and all(abs(x**n - 1) <= 1e-6 for x in z)
+
+
+# -- renderings ---------------------------------------------------------------------
+
+def to_json(v):
+    """JSON payload of an eigenvalue, tagged with its kind."""
+    if isinstance(v, SignedEigenvalue):
+        return {"kind": "signed", "sign": v.sign, "squared": to_json(v.squared)}
+    if isinstance(v, CycNum):
+        a = v.complex_value()
+        return {
+            "kind": "cyclotomic",
+            "order": v.field.order,
+            "coeffs": [str(c) for c in v.coeffs],
+            "approx": [a.real, a.imag],
+            "str": str(v),
+        }
+    if isinstance(v, FactoredValue):
+        return {
+            "kind": "factored",
+            "constant": {"order": v.ctx.ell, "coeffs": [str(c) for c in v.constant.coeffs]},
+            "monomial": list(v.monomial),
+            "factors": [
+                {"root": list(coords), "class": cls, "power": p}
+                for (coords, cls), p in sorted(v.factors.items())
+            ],
+            "str": str(v),
+        }
+    if isinstance(v, (int, Fraction)):
+        return {"kind": "rational", "value": str(v)}
+    z = complex(v)
+    return {"kind": "numeric", "re": z.real, "im": z.imag}
+
+
+def to_text(v) -> str:
+    """An eigenvalue as the text output prints it."""
+    if isinstance(v, CycNum):
+        a = v.complex_value()
+        return f"{v}  (~ {a.real:.6g}{a.imag:+.6g}j)"
+    if isinstance(v, (SignedEigenvalue, FactoredValue, int, Fraction)):
+        return str(v)
+    z = complex(v)
+    return f"{z.real:.9g}{z.imag:+.9g}j"
+
+
+def to_literal(x) -> str:
+    """A scalar in the literal grammar; from_literal reads it back."""
+    if isinstance(x, (CycNum, FactoredValue, int, Fraction)):
+        return str(x)
+    raise ParseError(f"cannot serialize {type(x).__name__} exactly; use the cyclotomic backend")
+
+
+def literal_order(values) -> int:
+    """The field order that reads back the literals of values: the largest
+    cyclotomic order among them, 1 when there is none."""
+    return max((v.field.order for v in values if isinstance(v, CycNum)), default=1)
 
 
 # -- literal tokenizer / parser ------------------------------------------------
@@ -318,3 +500,13 @@ def literal_to_factored(s: str, order: int, nvars: int) -> FactoredValue:
 
 def literal_to_complex(s: str, order: int) -> complex:
     return literal_to_cycnum(s, order).complex_value()
+
+
+def from_literal(s: str, mode: str, order: int, nvars: int = 0):
+    """A literal read into its backend's kind: a FactoredValue when nvars > 0,
+    a complex in numeric mode, a CycNum otherwise."""
+    if nvars > 0:
+        return literal_to_factored(s, order, nvars)
+    if mode == "numeric":
+        return literal_to_complex(s, order)
+    return literal_to_cycnum(s, order)

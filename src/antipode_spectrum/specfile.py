@@ -23,21 +23,12 @@ data survives the round trip.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .cyclotomic import CycNum
 from .errors import ParseError, SchemaError
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .pivotalization import PivotalizationData
-from .scalar import (
-    DEFAULT_TOLERANCE,
-    count_torus_vars,
-    literal_to_complex,
-    literal_to_cycnum,
-    literal_to_factored,
-)
-from .symbolic import FactoredValue
+from .scalar import DEFAULT_TOLERANCE, count_torus_vars, from_literal, literal_order, to_literal
 
 
 class SpecDocument:
@@ -61,11 +52,7 @@ def _parse_scalar(lit, mode, order, path, nvars=0):
     if not isinstance(lit, str):
         raise SchemaError("scalar values must be literal strings", location=path)
     try:
-        if nvars > 0:
-            return literal_to_factored(lit, order, nvars)
-        if mode == "numeric":
-            return literal_to_complex(lit, order)
-        return literal_to_cycnum(lit, order)
+        return from_literal(lit, mode, order, nvars)
     except ParseError as e:
         raise SchemaError(f"bad scalar literal {lit!r}: {e}", location=path)
 
@@ -198,24 +185,10 @@ def load(path: str) -> SpecDocument:
 
 # -- serialization ------------------------------------------------------------------
 
-def scalar_literal(x) -> str:
-    """Render a scalar in the literal grammar (round-trips through loads)."""
-    if isinstance(x, CycNum):
-        return str(x)
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    if isinstance(x, FactoredValue):
-        return str(x)
-    raise ParseError(f"cannot serialize {type(x).__name__} exactly; use the cyclotomic backend")
-
-
 def dumps(fusion: FusionData, module: ModuleActionData, m=None, mode="cyclotomic",
           order=None, pivotalization=None) -> str:
     if order is None:
-        orders = {
-            v.field.order for v in (fusion.dims or {}).values() if isinstance(v, CycNum)
-        }
-        order = max(orders) if orders else 1
+        order = literal_order((fusion.dims or {}).values())
     doc = {
         "scalar_backend": {"mode": mode, "order": order, "precision": DEFAULT_TOLERANCE},
         "category": {
@@ -234,12 +207,12 @@ def dumps(fusion: FusionData, module: ModuleActionData, m=None, mode="cyclotomic
     if fusion.cartan is not None:
         doc["category"]["cartan"] = fusion.cartan.tolist()
     if fusion.dims is not None:
-        doc["category"]["dims"] = {lab: scalar_literal(v) for lab, v in fusion.dims.items()}
+        doc["category"]["dims"] = {lab: to_literal(v) for lab, v in fusion.dims.items()}
     if m is not None:
-        doc["m_vector"] = [scalar_literal(x) for x in m]
+        doc["m_vector"] = [to_literal(x) for x in m]
     if pivotalization is not None:
         doc["pivotalization"] = {
-            "nu": [scalar_literal(v) for v in pivotalization.nu],
+            "nu": [to_literal(v) for v in pivotalization.nu],
             "n_plus": {r: pivotalization.n_plus[r].tolist() for r in pivotalization.ring_labels},
             "n_minus": {r: pivotalization.n_minus[r].tolist() for r in pivotalization.ring_labels},
         }

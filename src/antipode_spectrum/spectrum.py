@@ -14,76 +14,30 @@ On examples with real self-conjugate data both index orders coincide.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import _linalg
-from .cyclotomic import CycNum
 from .errors import (
     AmbiguousM,
     EmptyEigenspace,
-    FieldMismatch,
     InvalidTwist,
     JDependence,
     NotInEigenspace,
     ZeroEntry,
 )
-from .grothendieck import FusionData, VerificationReport, global_dimension, q_matrix
+from .grothendieck import FusionData, VerificationReport, fp_dimensions, global_dimension, q_matrix
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE, _round_digits, canonical_key, numeric_value
-from .symbolic import FactoredValue, LaurentPoly
-
-
-# -- scalar domain bookkeeping -------------------------------------------------
-
-def classify_scalars(values):
-    """('cyc', field) | ('frac', None) | ('num', None) | ('sym', ctx)."""
-    field = None
-    ctx = None
-    numeric = False
-    for v in values:
-        if isinstance(v, CycNum):
-            if field is not None and v.field is not field:
-                raise FieldMismatch("mixed cyclotomic orders; embed first")
-            field = v.field
-        elif isinstance(v, FactoredValue):
-            ctx = v.ctx
-        elif isinstance(v, (int, Fraction)):
-            pass
-        else:
-            numeric = True
-    if ctx is not None:
-        return ("sym", ctx)
-    if field is not None:
-        return ("cyc", field)
-    if numeric:
-        return ("num", None)
-    return ("frac", None)
-
-
-def _lift(values, kind, context):
-    if kind == "cyc":
-        return [v if isinstance(v, CycNum) else context.from_rational(v) for v in values]
-    if kind == "frac":
-        return [Fraction(v) for v in values]
-    if kind == "num":
-        return [numeric_value(v) for v in values]
-    return list(values)
-
-
-def _is_zero(v, tol):
-    if isinstance(v, (CycNum, Fraction, int, FactoredValue)):
-        return not v
-    return abs(v) <= tol
-
-
-def _eq(a, b, tol):
-    if isinstance(a, (CycNum, Fraction, int, FactoredValue)) and isinstance(
-        b, (CycNum, Fraction, int, FactoredValue)
-    ):
-        return a == b
-    return abs(numeric_value(a) - numeric_value(b)) <= tol
+from .scalar import (
+    DEFAULT_TOLERANCE,
+    _round_digits,
+    canonical_key,
+    close,
+    inverse,
+    is_zero,
+    lift,
+    numeric_value,
+    roots_of_unity,
+)
 
 
 # -- spectrum container ----------------------------------------------------------
@@ -148,25 +102,9 @@ class SpectrumFactorization:
         if n == 0 or self.backend not in ("cyclotomic", "numeric"):
             return None
         mults = {m for _, m in self.entries}
-        if len(mults) != 1:
+        if len(mults) != 1 or not roots_of_unity([v for v, _ in self.entries]):
             return None
-        e = mults.pop()
-        values = [v for v, _ in self.entries]
-        if all(isinstance(v, CycNum) for v in values):
-            field = values[0].field
-            if n == field.order and {v for v in values} == {field.zeta(t) for t in range(n)}:
-                return (n, e)
-            return None
-        roots = sorted(
-            (round((np.angle(numeric_value(v)) / (2 * np.pi) * n)) % n for v in values)
-        )
-        if roots != list(range(n)):
-            return None
-        for v in values:
-            z = numeric_value(v)
-            if abs(z**n - 1) > 1e-6:
-                return None
-        return (n, e)
+        return (n, mults.pop())
 
     def __str__(self):
         rp = self.uniform_root_power()
@@ -174,7 +112,7 @@ class SpectrumFactorization:
             return f"(z^{rp[0]} - 1)^{rp[1]}"
         parts = []
         for v, m in self.entries:
-            sv = str(v) if not isinstance(v, complex) else f"{v:.6g}"
+            sv = f"{v:.6g}" if self.backend == "numeric" else str(v)
             parts.append(f"(z - {sv})^{m}")
         return " ".join(parts)
 
@@ -184,71 +122,40 @@ class SpectrumFactorization:
 def dimension_eigenspace(f: FusionData, mod: ModuleActionData, tol=DEFAULT_TOLERANCE):
     """Exact basis of the joint eigenspace  cap_r ker(N_r - dim(X_r) I)  and
     its dimension (the multiplicity of the dimension character in Gr(M))."""
-    dims = f.dims_vector()
-    kind, context = classify_scalars(dims)
+    backend, dims = lift(f.dims_vector())
     size = mod.size
     mats = mod.matrices(f)
-    if kind == "num":
-        rows = np.vstack(
-            [np.asarray(m, dtype=complex) - d * np.eye(size) for m, d in zip(mats, _lift(dims, kind, context))]
-        )
-        basis = _linalg.numeric_nullspace(rows, tol)
-        if not basis:
-            raise EmptyEigenspace("no matched pivotal structure for the given dims")
-        return [list(b) for b in basis], len(basis)
-    if kind == "cyc":
-        one, zero = context.one(), context.zero()
+    if backend == "numeric":
+        rows = np.vstack([np.asarray(m, dtype=complex) - d * np.eye(size) for m, d in zip(mats, dims)])
+        basis = [list(b) for b in _linalg.numeric_nullspace(rows, tol)]
     else:
-        one, zero = Fraction(1), Fraction(0)
-    dlift = _lift(dims, kind, context)
-    stacked = []
-    for m, d in zip(mats, dlift):
-        for j in range(size):
-            row = [one * int(m[j, i]) for i in range(size)]
-            row[j] = row[j] - d
-            stacked.append(row)
-    basis = _linalg.nullspace(stacked, one, zero)
+        zero = 0 * dims[0]
+        one = zero + 1
+        stacked = []
+        for m, d in zip(mats, dims):
+            for j in range(size):
+                row = [one * int(m[j, i]) for i in range(size)]
+                row[j] = row[j] - d
+                stacked.append(row)
+        basis = _linalg.nullspace(stacked, one, zero)
     if not basis:
         raise EmptyEigenspace("no matched pivotal structure for the given dims")
     return basis, len(basis)
 
 
-def _verify_eigenvector(f, mod, m, tol):
-    """Check N_r m = dim(X_r) m for every r; exact for symbolic entries."""
-    dims = f.dims_vector()
+def _verify_eigenvector(f, mod, m, tol, dims=None):
+    """Check N_r m = d_r m for every r, where d is the dimension vector unless
+    given; exact for symbolic entries."""
     size = mod.size
-    if any(isinstance(x, FactoredValue) for x in m):
-        ctx = next(x.ctx for x in m if isinstance(x, FactoredValue))
-        field = ctx.field
-        polys = []
-        for x in m:
-            if isinstance(x, FactoredValue):
-                polys.append(x.expand())
-            else:
-                xv = x if isinstance(x, CycNum) else field.from_rational(x)
-                polys.append(LaurentPoly.constant(ctx, xv))
-        for r, lab in enumerate(f.labels):
-            d = dims[r]
-            dv = d if isinstance(d, CycNum) else field.from_rational(d)
-            if isinstance(d, CycNum) and d.field is not field:
-                raise FieldMismatch("dims live outside the symbolic context field")
-            N = mod.matrix(lab)
-            for j in range(size):
-                acc = LaurentPoly(ctx, {})
-                for i in range(size):
-                    c = int(N[j, i])
-                    if c:
-                        acc = acc + polys[i] * field.from_rational(c)
-                if not (acc - polys[j] * dv).is_zero():
-                    raise NotInEigenspace(f"N_{lab} m != dim(X_{lab}) m at row {mod.labels[j]}")
-        return
-    for r, lab in enumerate(f.labels):
+    backend, m = lift(m)
+    if backend == "symbolic":
+        m = [x.expand() for x in m]  # factored values have no sum
+    for lab, d in zip(f.labels, f.dims_vector() if dims is None else dims):
         N = mod.matrix(lab)
-        d = dims[r]
         for j in range(size):
             lhs = sum((int(N[j, i]) * m[i] for i in range(size)), start=0 * m[0])
-            if not _eq(lhs, d * m[j], tol):
-                raise NotInEigenspace(f"N_{lab} m != dim(X_{lab}) m at row {mod.labels[j]}")
+            if not close(lhs, d * m[j], tol):
+                raise NotInEigenspace(f"N_{lab} m != d_{lab} m at row {mod.labels[j]}")
 
 
 def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=None,
@@ -266,7 +173,7 @@ def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=No
     if candidate is not None:
         try:
             for i, x in enumerate(candidate):
-                if not isinstance(x, FactoredValue) and _is_zero(x, tol):
+                if is_zero(x, tol):
                     raise ZeroEntry(f"candidate m_{mod.labels[i]} = 0")
             _verify_eigenvector(f, mod, candidate, tol)
         except (ZeroEntry, NotInEigenspace):
@@ -281,7 +188,7 @@ def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=No
         )
     v = basis[0]
     for i, x in enumerate(v):
-        if _is_zero(x, tol):
+        if is_zero(x, tol):
             raise ZeroEntry(f"m_{mod.labels[i]} = 0 in the unique eigenvector")
     lead = v[0]
     return [x / lead for x in v]
@@ -292,34 +199,30 @@ def m_bar(f: FusionData, mod: ModuleActionData, m, tol=DEFAULT_TOLERANCE):
     mbar_i = (Q_M)_{ji} / m_j, checked to be independent of the row j."""
     Q = q_matrix(f, mod.matrices(f))
     size = mod.size
-    if any(isinstance(x, FactoredValue) for x in m):
-        return _m_bar_symbolic(f, mod, m, Q)
+    backend, m = lift(m)
+    if backend == "symbolic":
+        return _m_bar_symbolic(mod, m, Q, tol)
     mbar = [Q[0][i] / m[0] for i in range(size)]
     for j in range(size):
         for i in range(size):
-            if not _eq(Q[j][i], mbar[i] * m[j], tol):
+            if not close(Q[j][i], mbar[i] * m[j], tol):
                 raise JDependence(
                     f"row {mod.labels[j]} of Q_M is not m_j * mbar; data is not matched"
                 )
     return mbar
 
 
-def _m_bar_symbolic(f, mod, m, Q):
-    ctx = next(x.ctx for x in m if isinstance(x, FactoredValue))
-    field = ctx.field
-
-    def to_factored(c):
-        cc = c if isinstance(c, CycNum) else field.from_rational(c)
-        return FactoredValue.from_constant(ctx, cc) if cc else None
-
+def _m_bar_symbolic(mod, m, Q, tol):
+    """m_bar for factored m; no FactoredValue is zero, so a vanishing entry
+    of Q or of m_bar is None."""
     size = mod.size
-    mbar = [None] * size
-    for i in range(size):
-        q0 = to_factored(Q[0][i])
-        mbar[i] = None if q0 is None else q0 / m[0]
+    nonzero = [(j, i) for j in range(size) for i in range(size) if not is_zero(Q[j][i], tol)]
+    _, lifted = lift([m[0]] + [Q[j][i] for j, i in nonzero])
+    q = dict(zip(nonzero, lifted[1:]))
+    mbar = [q[0, i] / m[0] if (0, i) in q else None for i in range(size)]
     for j in range(size):
         for i in range(size):
-            lhs = to_factored(Q[j][i])
+            lhs = q.get((j, i))
             rhs = None if mbar[i] is None else mbar[i] * m[j]
             if (lhs is None) != (rhs is None) or (lhs is not None and lhs != rhs):
                 raise JDependence(
@@ -341,13 +244,13 @@ def matched_checks(f: FusionData, mod: ModuleActionData, m, mbar,
     tr = Q[0][0]
     for i in range(1, size):
         tr = tr + Q[i][i]
-    if not _eq(tr, dim_c, tol):
+    if not close(tr, dim_c, tol):
         rep.fail("trace", (), f"Tr(Q_M) = {tr}, expected dim(C) = {dim_c}")
 
     rep.record("rank-one")
-    kind, _ = classify_scalars([x for row in Q for x in row])
-    if kind == "num":
-        r = _linalg.numeric_rank(np.array([[numeric_value(x) for x in row] for row in Q]), tol)
+    backend, entries = lift([x for row in Q for x in row])
+    if backend == "numeric":
+        r = _linalg.numeric_rank(np.array(entries).reshape(size, size), tol)
     else:
         r = _linalg.rank(Q)
     if r != 1:
@@ -357,14 +260,14 @@ def matched_checks(f: FusionData, mod: ModuleActionData, m, mbar,
     Q2 = _linalg.mat_mul(Q, Q)
     for i in range(size):
         for j in range(size):
-            if not _eq(Q2[i][j], dim_c * Q[i][j], tol):
+            if not close(Q2[i][j], dim_c * Q[i][j], tol):
                 rep.fail("q-squared", (mod.labels[i], mod.labels[j]), "Q^2 != dim(C) Q")
 
     rep.record("pivotal-normalization")
     s = m[0] * mbar[0]
     for i in range(1, size):
         s = s + m[i] * mbar[i]
-    if not _eq(s, dim_c, tol):
+    if not close(s, dim_c, tol):
         rep.fail("pivotal-normalization", (), f"sum m_i mbar_i = {s} != {dim_c}")
 
     rep.record("hom-table")
@@ -375,7 +278,7 @@ def matched_checks(f: FusionData, mod: ModuleActionData, m, mbar,
                 (d * int(mod.matrix(lab)[j, i]) for lab, d in zip(f.labels, dims)),
                 start=0 * dims[0],
             )
-            if not _eq(lhs, m[i] * mbar[j], tol):
+            if not close(lhs, m[i] * mbar[j], tol):
                 rep.fail(
                     "hom-table",
                     (mod.labels[i], mod.labels[j]),
@@ -400,9 +303,8 @@ def char_poly_s2(f: FusionData, mod: ModuleActionData, m,
     merged under canonical equality."""
     n = block_multiplicities(f, mod)
     size = mod.size
-    kind, context = classify_scalars(m)
-    backend = {"cyc": "cyclotomic", "frac": "cyclotomic", "num": "numeric", "sym": "symbolic"}[kind]
-    pairs = pair_products(_lift(m, kind, context), backend)
+    backend, m = lift(m)
+    pairs = pair_products(m, backend)
     # rows: pairs (j, l) of the numerator; columns: pairs (i, k) of the denominator
     weights = n.transpose(1, 3, 0, 2).reshape(size * size, size * size)
     return pair_class_spectrum(pairs, pairs, weights, backend, tol)
@@ -411,17 +313,9 @@ def char_poly_s2(f: FusionData, mod: ModuleActionData, m,
 def pair_products(values, backend):
     """values[a] * values[b] for every pair (a, b), a major."""
     if backend == "numeric":
-        v = np.array([numeric_value(x) for x in values], dtype=complex)
+        v = np.asarray(values, dtype=complex)
         return np.multiply.outer(v, v).ravel()
     return [a * b for a in values for b in values]
-
-
-def _inverse(x):
-    if isinstance(x, CycNum):
-        return x.inverse()
-    if isinstance(x, FactoredValue):
-        return FactoredValue.one(x.ctx) / x
-    return 1 / Fraction(x)
 
 
 def _exact_classes(values, tol):
@@ -464,9 +358,9 @@ def pair_class_spectrum(num, den, weights, backend, tol=DEFAULT_TOLERANCE):
     if backend == "numeric":
         return _sweep_numeric(np.divide.outer(num_reps, den_reps)[nonzero], totals[nonzero], tol)
     p, q = np.nonzero(nonzero)
-    inverse = {b: _inverse(den_reps[b]) for b in set(q.tolist())}
+    inv = {b: inverse(den_reps[b]) for b in set(q.tolist())}
     return SpectrumFactorization.merge_pairs(
-        [(num_reps[a] * inverse[b], int(totals[a, b])) for a, b in zip(p.tolist(), q.tolist())],
+        [(num_reps[a] * inv[b], int(totals[a, b])) for a, b in zip(p.tolist(), q.tolist())],
         backend, tol,
     )
 
@@ -498,43 +392,31 @@ def pivotal_twist_invariance(f: FusionData, mod: ModuleActionData, m,
     """True iff the spectrum is unchanged by the pivotal twist
     d_r -> d_r b_r, m_i -> m_i b_i.  The pair (b_r, b_i) must satisfy the
     twisted eigenvector equations; otherwise InvalidTwist."""
-    dims = f.dims_vector()
     twisted_m = [x * b for x, b in zip(m, module_twist)]
     for i, x in enumerate(twisted_m):
-        if not isinstance(x, FactoredValue) and _is_zero(x, tol):
+        if is_zero(x, tol):
             raise InvalidTwist(f"twisted m_{mod.labels[i]} vanishes")
-    for r, lab in enumerate(f.labels):
+    for lab in f.labels:
         if lab not in ring_character:
             raise InvalidTwist(f"no character value for {lab}")
-        N = mod.matrix(lab)
-        d = dims[r] * ring_character[lab]
-        for j in range(mod.size):
-            lhs = sum((int(N[j, i]) * twisted_m[i] for i in range(mod.size)), start=0 * twisted_m[0])
-            if not _eq(lhs, d * twisted_m[j], tol):
-                raise InvalidTwist(
-                    f"twist is not compatible with the action at ({lab}, {mod.labels[j]})"
-                )
+    dims = [d * ring_character[lab] for lab, d in zip(f.labels, f.dims_vector())]
+    try:
+        _verify_eigenvector(f, mod, twisted_m, tol, dims)
+    except NotInEigenspace as e:
+        raise InvalidTwist(f"twist is not compatible with the action: {e}") from e
     return char_poly_s2(f, mod, m, tol) == char_poly_s2(f, mod, twisted_m, tol)
 
 
 def perron_m_vector(mod: ModuleActionData, f: FusionData, max_iter=10000,
                     tol=DEFAULT_TOLERANCE):
-    """Positive common Perron eigenvector of the action matrices (the
-    pseudounitary m, Frobenius-Perron dimensions of the M_i), first entry 1."""
-    total = sum(mod.matrix(r) for r in f.labels).astype(float) + np.eye(mod.size)
-    v = np.ones(mod.size)
-    for _ in range(max_iter):
-        w = total @ v
-        w /= np.linalg.norm(w)
-        if np.linalg.norm(w - v) < 1e-14:
-            v = w
-            break
-        v = w
-    for r in f.labels:
-        N = mod.matrix(r).astype(float)
-        lam = float(v @ N @ v) / float(v @ v)
-        if np.linalg.norm(N @ v - lam * v) > 1e-8 * max(1.0, lam):
-            raise EmptyEigenspace(
-                f"action matrices share no positive eigenvector (failed at {r})"
-            )
-    return list(v / v[0])
+    """Positive common eigenvector N_r m = FPdim(X_r) m of the action
+    matrices (the pseudounitary m, Frobenius-Perron dimensions of the M_i),
+    first entry 1."""
+    fp = fp_dimensions(f, max_iter)
+    rows = np.vstack([mod.matrix(r) - d * np.eye(mod.size) for r, d in zip(f.labels, fp)])
+    basis = _linalg.numeric_nullspace(rows, tol)
+    if len(basis) == 1 and abs(basis[0][0]) > tol:
+        v = basis[0] / basis[0][0]
+        if (v.real > 0).all() and (abs(v.imag) <= tol).all():
+            return v.real.tolist()
+    raise EmptyEigenspace("action matrices share no positive Frobenius-Perron eigenvector")

@@ -18,6 +18,8 @@ LaurentPoly is the additive workhorse used to verify linear identities
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .cyclotomic import CycField, CycNum
 from .errors import DivisionByZero, FieldMismatch, NotFactorable
 
@@ -76,6 +78,9 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -99,7 +104,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, CycNum):
+        if isinstance(other, (CycNum, int, Fraction)):
             return LaurentPoly(self.ctx, {m: c * other for m, c in self.terms.items()})
         _check_ctx(self, other)
         out = {}

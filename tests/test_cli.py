@@ -5,10 +5,19 @@ from fractions import Fraction
 import pytest
 
 from antipode_spectrum import errors, specfile
-from antipode_spectrum.cli import JSON_CHUNK, eigenvalue_json, main, print_spectrum
+from antipode_spectrum.cli import JSON_CHUNK, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
-from antipode_spectrum.families import Group, taft_family, uqg_family, uqsl2_family, vecg_family
-from antipode_spectrum.pivotalization import SignedEigenvalue
+from antipode_spectrum.families import (
+    Group,
+    fibonacci_fusion,
+    regular_module,
+    taft_family,
+    uqg_family,
+    uqsl2_family,
+    vecg_family,
+)
+from antipode_spectrum.pivotalization import SignedEigenvalue, from_matched_pivotal
+from antipode_spectrum.scalar import to_json
 from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2
 from antipode_spectrum.symbolic import FactoredValue
 
@@ -31,7 +40,7 @@ def stdlib_render(spec):
         "backend": spec.backend,
         "total_degree": spec.total_degree,
         "eigenvalues": [
-            {"value": eigenvalue_json(v), "multiplicity": m} for v, m in spec.entries
+            {"value": to_json(v), "multiplicity": m} for v, m in spec.entries
         ],
     }
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
@@ -223,6 +232,23 @@ class TestCliCommands:
         path = self.write_spec(tmp_path, json.dumps(doc))
         code, out, _ = run(capsys, "verify", path)
         assert code == 1
+
+    def test_commands_verify_their_document(self, capsys, tmp_path):
+        # Fibonacci with a pivotalization block and a broken fusion rule 1 x 1 -> 1
+        f = fibonacci_fusion()
+        mod, m = regular_module(f)
+        piv = from_matched_pivotal(f, mod, m)
+        doc = json.loads(specfile.dumps(f, mod, m=m, pivotalization=piv))
+        doc["category"]["fusion"] = [
+            [q, r, s, 2 if (q, r, s) == ("1", "1", "1") else c]
+            for q, r, s, c in doc["category"]["fusion"]
+        ]
+        path = self.write_spec(tmp_path, json.dumps(doc))
+        for argv in (["verify", path], ["charpoly", path], ["pivotalize", path],
+                     ["family", "regular", "--spec", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert "FAIL" in out + err
 
 
 class TestJsonRenderer:

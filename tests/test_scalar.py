@@ -1,12 +1,25 @@
+import ast
 import cmath
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from antipode_spectrum.cyclotomic import CycField, cyclotomic_polynomial
 from antipode_spectrum.errors import DivisionByZero, FieldMismatch, ParseError
-from antipode_spectrum.scalar import literal_to_cycnum, literal_to_factored, parse_literal
+from antipode_spectrum.scalar import (
+    canonical_key,
+    close,
+    inverse,
+    is_zero,
+    literal_to_cycnum,
+    literal_to_factored,
+    numeric_value,
+    parse_literal,
+    sign,
+    to_literal,
+)
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue, LaurentPoly
 
 
@@ -234,3 +247,64 @@ class TestLiteralParser:
         assert isinstance(v, LaurentPoly)
         w = parse_literal("L*(z^1 + z^2) - z^-1 - z^-2", 5, 1)
         assert v == w
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "antipode_spectrum"
+SCALAR_TYPES = {"CycNum", "FactoredValue", "Fraction", "complex", "SignedEigenvalue"}
+
+
+def test_scalar_kind_is_decided_in_scalar_only():
+    """The modules outside scalar.py and the scalar classes ask scalar.py
+    which kind a value is: they name no scalar type in an isinstance call and
+    read no tag out of a canonical key."""
+    for name in ("cli", "specfile", "pivotalization", "oracle", "spectrum", "families"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                assert not named & SCALAR_TYPES, f"{name}.py:{node.lineno}"
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert called != "canonical_key", f"{name}.py:{node.lineno} reads a key tag"
+
+
+def test_scalar_helpers_properties():
+    """is_zero, close, inverse, sign and the literal rendering agree with each
+    other and with canonical keys on random CycNum (orders 1-12), Fraction and
+    complex values."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fractions = st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 50)
+
+    @st.composite
+    def cyclotomics(draw):
+        field = CycField(draw(st.integers(min_value=1, max_value=12)))
+        return field.reduce([draw(fractions) for _ in range(field.degree)])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.one_of(cyclotomics(), fractions,
+                  st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)),
+        st.data(),
+    )
+    def check(x, data):
+        assert is_zero(x - x)
+        if not is_zero(x):
+            if isinstance(x, complex):
+                assert close(inverse(x) * x, 1)
+            else:
+                assert inverse(x) * x == 1
+        if not isinstance(x, complex):
+            # a second value of the same field, equal to x about half the time
+            y = data.draw(st.one_of(st.just(x), fractions, st.just(x + 1), st.just(x * 2)))
+            assert close(x, y) == (canonical_key(x) == canonical_key(y))
+            order = x.field.order if hasattr(x, "field") else 1
+            assert literal_to_cycnum(to_literal(x), order) == x
+        real = x + x.conjugate()
+        r = numeric_value(real).real
+        if abs(r) > 1e-9:
+            assert sign(real) == (1 if r > 0 else -1)
+
+    check()

@@ -10,6 +10,7 @@ from antipode_spectrum.errors import (
     EmptyEigenspace,
     InvalidTwist,
     JDependence,
+    NonConvergence,
     NotInEigenspace,
     ZeroEntry,
 )
@@ -353,6 +354,12 @@ class TestSpectrumInvariants:
             char_poly_s2(f2, mod2, m2), 1e-9
         )
 
+    def test_perron_non_convergence(self):
+        f = fibonacci_fusion()
+        mod, _ = regular_module(f)
+        with pytest.raises(NonConvergence):
+            perron_m_vector(mod, f, max_iter=1)
+
 
 class TestTwistInvariance:
     def test_global_rescaling(self):
@@ -385,3 +392,13 @@ class TestTwistInvariance:
         ring_char = {"1": Fraction(1), "t": Fraction(2)}
         with pytest.raises(InvalidTwist):
             pivotal_twist_invariance(f, mod, m, ring_char, [Fraction(1), Fraction(2)])
+
+    def test_symbolic_global_rescaling(self):
+        # the dynamical u_q(sl2) case: a constant factored rescaling of m
+        from antipode_spectrum.symbolic import FactoredValue
+
+        fam = uqsl2_family(3)
+        ctx = fam.m[0].ctx
+        ring_char = {x: 1 for x in fam.fusion.labels}
+        twist = [FactoredValue.from_constant(ctx, 3)] * len(fam.m)
+        assert pivotal_twist_invariance(fam.fusion, fam.module, fam.m, ring_char, twist)
