@@ -1,13 +1,15 @@
 """Exact Gaussian elimination over a field (CycNum or Fraction entries),
 plus a numeric SVD nullspace for the float backend.
 
-Matrices are lists of row lists.  Entries must support +, -, *, /, bool
-(nonzero test) and ==.
+Matrices are lists of row lists.  Entries must support +, -, *, bool
+(nonzero test), == and scalar.inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .scalar import inverse
 
 
 def mat_copy(m):
@@ -27,8 +29,8 @@ def rref(m):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        inv = inverse(m[r][c])
+        m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]

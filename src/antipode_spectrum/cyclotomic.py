@@ -1,9 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are polynomials in zeta reduced modulo the n-th cyclotomic
-polynomial Phi_n, with Fraction coefficients.  Reduction mod Phi_n (rather
-than mod x^n - 1) makes the coefficient vector a canonical form, so equality
-and hashing are structural.
+An element is a polynomial in zeta reduced modulo the n-th cyclotomic
+polynomial Phi_n, stored as in ANTIC's nf_elem: an integer numerator vector
+``num`` of length phi(n) over one common denominator ``den``, the value
+(num[0] + num[1] zeta + ... + num[phi(n)-1] zeta^(phi(n)-1)) / den.  Every
+stored element is in lowest terms: den > 0, gcd(den, *num) == 1, and zero is
+(0, ..., 0) / 1.  Reduction mod Phi_n (rather than mod x^n - 1) makes the
+vector unique, so equality and hashing compare (num, den) structurally.
+
+Phi_n is monic with integer coefficients, so every power x^e reduces to an
+integer row.  CycField tabulates those rows for e < max(n, 2 phi(n) - 1),
+which covers zeta^e for 0 <= e < n and every exponent of a product of two
+reduced elements.  A product is an integer convolution folded through the
+table, then one gcd; a Galois conjugate or an embedding reads its rows from
+the same table; the inverse is the product of the other Galois conjugates
+over the norm.  Fraction appears only where a rational enters or leaves:
+``from_rational``, ``reduce``, ``rational_value`` and ``coeffs``.
 """
 
 from __future__ import annotations
@@ -11,65 +23,37 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import DivisionByZero, FieldMismatch
 
 
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    # exact division over Q; b trimmed and nonzero
-    a = [Fraction(x) for x in a]
-    if len(a) < len(b):
-        return [], _trim(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
+def _divide_exact(a, b):
+    """Quotient of the integer polynomial a by the monic integer polynomial b,
+    which must divide it (coefficients low degree first)."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + db]
         if c:
             q[i] = c
             for j, y in enumerate(b):
                 a[i + j] -= c * y
-    return _trim(q), _trim(a)
+    assert not any(a), "divisor must divide exactly"
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n (low degree first), by iterated exact division
-    of x^n - 1 by Phi_d over the proper divisors d of n."""
+    """Integer coefficients of Phi_n (low degree first), by iterated exact
+    division of x^n - 1 by Phi_d over the proper divisors d of n."""
     if n < 1:
         raise ValueError("order must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not r, f"Phi_{d} must divide x^{n}-1"
-            num = q
+            num = _divide_exact(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
@@ -89,18 +73,24 @@ class CycField:
     def _init(self, order):
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        self.degree = len(self.modulus) - 1
-        xdeg = tuple(-c for c in self.modulus[:-1])  # x^degree mod Phi_n
-        pows = []
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(1)
+        d = self.degree = len(self.modulus) - 1
+        xdeg = [-c for c in self.modulus[:-1]]  # x^degree mod Phi_n
+        rows = []
+        v = [1] + [0] * (d - 1)
         for _ in range(order):
-            pows.append(tuple(v))
+            rows.append(tuple(v))
             top = v[-1]
-            v = [Fraction(0)] + v[:-1]
+            v = [0] + v[:-1]
             if top:
                 v = [c + top * r for c, r in zip(v, xdeg)]
-        self._zeta_pows = pows  # zeta^e reduced, e = 0..order-1
+        rows += [rows[e % order] for e in range(order, 2 * d - 1)]  # x^n = 1 mod Phi_n
+        # row e of x^e mod Phi_n as its nonzero (index, coefficient) pairs
+        self._rows = tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
+        self._units = tuple(k for k in range(2, order) if gcd(k, order) == 1)
+        self._zero_tail = (0,) * (d - 1)
+        self._zetas = tuple(CycNum(self, row, 1) for row in rows[:order])
+        self._zero = CycNum(self, (0,) * d, 1)
+        self._one = self._zetas[0]
 
     def __repr__(self):
         return f"CycField({self.order})"
@@ -109,41 +99,94 @@ class CycField:
         return (CycField, (self.order,))
 
     def zero(self) -> "CycNum":
-        return CycNum(self, (Fraction(0),) * self.degree)
+        return self._zero
 
     def one(self) -> "CycNum":
-        return self.from_rational(1)
+        return self._one
 
     def from_rational(self, q) -> "CycNum":
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(q)
-        return CycNum(self, tuple(v))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return CycNum(self, (q.numerator,) + self._zero_tail, q.denominator)
 
     def zeta(self, e: int = 1) -> "CycNum":
-        return CycNum(self, self._zeta_pows[e % self.order])
+        return self._zetas[e % self.order]
 
     def reduce(self, coeffs) -> "CycNum":
-        """Reduce an arbitrary-length coefficient list mod Phi_n, using
-        x^e = zeta^(e mod n) for the overflow exponents."""
-        out = [Fraction(c) for c in coeffs[: self.degree]]
-        out += [Fraction(0)] * (self.degree - len(out))
-        for e in range(self.degree, len(coeffs)):
-            c = coeffs[e]
+        """Reduce an arbitrary-length rational coefficient list mod Phi_n,
+        using x^e = zeta^(e mod n) for the overflow exponents."""
+        qs = [Fraction(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs)) if qs else 1
+        return _canonical(self, self._fold(q.numerator * (den // q.denominator) for q in qs), den)
+
+    # -- integer vector kernels ------------------------------------------------------
+
+    def _fold(self, coeffs):
+        """Integer vector of sum_e coeffs[e] x^e mod Phi_n, for any length."""
+        out = [0] * self.degree
+        rows, n = self._rows, self.order
+        for e, c in enumerate(coeffs):
             if c:
-                row = self._zeta_pows[e % self.order]
-                out = [a + Fraction(c) * b for a, b in zip(out, row)]
-        return CycNum(self, tuple(out))
+                for i, r in rows[e % n]:
+                    out[i] += c * r
+        return out
+
+    def _mul_vec(self, a, b):
+        """Integer vector of a(x) b(x) mod Phi_n."""
+        d = self.degree
+        nb = [(j, y) for j, y in enumerate(b) if y]
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nb:
+                    prod[i + j] += x * y
+        out = prod[:d]
+        rows = self._rows
+        for e in range(d, 2 * d - 1):
+            c = prod[e]
+            if c:
+                for i, r in rows[e]:
+                    out[i] += c * r
+        return out
+
+    def _galois(self, num, k):
+        """Integer vector of sigma_k(num), where sigma_k maps zeta to zeta^k."""
+        out = [0] * self.degree
+        rows, n = self._rows, self.order
+        for j, c in enumerate(num):
+            if c:
+                for i, r in rows[j * k % n]:
+                    out[i] += c * r
+        return out
+
+
+def _canonical(field, num, den):
+    """The CycNum num / den (den > 0), brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return CycNum(field, tuple(num), den)
 
 
 class CycNum:
-    """An element of Q(zeta_n); immutable, canonical coefficient vector."""
+    """An element of Q(zeta_n); immutable, in the canonical form num / den.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    The constructor takes that form as given; arithmetic results go through
+    ``_canonical``."""
 
-    def __init__(self, field: CycField, coeffs: tuple):
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field: CycField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, in the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
@@ -156,36 +199,45 @@ class CycNum:
             return self.field.from_rational(other)
         return None
 
+    def _scale(self, p: int, q: int) -> "CycNum":
+        """self * p / q for integers p and q != 0."""
+        if q < 0:
+            p, q = -p, -q
+        return _canonical(self.field, [c * p for c in self.num], self.den * q)
+
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.order, self.coeffs))
+            self._hash = hash((self.field.order, self.num, self.den))
         return self._hash
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return _canonical(self.field, [x + y for x, y in zip(self.num, other.num)], a)
+        return _canonical(self.field, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.field, tuple(-a for a in self.coeffs))
+        return CycNum(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -194,45 +246,47 @@ class CycNum:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return self.field.reduce(prod)
+        field = self.field
+        return _canonical(field, field._mul_vec(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if not self:
             raise DivisionByZero("inverse of zero cyclotomic number")
-        # extended Euclid against Phi_n; gcd is a nonzero constant since
-        # Phi_n is irreducible over Q
-        r0, r1 = list(self.field.modulus), _trim([Fraction(c) for c in self.coeffs])
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            t = _poly_sub(t0, _poly_mul(q, t1))
-            r0, r1, t0, t1 = r1, r, t1, t
-        c = r0[0]
-        return self.field.reduce([x / c for x in t0])
+        num, field = self.num, self.field
+        if not any(num[1:]):
+            return field.one()._scale(self.den, num[0])
+        # x^-1 = prod_{k != 1} sigma_k(x) / N(x); N(num) is the rational
+        # num * prod_{k != 1} sigma_k(num), so only its constant term is kept
+        units = field._units
+        p = field._galois(num, units[0])
+        for k in units[1:]:
+            p = field._mul_vec(p, field._galois(num, k))
+        norm = field._mul_vec(num, p)[0]
+        if norm < 0:
+            norm, p = -norm, [-c for c in p]
+        return _canonical(field, [c * self.den for c in p], norm)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("inverse of zero cyclotomic number")
+            return self._scale(other.denominator, other.numerator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, e: int):
         if e < 0:
@@ -249,21 +303,16 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         """Galois conjugation zeta -> zeta^-1 (complex conjugation under the
         standard embedding); a ring involution fixing Q."""
-        n = self.field.order
-        acc = [Fraction(0)] * self.field.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = self.field._zeta_pows[(-k) % n]
-                acc = [a + c * b for a, b in zip(acc, row)]
-        return CycNum(self.field, tuple(acc))
+        field = self.field
+        return _canonical(field, field._galois(self.num, -1 % field.order), self.den)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -276,19 +325,27 @@ class CycNum:
         if n % m:
             raise FieldMismatch(f"Q(zeta_{m}) does not embed in Q(zeta_{n})")
         step = n // m
-        acc = [Fraction(0)] * target.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = target._zeta_pows[(k * step) % n]
-                acc = [a + c * b for a, b in zip(acc, row)]
-        return CycNum(target, tuple(acc))
+        acc = [0] * n
+        for k, c in enumerate(self.num):
+            acc[k * step] = c
+        return _canonical(target, target._fold(acc), self.den)
 
     def complex_value(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.field.order)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs) if c)
+        den = self.den
+        # int / int is correctly rounded, so c / den is float(Fraction(c, den))
+        return sum(c / den * z**k for k, c in enumerate(self.num) if c)
 
     def sort_key(self):
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
+        """Per coefficient (numerator, denominator) in lowest terms."""
+        den = self.den
+        if den == 1:
+            return tuple((c, 1) for c in self.num)
+        key = []
+        for c in self.num:
+            g = gcd(c, den)
+            key.append((c // g, den // g))
+        return tuple(key)
 
     def __repr__(self):
         return f"CycNum({self.field.order}; {self})"
@@ -297,15 +354,16 @@ class CycNum:
         if not self:
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
+        for k, (p, q) in enumerate(self.sort_key()):
+            if not p:
                 continue
+            text = str(p) if q == 1 else f"{p}/{q}"  # as str(Fraction(p, q))
             if k == 0:
-                parts.append(str(c))
+                parts.append(text)
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                mag = "" if text in ("1", "-1") else f"{text.lstrip('-')}*"
                 term = f"{mag}z^{k}" if k > 1 else f"{mag}z"
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if p > 0 else f"-{term}")
         s = parts[0]
         for p in parts[1:]:
             s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"

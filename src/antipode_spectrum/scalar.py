@@ -117,9 +117,9 @@ def canonical_key(x, tol: float = DEFAULT_TOLERANCE):
     Keys are only compared within a single backend per run.
     """
     if isinstance(x, CycNum):
-        if not x.is_rational():
-            return ("cyclotomic", x.field.order, x.sort_key())
-        x = x.rational_value()  # field-independent key for rationals
+        if x.is_rational():  # field-independent key for rationals
+            return ("cyclotomic", 1, ((x.num[0], x.den),))
+        return ("cyclotomic", x.field.order, x.sort_key())
     elif isinstance(x, FactoredValue):
         return ("symbolic", x.sort_key())
     elif isinstance(x, SignedEigenvalue):
@@ -186,15 +186,15 @@ def sign(x, tol: float = DEFAULT_TOLERANCE) -> int:
 
 
 def roots_of_unity(values) -> bool:
-    """True iff the n pairwise distinct values are the n-th roots of unity;
-    cyclotomic values must moreover live in Q(zeta_n) itself."""
+    """True iff the n values are the n-th roots of unity: their phases are
+    the n distinct multiples of 2 pi / n, and v**n == 1 for every v, exactly
+    for an exact value whichever field or rational type stores it."""
     n = len(values)
-    if all(isinstance(v, CycNum) for v in values):
-        field = values[0].field
-        return n == field.order and set(values) == {field.zeta(t) for t in range(n)}
     z = [numeric_value(v) for v in values]
     roots = sorted(round(cmath.phase(x) / (2 * math.pi) * n) % n for x in z)
-    return roots == list(range(n)) and all(abs(x**n - 1) <= 1e-6 for x in z)
+    if roots != list(range(n)) or any(abs(x**n - 1) > 1e-6 for x in z):
+        return False
+    return all(v**n == 1 for v in values if isinstance(v, (CycNum, Fraction, int)))
 
 
 # -- renderings ---------------------------------------------------------------------

@@ -14,6 +14,8 @@ On examples with real self-conjugate data both index orders coincide.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from . import _linalg
@@ -80,19 +82,18 @@ class SpectrumFactorization:
         eigenvalue to its nearest counterpart within tol."""
         if self.total_degree != other.total_degree or len(self) != len(other):
             return False
-        used = [False] * len(other.entries)
+        # candidates sorted by real part: only those within tol of re(z) can match
+        theirs = sorted(((numeric_value(w), mw) for w, mw in other.entries),
+                        key=lambda t: t[0].real)
+        reals = [w.real for w, _ in theirs]
         for v, m in self.entries:
             z = numeric_value(v)
-            best = None
-            for idx, (w, mw) in enumerate(other.entries):
-                if used[idx] or mw != m:
-                    continue
-                d = abs(z - numeric_value(w))
-                if d <= tol and (best is None or d < best[0]):
-                    best = (d, idx)
-            if best is None:
+            lo, hi = bisect_left(reals, z.real - tol), bisect_right(reals, z.real + tol)
+            best = min(((abs(z - w), i) for i, (w, mw) in enumerate(theirs[lo:hi], lo)
+                        if mw == m), default=None)
+            if best is None or best[0] > tol:
                 return False
-            used[best[1]] = True
+            del theirs[best[1]], reals[best[1]]
         return True
 
     def uniform_root_power(self):

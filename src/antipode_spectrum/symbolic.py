@@ -230,7 +230,8 @@ class FactoredValue:
     # -- structure -------------------------------------------------------------
 
     def _key(self):
-        return (self.constant.coeffs, self.monomial, frozenset(self.factors.items()))
+        c = self.constant
+        return (c.num, c.den, self.monomial, frozenset(self.factors.items()))
 
     def __eq__(self, other):
         if not isinstance(other, FactoredValue):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -335,3 +336,30 @@ def test_every_error_has_one_exit_code():
     assert errors.InvalidTwist in concrete
     for cls in concrete:
         assert issubclass(cls, errors.InputError) != issubclass(cls, errors.DataError), cls
+
+
+GOLDEN_JSON = {
+    "taft-9": (
+        ("family", "taft", "--n", "9", "--charpoly", "--json"),
+        "c3b900d721df58f4c70b48f01852865d0acfe43d63cac78905aa23c668a5105e",
+    ),
+    "uqsl2-7-exact": (
+        ("family", "uqsl2", "--ell", "7", "--lambda", "5/7", "--charpoly", "--json"),
+        "4ff9b5d8658c78ded8f2f63f45df1295c257a59ade91473e4919b10a433ae428",
+    ),
+    "uqsl2-9-symbolic": (
+        ("family", "uqsl2", "--ell", "9", "--lambda", "symbolic", "--charpoly", "--json"),
+        "ef876ec82e4f3cc23093970b81cdd76cd4fcc7a1901aef137d30b7c7ce270bc2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_golden_json_digest(capsys, name):
+    """The --json bytes of three exact spectra are pinned: a change to the
+    entry order (canonical keys), the coefficient text, str or approx of a
+    cyclotomic value shows up here."""
+    argv, digest = GOLDEN_JSON[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -35,6 +35,7 @@ from antipode_spectrum.spectrum import (
     pair_class_spectrum,
     perron_m_vector,
     pivotal_twist_invariance,
+    SpectrumFactorization,
     select_m,
 )
 
@@ -259,6 +260,67 @@ class TestPairClassSpectrum:
         for ex in matched_builtins():
             spec = char_poly_s2(ex.fusion, ex.module, ex.m)
             assert spec == brute_force_spectrum(ex.fusion, ex.module, ex.m), ex.name
+
+
+class TestUniformRootPower:
+    """(z^n - 1)^e is decided on the values, not on how they are stored."""
+
+    def test_rational_roots_in_any_storage(self):
+        F6, F12 = CycField(6), CycField(12)
+        storages = {
+            "int": [1, -1],
+            "Fraction": [Fraction(1), Fraction(-1)],
+            "CycNum(6)": [F6.from_rational(1), F6.from_rational(-1)],
+            "CycNum(12)": [F12.one(), -F12.one()],
+            "complex": [1 + 0j, -1 + 0j],
+        }
+        for name, values in storages.items():
+            backend = "numeric" if name == "complex" else "cyclotomic"
+            spec = SpectrumFactorization([(v, 4) for v in values], backend)
+            assert spec.uniform_root_power() == (2, 4), name
+            assert str(spec) == "(z^2 - 1)^4", name
+
+    def test_roots_in_a_larger_field(self):
+        F = CycField(12)
+        cube_roots = [F.one(), F.zeta(4), F.zeta(8)]
+        spec = SpectrumFactorization([(v, 2) for v in cube_roots], "cyclotomic")
+        assert spec.uniform_root_power() == (3, 2)
+        assert SpectrumFactorization([(F.zeta(t), 1) for t in range(12)],
+                                     "cyclotomic").uniform_root_power() == (12, 1)
+        # a single eigenvalue 1 is (z - 1)^e, as it already was for Fraction 1
+        for one in (F.one(), Fraction(1)):
+            assert SpectrumFactorization([(one, 5)], "cyclotomic").uniform_root_power() == (1, 5)
+
+    def test_non_roots(self):
+        F = CycField(6)
+        cases = [
+            [(F.one(), 1), (F.zeta(1), 1)],            # zeta_6 is not a square root of 1
+            [(F.one(), 1), (-F.one(), 2)],             # unequal multiplicities
+            [(F.one(), 1), (F.from_rational(2), 1)],
+            [(Fraction(1), 3), (Fraction(-1), 3), (Fraction(1, 2), 3)],
+        ]
+        for entries in cases:
+            assert SpectrumFactorization(entries, "cyclotomic").uniform_root_power() is None
+
+
+class TestCloseTo:
+    def spec(self, entries):
+        return SpectrumFactorization(entries, "numeric")
+
+    def test_matches_nearest_within_tol(self):
+        # conjugate pairs whose real parts differ in the last bits: a pairing
+        # by sorted real part alone would cross them over
+        a = self.spec([(1 + 2e-12 + 1j, 2), (1 - 1j, 3), (0.5, 1)])
+        b = self.spec([(0.5 + 1e-11, 1), (1 + 2e-12 - 1j, 3), (1 + 1j, 2)])
+        assert a.close_to(b, 1e-9) and b.close_to(a, 1e-9)
+
+    def test_rejects(self):
+        a = self.spec([(1 + 1j, 2), (1 - 1j, 3)])
+        assert not a.close_to(self.spec([(1 + 1j, 3), (1 - 1j, 2)]), 1e-9)
+        assert not a.close_to(self.spec([(1 + 1j, 2), (1 - 1j + 1e-8, 3)]), 1e-9)
+        assert not a.close_to(self.spec([(1 + 1j, 2), (1 - 1j, 2), (2, 1)]), 1e-9)
+        assert not a.close_to(self.spec([(1 + 1j, 5)]), 1e-9)
+        assert a.close_to(self.spec([(1 + 1j, 2), (1 - 1j + 1e-8, 3)]), 1e-7)
 
 
 class TestSpectrumInvariants:
