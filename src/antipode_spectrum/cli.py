@@ -7,12 +7,11 @@ Exit codes: 0 success, 1 verification/matching failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from . import families, oracle, specfile
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
@@ -189,12 +188,12 @@ def cmd_pivotalize(args):
     return 0
 
 
-def _parse_lambda(text, ell, rank=1):
+def _parse_lambda(text, ell):
+    """--lambda as "symbolic" or its list of coordinates; the family checks
+    the count."""
     if text is None or text == "symbolic":
         return "symbolic"
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != rank:
-        raise BadParameters(f"lambda needs {rank} coordinate(s), got {len(parts)}")
     vals = []
     for p in parts:
         if any(c in p for c in ".jeE") and not p.lstrip("+-").startswith("z"):
@@ -212,9 +211,7 @@ def _family_data(args):
         f, mod, m = families.taft_family(args.n, args.s)
         return f, mod, m, args.n
     if args.kind == "uqsl2":
-        lam = _parse_lambda(args.lam, args.ell, 1)
-        lam = lam if lam == "symbolic" else lam[0]
-        fam = families.uqsl2_family(args.ell, args.s, lam)
+        fam = families.uqsl2_family(args.ell, args.s, _parse_lambda(args.lam, args.ell))
         return fam.fusion, fam.module, fam.m, args.ell
     if args.kind == "vecg":
         group = _parse_group(args.group)
@@ -255,14 +252,12 @@ def cmd_family(args):
                 "the general-g family evaluates the closed product formula; "
                 "no Grothendieck spec document is constructed"
             )
-        rank = families.RootSystemData.preset(args.type).rank
-        if args.lam is None and rank >= 2:
+        if args.lam is None and families.RootSystemData.preset(args.type).rank >= 2:
             raise BadParameters(
                 "rank >= 2 families run numerically by default to bound memory; "
                 "pass --lambda with coordinates, or --lambda symbolic explicitly"
             )
-        lam = _parse_lambda(args.lam, args.ell, rank)
-        spec = families.uqg_family(args.type, args.ell, args.s, lam)
+        spec = families.uqg_family(args.type, args.ell, args.s, _parse_lambda(args.lam, args.ell))
         print_spectrum(spec, args.json)
         return 0
     f, mod, m, order = _family_data(args)
@@ -312,15 +307,8 @@ def cmd_oracle(args):
             gens = oracle.uqsl2_generators(alg)
             simples = oracle.uqsl2_simple_modules(args.ell, args.s)
             idem = None
-            if args.candidate:
-                cand = _parse_candidate(args.candidate)
-            else:
-                ell = args.ell
-                cand = np.zeros((ell, ell), dtype=int)
-                for mu in range(ell - 1):
-                    for nu in range(ell - 1):
-                        cand[mu, nu] = 2 * (mu == nu) + 2 * (mu + nu == ell - 2)
-                cand[ell - 1, ell - 1] = 1
+            cand = (_parse_candidate(args.candidate) if args.candidate
+                    else families.uqsl2_family(args.ell, args.s).fusion.cartan)
         rep = oracle.validate_cartan(alg, gens, simples, cand, idempotents=idem)
         print(rep)
         return 0 if rep.ok else 1
@@ -335,7 +323,9 @@ def cmd_oracle(args):
 
 # -- parser -----------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared by later ones."""
     p = argparse.ArgumentParser(
         prog="antipode-spectrum",
         description="Exact spectrum of the squared antipode from Grothendieck-level data",

@@ -31,6 +31,11 @@ class NotFactorable(InputError):
     (L_alpha * z^a - z^-a) atoms."""
 
 
+class NotNumeric(InputError):
+    """A symbolic value that depends on the torus parameters has no single
+    complex value; evaluate it at a torus point first."""
+
+
 # -- grothendieck / modcat ---------------------------------------------------
 
 class ZeroGlobalDimension(DataError):

@@ -21,7 +21,7 @@ from .cyclotomic import CycField
 from .errors import BadParameters, EmptyEigenspace, MissingDims, NotACharacter, NotASubgroup, ZeroEntry
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE, inverse, lift
+from .scalar import DEFAULT_TOLERANCE, inverse, is_zero, lift
 from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum, pair_products
 from .symbolic import FactoredContext, FactoredValue
 
@@ -75,36 +75,46 @@ def _eval_ipoly(p, x):
     return acc
 
 
-# -- torus points -----------------------------------------------------------------
+# -- torus characters -------------------------------------------------------------
 
-class TorusPoint:
-    """A point of the maximal torus: symbolic, or a tuple of numeric / exact
-    coordinates.  Numeric coordinates must keep every Lambda_alpha off the
-    ell-th roots of unity; families check that per positive root."""
-
-    def __init__(self, ell: int, entries=None):
-        self.ell = ell
-        self.entries = None if entries is None else tuple(entries)
-
-    @property
-    def is_symbolic(self):
-        return self.entries is None
-
-    @classmethod
-    def coerce(cls, ell, lam, rank):
-        if isinstance(lam, TorusPoint):
-            if lam.entries is not None and len(lam.entries) != rank:
-                raise BadParameters(f"torus point needs {rank} coordinates")
-            return lam
-        if lam is None or lam == "symbolic":
-            return cls(ell)
-        if isinstance(lam, (list, tuple)):
-            if len(lam) != rank:
-                raise BadParameters(f"torus point needs {rank} coordinates")
-            return cls(ell, lam)
-        if rank != 1:
-            raise BadParameters(f"torus point needs {rank} coordinates")
-        return cls(ell, (lam,))
+def _torus_characters(ell, s, roots, pairings, lam, tol):
+    """(backend, y) with y_i = prod_a (L^roots[a] q^p - q^-p), p = pairings[a][i]
+    and q = zeta_ell^s, at the torus point lam: "symbolic" (or None) gives
+    factored values; exact coordinates give CycNum values; numeric ones give
+    complex values.  lam is one coordinate per torus variable, a scalar when
+    there is one.  ZeroEntry when some Lambda^alpha is an ell-th root of
+    unity, which makes a character vanish."""
+    if ell < 3 or ell % 2 == 0:
+        raise BadParameters("ell must be odd and >= 3")
+    if math.gcd(s, ell) != 1:
+        raise BadParameters("q = zeta_ell^s must be primitive")
+    rank, count = len(roots[0]), len(pairings[0])
+    if lam is None or lam == "symbolic":
+        ctx = FactoredContext(ell, rank)
+        ys = [FactoredValue.one(ctx)] * count
+        for alpha, row in zip(roots, pairings):
+            ys = [y * FactoredValue.atom(ctx, alpha, s * p) for y, p in zip(ys, row)]
+        return "symbolic", ys
+    coords = lam if isinstance(lam, (list, tuple)) else [lam]
+    if len(coords) != rank:
+        raise BadParameters(f"torus point needs {rank} coordinate(s), got {len(coords)}")
+    backend, coords = lift(coords)
+    if backend == "numeric":
+        q = cmath.exp(2j * cmath.pi * s / ell)
+        ys = np.ones(count, dtype=complex)
+    else:
+        field = CycField(ell)
+        ys = [field.one()] * count
+    for alpha, row in zip(roots, pairings):
+        la = math.prod(x**e for x, e in zip(coords, alpha))
+        if is_zero(la**ell - 1, tol):
+            raise ZeroEntry(f"Lambda_alpha^ell = 1 for root {alpha}")
+        if backend == "numeric":
+            p = np.array(row)
+            ys = ys * (la * q**p - q ** (-p.astype(float)))
+        else:
+            ys = [y * (la * field.zeta(s * p) - field.zeta(-s * p)) for y, p in zip(ys, row)]
+    return backend, (ys.tolist() if backend == "numeric" else ys)
 
 
 # -- Taft family ------------------------------------------------------------------
@@ -210,31 +220,11 @@ def _uqsl2_module(ell: int) -> ModuleActionData:
 def uqsl2_family(ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) -> DynamicalFamily:
     """The dynamical sl2 family at an odd root of unity: fusion ring from the
     Chebyshev presentation, the weight-space Cartan matrix, the Rep Z/ell
-    module and m_j = Lambda q^j - q^-j.  Its spectrum is the closed product
-    formula, every exponent ell: uqg_family("A1", ell, s, [Lambda])."""
-    if ell < 3 or ell % 2 == 0:
-        raise BadParameters("ell must be odd and >= 3")
-    if math.gcd(s, ell) != 1:
-        raise BadParameters("q = zeta_ell^s must be primitive")
-    point = TorusPoint.coerce(ell, lam, 1)
-    fusion = _uqsl2_fusion(ell, s)
-    module = _uqsl2_module(ell)
-    field = CycField(ell)
-    if point.is_symbolic:
-        ctx = FactoredContext(ell, 1)
-        m = [FactoredValue.atom(ctx, (1,), (s * j) % ell) for j in range(ell)]
-    else:
-        backend, (lam0,) = lift(point.entries)
-        if backend == "numeric":
-            if abs(lam0**ell - 1) <= tol:
-                raise ZeroEntry("Lambda^ell = 1 within tolerance")
-            q = cmath.exp(2j * cmath.pi * s / ell)
-            m = [lam0 * q**j - q**-j for j in range(ell)]
-        else:
-            m = [lam0 * field.zeta(s * j) - field.zeta(-s * j) for j in range(ell)]
-            if any(not x for x in m):
-                raise ZeroEntry("Lambda^ell = 1: some m_j vanishes")
-    return DynamicalFamily(fusion, module, m)
+    module and m_j = Lambda q^j - q^-j, the rank-one torus characters.  Its
+    spectrum is the closed product formula, every exponent ell:
+    uqg_family("A1", ell, s, [Lambda])."""
+    _, m = _torus_characters(ell, s, [(1,)], [range(ell)], lam, tol)
+    return DynamicalFamily(_uqsl2_fusion(ell, s), _uqsl2_module(ell), m)
 
 
 # -- general simply-laced dynamical families --------------------------------------
@@ -280,59 +270,19 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
     multiplicity ell^(dim g - 2 rank)."""
     if isinstance(rs, str):
         rs = RootSystemData.preset(rs)
-    if ell < 3 or ell % 2 == 0:
-        raise BadParameters("ell must be odd and >= 3")
-    if math.gcd(s, ell) != 1:
-        raise BadParameters("q = zeta_ell^s must be primitive")
-    det = int(round(np.linalg.det(rs.cartan)))
-    if math.gcd(ell, det) != 1:
-        raise BadParameters(
-            f"ell = {ell} shares a factor with det(Cartan) = {det} for {rs.name}"
-        )
-    point = TorusPoint.coerce(ell, lam, rs.rank)
-    mult = ell ** (rs.dim_g - 2 * rs.rank)
     chars = list(itertools.product(range(ell), repeat=rs.rank))
     pairings = [
         [int(np.dot(lamv, rs.cartan @ np.array(alpha))) % ell for lamv in chars]
         for alpha in rs.positive_roots
     ]
-
-    backend, coords = ("symbolic", ()) if point.is_symbolic else lift(point.entries)
-    if point.is_symbolic:
-        ctx = FactoredContext(ell, rs.rank)
-        ys = []
-        for idx in range(len(chars)):
-            y = FactoredValue.one(ctx)
-            for a, alpha in enumerate(rs.positive_roots):
-                y = y * FactoredValue.atom(ctx, alpha, (s * pairings[a][idx]) % ell)
-            ys.append(y)
-    elif backend == "cyclotomic":
-        field = CycField(ell)
-        ys = []
-        for idx in range(len(chars)):
-            y = field.one()
-            for a, alpha in enumerate(rs.positive_roots):
-                la = field.one()
-                for x, e in zip(coords, alpha):
-                    la = la * x**e
-                p = (s * pairings[a][idx]) % ell
-                y = y * (la * field.zeta(p) - field.zeta(-p))
-            if not y:
-                raise ZeroEntry("Lambda_alpha^ell = 1: a torus character vanishes")
-            ys.append(y)
-    else:
-        q = cmath.exp(2j * cmath.pi * s / ell)
-        ys = np.ones(len(chars), dtype=complex)
-        for a, alpha in enumerate(rs.positive_roots):
-            la = 1.0 + 0j
-            for x, e in zip(coords, alpha):
-                la *= x**e
-            if abs(la**ell - 1) <= tol:
-                raise ZeroEntry(f"Lambda_alpha^ell = 1 for root {alpha}")
-            p = np.array(pairings[a])
-            ys = ys * (la * q**p - q ** (-p.astype(float)))
+    backend, ys = _torus_characters(ell, s, rs.positive_roots, pairings, lam, tol)
+    det = int(round(np.linalg.det(rs.cartan)))
+    if math.gcd(ell, det) != 1:
+        raise BadParameters(
+            f"ell = {ell} shares a factor with det(Cartan) = {det} for {rs.name}"
+        )
     pairs = pair_products(ys, backend)
-    return pair_class_spectrum(pairs, pairs, mult, backend, tol)
+    return pair_class_spectrum(pairs, pairs, ell ** (rs.dim_g - 2 * rs.rank), backend, tol)
 
 
 # -- pointed categories Vec_G -------------------------------------------------------

@@ -129,7 +129,6 @@ def taft_algebra(n: int, s: int = 1) -> HopfOracle:
     if n < 2 or math.gcd(s, n) != 1:
         raise BadParameters("need n >= 2 and gcd(s, n) = 1")
     field = CycField(n)
-    q = field.zeta(s)
     labels = [(a, b) for a in range(n) for b in range(n)]
     index = {x: i for i, x in enumerate(labels)}
     mult = {}
@@ -138,7 +137,7 @@ def taft_algebra(n: int, s: int = 1) -> HopfOracle:
             if b1 + b2 >= n:
                 mult[(i, j)] = {}
                 continue
-            coeff = q ** ((-b1 * a2) % n)
+            coeff = field.zeta(-s * b1 * a2)
             mult[(i, j)] = {index[((a1 + a2) % n, b1 + b2)]: coeff}
     alg = StructureAlgebra(labels, field, mult, {index[(0, 0)]: field.one()})
     g_inv = alg.basis_element(((n - 1) % n, 0))
@@ -198,8 +197,8 @@ def uqsl2_algebra(ell: int, s: int = 1) -> StructureAlgebra:
         term = mul_e_left(fe[a - 1])
         k_pos = (a - 1, 0, 1)
         k_neg = (a - 1, 0, (ell - 1))
-        term[k_pos] = term.get(k_pos, field.zero()) - denom_inv * q ** ((2 * (a - 1)) % ell)
-        term[k_neg] = term.get(k_neg, field.zero()) + denom_inv * q ** ((-2 * (a - 1)) % ell)
+        term[k_pos] = term.get(k_pos, field.zero()) - denom_inv * field.zeta(2 * s * (a - 1))
+        term[k_neg] = term.get(k_neg, field.zero()) + denom_inv * field.zeta(-2 * s * (a - 1))
         fe.append({k: c for k, c in term.items() if c})
 
     def mul_f_left(v):
@@ -210,7 +209,7 @@ def uqsl2_algebra(ell: int, s: int = 1) -> StructureAlgebra:
                 nb = b2 + b
                 if nb >= ell:
                     continue
-                phase = q ** ((-2 * c2 * b) % ell)
+                phase = field.zeta(-2 * s * c2 * b)
                 key = (a2, nb, (c2 + c) % ell)
                 out[key] = out.get(key, field.zero()) + coeff * c_fe * phase
         return {k: c for k, c in out.items() if c}
@@ -218,7 +217,7 @@ def uqsl2_algebra(ell: int, s: int = 1) -> StructureAlgebra:
     def basis_mul(m1, m2):
         a1, b1, c1 = m1
         a2, b2, c2 = m2
-        phase = q ** ((2 * c1 * (a2 - b2)) % ell)
+        phase = field.zeta(2 * s * c1 * (a2 - b2))
         # F^{b1} E^{a2}
         v = {(a2, 0, 0): field.one()}
         for _ in range(b1):
@@ -232,7 +231,7 @@ def uqsl2_algebra(ell: int, s: int = 1) -> StructureAlgebra:
             nb = b3 + b2
             if nb >= ell:
                 continue
-            ph = q ** ((-2 * c3 * b2) % ell)
+            ph = field.zeta(-2 * s * c3 * b2)
             key = (a3, nb, (c3 + c1 + c2) % ell)
             out[key] = out.get(key, field.zero()) + coeff * ph * phase
         return {k: c for k, c in out.items() if c}

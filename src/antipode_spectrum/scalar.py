@@ -30,7 +30,14 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import CycNum
-from .errors import DivisionByZero, FieldMismatch, NonRealSigns, NotFactorable, ParseError
+from .errors import (
+    DivisionByZero,
+    FieldMismatch,
+    NonRealSigns,
+    NotFactorable,
+    NotNumeric,
+    ParseError,
+)
 from .symbolic import FactoredContext, FactoredValue, LaurentPoly
 
 DEFAULT_TOLERANCE = 1e-9
@@ -135,12 +142,15 @@ def canonical_key(x, tol: float = DEFAULT_TOLERANCE):
     return ("numeric", re, im)
 
 
-def numeric_value(x, lam: tuple = ()) -> complex:
-    """Standard-embedding complex value of any scalar kind."""
+def numeric_value(x) -> complex:
+    """Standard-embedding complex value of any scalar kind; NotNumeric for a
+    FactoredValue that depends on the torus parameters."""
     if isinstance(x, CycNum):
         return x.complex_value()
     if isinstance(x, FactoredValue):
-        return x.complex_value(lam)
+        if not x.is_constant():
+            raise NotNumeric(f"{x} depends on the torus parameters")
+        return x.constant.complex_value()
     return complex(x)
 
 

@@ -18,6 +18,7 @@ LaurentPoly is the additive workhorse used to verify linear identities
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import CycField, CycNum
@@ -183,9 +184,15 @@ class FactoredValue:
     @classmethod
     def atom(cls, ctx, coords: tuple, cls_exp: int, power: int = 1):
         """(L^coords * z^a - z^-a)^power with a reduced mod ell; for even ell
-        the class is folded to a < ell/2 at the cost of a sign."""
-        if not any(coords):
-            raise ValueError("atom coordinates must be nonzero")
+        the class is folded to a < ell/2 at the cost of a sign.
+
+        coords must be primitive and lex-positive: L^(g c) z^a - z^-a with
+        g > 1 factors into atoms of c, and L^-c z^a - z^-a is
+        -L^-c (L^c z^-a - z^a), so any other coords would give one value a
+        second canonical form."""
+        if math.gcd(*coords) != 1 or not _lex_positive(coords):
+            raise NotFactorable(
+                f"atom coordinates {tuple(coords)} are not primitive and lex-positive")
         a = cls_exp % ctx.ell
         const = ctx.field.one()
         if ctx.ell % 2 == 0 and a >= ctx.ell // 2:

@@ -1,12 +1,17 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import antipode_spectrum
 from antipode_spectrum import errors, specfile
-from antipode_spectrum.cli import JSON_CHUNK, main, print_spectrum
+from antipode_spectrum.cli import JSON_CHUNK, build_parser, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
 from antipode_spectrum.families import (
     Group,
@@ -351,15 +356,50 @@ GOLDEN_JSON = {
         ("family", "uqsl2", "--ell", "9", "--lambda", "symbolic", "--charpoly", "--json"),
         "ef876ec82e4f3cc23093970b81cdd76cd4fcc7a1901aef137d30b7c7ce270bc2",
     ),
+    "uqsl2-7-numeric": (
+        ("family", "uqsl2", "--ell", "7", "--s", "3", "--lambda", "0.9+0.4j",
+         "--charpoly", "--json"),
+        "4cde8238e0beab98618c49306df6cc10889d9e462f67dabae1e06d1f9ccdbe3d",
+    ),
+    "uqg-A1-7-exact": (
+        ("family", "uqg", "--type", "A1", "--ell", "7", "--s", "2", "--lambda", "2/3",
+         "--charpoly", "--json"),
+        "30d70ec93cab6d6d4fe1f0ffe7c4dc917206fcf177f2837c64c5a8c0cf7a2da3",
+    ),
+    "uqg-A2-5-numeric": (
+        ("family", "uqg", "--type", "A2", "--ell", "5", "--s", "2", "--lambda=-0.6+0.9j,1.3-0.4j",
+         "--charpoly", "--json"),
+        "fdfcaf8cafd1b6ed7264160d8c8d0401cb69f24076f791af76a8c12b9be6d653",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_golden_json_digest(capsys, name):
-    """The --json bytes of three exact spectra are pinned: a change to the
-    entry order (canonical keys), the coefficient text, str or approx of a
-    cyclotomic value shows up here."""
+    """The --json bytes of exact, symbolic and numeric spectra of the built-in
+    families are pinned: a change to the entry order (canonical keys), the
+    coefficient text, str or approx of a cyclotomic value, or a float of a
+    numeric torus character shows up here."""
     argv, digest = GOLDEN_JSON[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once(capsys):
+    """The argparse tree is built on the first call and reused: after an
+    argparse error (exit 2) the same process answers the next argv exactly
+    as a fresh process does."""
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "taft", "--n", "three"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    argv = ("family", "taft", "--n", "3", "--s", "2", "--charpoly", "--json")
+    code, out, err = run(capsys, *argv)
+    src = str(Path(antipode_spectrum.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "antipode_spectrum.cli", *argv],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out

@@ -1,18 +1,20 @@
+import ast
 import cmath
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from antipode_spectrum import families
 from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.errors import BadParameters, NotACharacter, NotASubgroup, ZeroEntry
 from antipode_spectrum.families import (
     Group,
     MatchFailure,
     RootSystemData,
-    TorusPoint,
     chebyshev,
     fibonacci_fusion,
     regular_module,
@@ -244,10 +246,15 @@ class TestUqgFamily:
             RootSystemData.preset("B2")
 
     def test_torus_point_coercion(self):
-        tp = TorusPoint.coerce(5, "symbolic", 2)
-        assert tp.is_symbolic
+        # a scalar is a rank-1 point; the family checks the coordinate count
+        assert uqsl2_family(5, lam=Fraction(2)).m == uqsl2_family(5, lam=[Fraction(2)]).m
+        assert uqg_family("A1", 5, lam=Fraction(2)) == uqg_family("A1", 5, lam=(Fraction(2),))
         with pytest.raises(BadParameters):
-            TorusPoint.coerce(5, (1.0,), 2)
+            uqg_family("A2", 5, lam=(1.0,))
+        with pytest.raises(BadParameters):
+            uqg_family("A2", 5, lam=1.0)
+        with pytest.raises(BadParameters):
+            uqsl2_family(5, lam=[Fraction(2), Fraction(3)])
 
     def test_numeric_enumeration_is_deterministic(self):
         lam = (0.7 + 0.2j, 1.3 - 0.4j)
@@ -320,3 +327,21 @@ class TestRegularModule:
                 key = canonical_key(lam)
                 acc[key] = acc.get(key, 0) + mult
         assert acc == spec.multiset()
+
+
+def test_one_torus_character_builder():
+    """Torus characters are evaluated in one function of families.py: it is
+    the only caller of FactoredValue.atom and of cmath.exp there."""
+    tree = ast.parse(Path(families.__file__).read_text())
+    callers = {("FactoredValue", "atom"): set(), ("cmath", "exp"): set()}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)):
+                name = (node.func.value.id, node.func.attr)
+                if name in callers:
+                    callers[name].add(fn.name)
+    assert callers == {("FactoredValue", "atom"): {"_torus_characters"},
+                       ("cmath", "exp"): {"_torus_characters"}}

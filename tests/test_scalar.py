@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from antipode_spectrum import errors
 from antipode_spectrum.cyclotomic import CycField, cyclotomic_polynomial
-from antipode_spectrum.errors import DivisionByZero, FieldMismatch, ParseError
+from antipode_spectrum.errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
+from antipode_spectrum.families import uqsl2_family
+from antipode_spectrum.pivotalization import signed_spectrum
 from antipode_spectrum.scalar import (
     canonical_key,
     close,
@@ -20,6 +23,7 @@ from antipode_spectrum.scalar import (
     sign,
     to_literal,
 )
+from antipode_spectrum.spectrum import char_poly_s2
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue, LaurentPoly
 
 
@@ -187,6 +191,59 @@ class TestFactoredValues:
         b = FactoredValue.atom(ctx, (1,), 3)  # 3 = 1 + 4/2 -> folded with sign
         assert a.factors == b.factors
         assert b.constant == -ctx.field.one()
+
+    def test_non_primitive_atom_refused(self):
+        # at ell = 3, L^3 - 1 is the product of the (1,) atoms of classes 0, 1
+        # and 2; an atom (3,) would give the same value a second key
+        ctx = FactoredContext(3, 1)
+        product = FactoredValue.one(ctx)
+        for a in range(3):
+            product = product * FactoredValue.atom(ctx, (1,), a)
+        one = ctx.field.one()
+        assert product.expand() == LaurentPoly(ctx, {(3,): one, (0,): -one})
+        with pytest.raises(NotFactorable):
+            FactoredValue.atom(ctx, (3,), 0)
+        with pytest.raises(NotFactorable):
+            FactoredValue.atom(FactoredContext(5, 2), (2, 2), 1)
+        with pytest.raises(ParseError):
+            literal_to_factored("L^3 - 1", 3, 1)
+
+    def test_atom_coordinates_lex_positive(self):
+        # L^-1 z - z^-1 = -L^-1 (L z^-1 - z): one value, so one key
+        with pytest.raises(NotFactorable):
+            FactoredValue.atom(self.ctx, (-1,), 1)
+        with pytest.raises(NotFactorable):
+            FactoredValue.atom(FactoredContext(5, 2), (0, -1), 1)
+        v = literal_to_factored("L^-1*z - z^-1", 5, 1)
+        assert v.factors == {((1,), 4): 1}
+        assert v.monomial == (-1,) and v.constant == -self.ctx.field.one()
+        lam = (0.8 + 0.3j,)
+        z = cmath.exp(2j * cmath.pi / 5)
+        assert abs(v.complex_value(lam) - (z / lam[0] - 1 / z)) < 1e-12
+
+
+class TestNumericValue:
+    def test_constant_factored_value(self):
+        ctx = FactoredContext(5, 1)
+        c = ctx.field.zeta(2) + 3
+        assert numeric_value(FactoredValue.from_constant(ctx, c)) == c.complex_value()
+        atom = FactoredValue.atom(ctx, (1,), 2)
+        assert numeric_value(atom / atom) == 1
+
+    def test_torus_dependent_value_has_no_number(self):
+        # at L = 1 this ratio is 1 / (z + z^-1) = -1, which sign used to report
+        v = literal_to_factored("(L*z - z^-1)/(L*z^2 - z^-2)", 3, 1)
+        with pytest.raises(errors.NotNumeric):
+            numeric_value(v)
+        with pytest.raises(errors.NotNumeric):
+            sign(v)
+        assert issubclass(errors.NotNumeric, errors.InputError)
+
+    def test_signed_spectrum_of_a_symbolic_spectrum(self):
+        # evaluating at L = 1 divided by the vanishing atom L - 1
+        spec = char_poly_s2(*uqsl2_family(3))
+        with pytest.raises(errors.NotNumeric):
+            signed_spectrum(spec)
 
 
 class TestLiteralParser:
