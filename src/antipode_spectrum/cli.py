@@ -406,15 +406,35 @@ def build_parser():
         q.add_argument("--n", type=int, default=3)
         q.add_argument("--ell", type=int, default=3)
         q.add_argument("--s", type=int, default=1)
-        q.add_argument("--json", action="store_true")
+        if what == "s2":
+            q.add_argument("--json", action="store_true")
         if what == "cartan":
             q.add_argument("--candidate", help="JSON integer matrix [P_r : L_q] by (q, r)")
         q.set_defaults(func=cmd_oracle)
     return p
 
 
+# options whose values may start with "-": a torus point, an m-vector, a character
+SIGNED_VALUE_OPTIONS = ("--lambda", "--m", "--kappa")
+
+
+def _join_signed_values(argv):
+    """argv with each "OPT VALUE" of a SIGNED_VALUE_OPTIONS option whose VALUE
+    starts with a single "-" written as "OPT=VALUE", which argparse reads as
+    the value; a following option such as --charpoly stays an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in SIGNED_VALUE_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except InputError as e:

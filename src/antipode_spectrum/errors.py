@@ -46,10 +46,6 @@ class DimensionMismatch(InputError):
     pass
 
 
-class NonConvergence(DataError):
-    """Perron iteration exceeded its budget."""
-
-
 class NotInvertibleClass(DataError):
     pass
 

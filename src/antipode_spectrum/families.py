@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -28,51 +29,13 @@ from .symbolic import FactoredContext, FactoredValue
 
 # -- Chebyshev polynomials of the second kind ------------------------------------
 
-def chebyshev(j: int):
-    """Integer coefficients of P_j (low degree first): P_1 = 1, P_2 = x,
-    P_{j+1} = x P_j - P_{j-1}."""
-    if j < 1:
-        raise ValueError("chebyshev index must be >= 1")
-    prev, cur = [1], [0, 1]
-    if j == 1:
-        return prev
-    for _ in range(j - 2):
-        nxt = [0] + cur
-        for t, c in enumerate(prev):
-            nxt[t] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _ipoly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                out[i + k] += x * y
-    return out
-
-
-def _ipoly_mod(a, q):
-    # q monic with integer coefficients
-    a = list(a)
-    while len(a) >= len(q):
-        c = a[-1]
-        if c:
-            off = len(a) - len(q)
-            for t in range(len(q) - 1):
-                a[off + t] -= c * q[t]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _eval_ipoly(p, x):
-    acc = 0 * x
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _chebyshev(x, one, mul, count):
+    """[P_1(x), ..., P_count(x)] for P_1 = 1, P_2 = x and
+    P_{j+1} = x P_j - P_{j-1}, in the ring of x with unit one and product mul."""
+    out = [one, x]
+    while len(out) < count:
+        out.append(mul(x, out[-1]) - out[-2])
+    return out[:count]
 
 
 # -- torus characters -------------------------------------------------------------
@@ -161,33 +124,19 @@ DynamicalFamily = namedtuple("DynamicalFamily", "fusion module m")
 
 
 def _uqsl2_fusion(ell: int, s: int) -> FusionData:
-    polys = {j: chebyshev(j) for j in range(1, ell + 1)}
-    modulus = [0] + polys[ell]  # x * P_ell
-    sub = polys[ell - 1]
-    modulus = list(modulus)
-    for t, c in enumerate(sub):
-        modulus[t] -= 2 * c
-    modulus[0] -= 2  # Q = x P_ell - 2 P_{ell-1} - 2, monic of degree ell
+    # X_j = P_j(X_2), so L_{X_j} = P_j(L_{X_2}) with X_2 X_j = X_{j-1} + X_{j+1}
+    # and the boundary rule X_2 X_ell = 2 X_{ell-1} + 2 X_1
+    x2 = np.eye(ell, k=1, dtype=np.int64) + np.eye(ell, k=-1, dtype=np.int64)
+    x2[ell - 2, ell - 1] = x2[0, ell - 1] = 2
     labels = [f"X{j}" for j in range(1, ell + 1)]
-    structure = {}
-    for j in range(1, ell + 1):
-        for k in range(1, ell + 1):
-            prod = _ipoly_mod(_ipoly_mul(polys[j], polys[k]), modulus)
-            # expand in the triangular basis P_1 .. P_ell (monic, deg j-1)
-            rem = list(prod) + [0] * (ell - len(prod))
-            for t in range(ell, 0, -1):
-                c = rem[t - 1]
-                if c:
-                    if c < 0:
-                        raise AssertionError("negative fusion coefficient")
-                    structure[(f"X{j}", f"X{k}", f"X{t}")] = c
-                    for u, pc in enumerate(polys[t]):
-                        rem[u] -= c * pc
-            if any(rem):
-                raise AssertionError("basis expansion failed")
+    structure = {
+        (labels[j], labels[k], labels[t]): int(lj[t, k])
+        for j, lj in enumerate(_chebyshev(x2, np.eye(ell, dtype=np.int64), np.matmul, ell))
+        for t, k in zip(*np.nonzero(lj))
+    }
     field = CycField(ell)
-    x0 = field.zeta(s) + field.zeta((-s) % ell)
-    dims = {f"X{j}": _eval_ipoly(polys[j], x0) for j in range(1, ell + 1)}
+    x0 = field.zeta(s) + field.zeta(-s)
+    dims = dict(zip(labels, _chebyshev(x0, field.one(), operator.mul, ell)))
     cartan = np.zeros((ell, ell), dtype=np.int64)
     for mu in range(ell - 1):
         for nu in range(ell - 1):
@@ -204,16 +153,10 @@ def _uqsl2_fusion(ell: int, s: int) -> FusionData:
 
 
 def _uqsl2_module(ell: int) -> ModuleActionData:
-    def shift(w):
-        return np.array(
-            [[1 if j == (i + w) % ell else 0 for i in range(ell)] for j in range(ell)],
-            dtype=np.int64,
-        )
-
-    action = {}
-    for j in range(1, ell + 1):
-        weights = range(j - 1, -j, -2)
-        action[f"X{j}"] = sum(shift(w) for w in weights)
+    # X_j acts on the weights Z/ell as P_j(S + S^-1), S the shift t -> t + 1
+    shift = np.roll(np.eye(ell, dtype=np.int64), 1, axis=0)
+    mats = _chebyshev(shift + shift.T, np.eye(ell, dtype=np.int64), np.matmul, ell)
+    action = {f"X{j}": mat for j, mat in enumerate(mats, start=1)}
     return ModuleActionData(labels=[str(t) for t in range(ell)], action=action)
 
 
@@ -444,7 +387,7 @@ def fibonacci_fusion() -> FusionData:
 BuiltinExample = namedtuple("BuiltinExample", "name fusion module m q_suite pivotal_suite")
 
 
-def matched_builtins(include_uqsl2=True):
+def matched_builtins():
     """Matched examples used by the property suites.
 
     q_suite: the rank-one Q-element identities apply (fusion-type data).
@@ -481,7 +424,6 @@ def matched_builtins(include_uqsl2=True):
     mod, m = regular_module(fib)
     out.append(BuiltinExample("fibonacci-regular", fib, mod, m, True, True))
 
-    if include_uqsl2:
-        fam = uqsl2_family(3)
-        out.append(BuiltinExample("uqsl2-3-symbolic", fam.fusion, fam.module, fam.m, False, False))
+    fam = uqsl2_family(3)
+    out.append(BuiltinExample("uqsl2-3-symbolic", fam.fusion, fam.module, fam.m, False, False))
     return out

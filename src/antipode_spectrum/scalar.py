@@ -440,6 +440,12 @@ class _Parser:
 
     def _mul(self, a, b):
         if isinstance(a, LaurentPoly) and isinstance(b, LaurentPoly):
+            # a product of atoms stays factored: expanded, it factors no more
+            if len(a.terms) > 1 and len(b.terms) > 1:
+                try:
+                    return FactoredValue.from_laurent(a) * FactoredValue.from_laurent(b)
+                except NotFactorable:
+                    pass
             return a * b
         return self._to_factored(a) * self._to_factored(b)
 

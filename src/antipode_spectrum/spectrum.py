@@ -408,16 +408,15 @@ def pivotal_twist_invariance(f: FusionData, mod: ModuleActionData, m,
     return char_poly_s2(f, mod, m, tol) == char_poly_s2(f, mod, twisted_m, tol)
 
 
-def perron_m_vector(mod: ModuleActionData, f: FusionData, max_iter=10000,
-                    tol=DEFAULT_TOLERANCE):
+def perron_m_vector(mod: ModuleActionData, f: FusionData):
     """Positive common eigenvector N_r m = FPdim(X_r) m of the action
     matrices (the pseudounitary m, Frobenius-Perron dimensions of the M_i),
     first entry 1."""
-    fp = fp_dimensions(f, max_iter)
+    fp = fp_dimensions(f)
     rows = np.vstack([mod.matrix(r) - d * np.eye(mod.size) for r, d in zip(f.labels, fp)])
-    basis = _linalg.numeric_nullspace(rows, tol)
-    if len(basis) == 1 and abs(basis[0][0]) > tol:
+    basis = _linalg.numeric_nullspace(rows, DEFAULT_TOLERANCE)
+    if len(basis) == 1 and abs(basis[0][0]) > DEFAULT_TOLERANCE:
         v = basis[0] / basis[0][0]
-        if (v.real > 0).all() and (abs(v.imag) <= tol).all():
+        if (v.real > 0).all() and (abs(v.imag) <= DEFAULT_TOLERANCE).all():
             return v.real.tolist()
     raise EmptyEigenspace("action matrices share no positive Frobenius-Perron eigenvector")

@@ -167,6 +167,43 @@ class TestCliCommands:
         assert code == 0
         assert "total degree 243" in out
 
+    def check_minus_value(self, capsys, opt, *argv):
+        """argv, whose opt value starts with "-", exits 0 and prints what the
+        opt=value form prints."""
+        i = argv.index(opt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv[:i], f"{opt}={argv[i + 1]}", *argv[i + 2:])[:2] == (code, out)
+
+    def test_lambda_value_may_start_with_minus(self, capsys):
+        for lam in ("-1.2+0.3j", "-2/3"):
+            self.check_minus_value(capsys, "--lambda", "family", "uqsl2", "--ell", "7",
+                                   "--lambda", lam, "--charpoly")
+        self.check_minus_value(capsys, "--lambda", "family", "uqg", "--type", "A2", "--ell",
+                               "5", "--lambda", "-0.5,2")
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "uqsl2", "--ell", "7", "--lambda", "--charpoly"])
+        assert exc.value.code == 2
+
+    def test_m_value_may_start_with_minus(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "family", "uqsl2", "--ell", "3")
+        path = self.write_spec(tmp_path, out)
+        self.check_minus_value(capsys, "--m", "charpoly", path,
+                               "--m", "-L+1,-L*z^1+z^-1,-L*z^2+z^-2")
+
+    def test_kappa_value_may_start_with_minus(self, capsys):
+        # z^3 = -1 in Q(zeta_6): the sign character of Z/2
+        self.check_minus_value(capsys, "--kappa", "family", "vecg", "--group", "z2",
+                               "--order", "6", "--kappa", "-z^3,z^3", "--subgroup", "0",
+                               "--charpoly")
+
+    def test_json_only_on_oracle_s2(self, capsys):
+        for what in ("radical", "cartan"):
+            with pytest.raises(SystemExit) as exc:
+                main(["oracle", what, "--family", "taft", "--n", "2", "--json"])
+            assert exc.value.code == 2
+        assert run(capsys, "oracle", "s2", "--n", "2", "--json")[0] == 0
+
     def test_vecg_match_failure_exits_1(self, capsys):
         code, _, err = run(capsys, "family", "vecg", "--group", "z2", "--kappa", "1,-1",
                            "--subgroup", "0,1", "--charpoly")
@@ -371,15 +408,25 @@ GOLDEN_JSON = {
          "--charpoly", "--json"),
         "fdfcaf8cafd1b6ed7264160d8c8d0401cb69f24076f791af76a8c12b9be6d653",
     ),
+    # spec documents: structure, cartan, dims and module action of u_q(sl2)
+    "uqsl2-7-spec": (
+        ("family", "uqsl2", "--ell", "7", "--s", "3"),
+        "d4ac96fd6602b9044fd6202bb0c2db710978e0b01a4481cfa0926eda2d71eb15",
+    ),
+    "uqsl2-9-spec": (
+        ("family", "uqsl2", "--ell", "9", "--s", "2"),
+        "ef0f426b5cf009a6214e9c5cf390e5a8c2ffd7ac6d330094d807959f0ad2a378",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_golden_json_digest(capsys, name):
     """The --json bytes of exact, symbolic and numeric spectra of the built-in
-    families are pinned: a change to the entry order (canonical keys), the
-    coefficient text, str or approx of a cyclotomic value, or a float of a
-    numeric torus character shows up here."""
+    families, and of two u_q(sl2) spec documents, are pinned: a change to the
+    entry order (canonical keys), the coefficient text, str or approx of a
+    cyclotomic value, a float of a numeric torus character, or the ring,
+    module or dims of u_q(sl2) shows up here."""
     argv, digest = GOLDEN_JSON[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,6 @@ from antipode_spectrum.families import (
     Group,
     MatchFailure,
     RootSystemData,
-    chebyshev,
     fibonacci_fusion,
     regular_module,
     taft_family,
@@ -30,20 +30,14 @@ from antipode_spectrum.spectrum import block_multiplicities, char_poly_s2
 
 
 class TestChebyshev:
-    def test_first_values(self):
-        assert chebyshev(1) == [1]
-        assert chebyshev(2) == [0, 1]
-        assert chebyshev(3) == [-1, 0, 1]
-        assert chebyshev(4) == [0, -2, 0, 1]
-
     def test_defining_identity_numeric(self):
+        # P_j(2 cos theta) sin(theta) = sin(j theta)
         rng = random.Random(17)
-        p5 = chebyshev(5)
         for _ in range(10):
             theta = rng.uniform(0.1, 3.0)
-            x = 2 * math.cos(theta)
-            val = sum(c * x**k for k, c in enumerate(p5))
-            assert abs(val * math.sin(theta) - math.sin(5 * theta)) < 1e-9
+            values = families._chebyshev(2 * math.cos(theta), 1.0, operator.mul, 6)
+            for j, val in enumerate(values, start=1):
+                assert abs(val * math.sin(theta) - math.sin(j * theta)) < 1e-9
 
 
 class TestTaftFamily:
@@ -74,40 +68,26 @@ class TestTaftFamily:
 
 class TestUqsl2Family:
     def test_ring_relation_is_the_minimal_one(self):
-        # x P_ell - 2 P_{ell-1} - 2 equals 2 T_ell(x/2) - 2, the polynomial
-        # identity behind z^ell + z^-ell - 2 = 0
+        # the characteristic polynomial of L_{X_2} is 2 T_ell(x/2) - 2, the
+        # polynomial identity behind z^ell + z^-ell - 2 = 0; it is also the
+        # minimal one, as the powers of X_2 applied to X_1 span the ring
         for ell in (3, 5, 7):
-            pl = chebyshev(ell)
-            plm = chebyshev(ell - 1)
-            q_poly = [0] + pl
-            q_poly = [a - 2 * b for a, b in zip(q_poly, plm + [0] * (len(q_poly) - len(plm)))]
-            q_poly[0] -= 2
-            # doubled first-kind Chebyshev via a_0 = 2, a_1 = x, a_{k+1} = x a_k - a_{k-1}
-            a_prev, a_cur = [2], [0, 1]
-            for _ in range(ell - 1):
-                nxt = [0] + a_cur
-                for t, c in enumerate(a_prev):
-                    nxt[t] -= c
-                a_prev, a_cur = a_cur, nxt
-            minimal = list(a_cur)
+            x2 = uqsl2_family(ell).fusion.left_mult_matrix("X2")
+            t_ell = np.polynomial.chebyshev.cheb2poly([0] * ell + [1])
+            minimal = [2 * c / 2**k for k, c in enumerate(t_ell)]
             minimal[0] -= 2
-            assert q_poly == minimal
+            assert np.allclose(np.poly(x2)[::-1], minimal, atol=1e-6)
+            krylov = [np.linalg.matrix_power(x2, k)[:, 0] for k in range(ell)]
+            assert np.linalg.matrix_rank(np.array(krylov)) == ell
 
     def test_ring_relation_roots_numeric(self):
-        # Q(x) = (x - 2) prod_j (x - 2cos(2 pi j / ell))^2 within 1e-9
-        for ell in (3, 5):
-            pl, plm = chebyshev(ell), chebyshev(ell - 1)
-            q_poly = [0] + pl
-            q_poly = [a - 2 * b for a, b in zip(q_poly, plm + [0] * (len(q_poly) - len(plm)))]
-            q_poly[0] -= 2
-            prod = np.array([1.0])
-            for root in [2.0] + [
-                2 * math.cos(2 * math.pi * j / ell)
-                for j in range(1, (ell - 1) // 2 + 1)
-                for _ in range(2)
-            ]:
-                prod = np.convolve(prod, [-root, 1.0])
-            assert np.allclose(np.array(q_poly, dtype=float), prod, atol=1e-9)
+        # the eigenvalues of L_{X_2}: 2 once and each 2 cos(2 pi j / ell) twice
+        for ell in (3, 5, 7):
+            x2 = uqsl2_family(ell).fusion.left_mult_matrix("X2")
+            roots = [2.0] + [2 * math.cos(2 * math.pi * j / ell)
+                             for j in range(1, (ell - 1) // 2 + 1) for _ in range(2)]
+            eig = np.sort_complex(np.linalg.eigvals(x2.astype(float)))
+            assert np.allclose(eig, np.sort_complex(np.array(roots, dtype=complex)), atol=1e-6)
 
     def test_fusion_boundary_rule(self):
         fam = uqsl2_family(5)
@@ -133,11 +113,28 @@ class TestUqsl2Family:
             assert (lhs - rhs).is_zero()
 
     def test_dims_match_weight_character(self):
-        # dim X_2 = q + q^-1 = 2 cos(2 pi s / ell)
+        # dim X_j = [j]_q, so dim X_j sin(2 pi s / ell) = sin(2 pi s j / ell)
         for ell, s in ((5, 1), (5, 2), (7, 3)):
             fam = uqsl2_family(ell, s)
-            d2 = fam.fusion.dims["X2"].complex_value()
-            assert abs(d2 - 2 * math.cos(2 * math.pi * s / ell)) < 1e-9
+            for j in range(1, ell + 1):
+                dj = fam.fusion.dims[f"X{j}"].complex_value()
+                want = math.sin(2 * math.pi * s * j / ell) / math.sin(2 * math.pi * s / ell)
+                assert abs(dj - want) < 1e-9
+
+    def test_module_action_is_a_weight_sum(self):
+        # X_j acts on Z/ell as the sum of the shifts by its weights j-1, j-3, ..., 1-j
+        ell = 7
+        mod = uqsl2_family(ell).module
+        for j in range(1, ell + 1):
+            want = sum(np.roll(np.eye(ell, dtype=np.int64), w, axis=0)
+                       for w in range(j - 1, -j, -2))
+            assert (mod.matrix(f"X{j}") == want).all()
+
+    def test_verifies(self):
+        for ell in (3, 5, 7, 9, 11):
+            fam = uqsl2_family(ell)
+            assert verify_fusion(fam.fusion).ok
+            assert verify_module(fam.fusion, fam.module).ok
 
     def test_cartan_weighted_sums(self):
         for ell in (3, 5, 7):

@@ -1,5 +1,7 @@
 import ast
 import cmath
+import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -297,6 +299,52 @@ class TestLiteralParser:
             literal_to_factored("L^2 + L + 1", 5, 1)  # not an atom
         with pytest.raises(ParseError):
             parse_literal("1/0", 3, 0)
+
+    def test_products_of_atoms(self):
+        ctx = FactoredContext(5, 1)
+        a1, a2 = FactoredValue.atom(ctx, (1,), 1), FactoredValue.atom(ctx, (1,), 2)
+        assert literal_to_factored("(L*z^1 - z^-1)*(L*z^2 - z^-2)", 5, 1) == a1 * a2
+        assert literal_to_factored("(L*z^1 - z^-1)^2", 5, 1) == a1 * a1
+        ctx2 = FactoredContext(5, 2)
+        v = literal_to_factored("(L1*z^1 - z^-1)*(L1*L2*z^3 - z^-3)", 5, 2)
+        assert v == FactoredValue.atom(ctx2, (1, 0), 1) * FactoredValue.atom(ctx2, (1, 1), 3)
+        # sums of products still expand
+        w = parse_literal("(L*z^1 - z^-1)*(L*z^2 - z^-2) + 1", 5, 1)
+        assert w == (a1 * a2).expand() + LaurentPoly.constant(ctx, ctx.field.one())
+        F = CycField(5)
+        assert literal_to_cycnum("(1 + z)*(2 + z^2)", 5) == (1 + F.zeta(1)) * (2 + F.zeta(2))
+
+    def test_factored_literal_round_trip(self):
+        """to_literal of a random constant * monomial * product of atom powers
+        reads back as the same value."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def factored_values(draw):
+            ell = draw(st.sampled_from([3, 5, 7]))
+            nvars = draw(st.sampled_from([1, 2]))
+            ctx = FactoredContext(ell, nvars)
+            small = st.integers(min_value=-2, max_value=2)
+            constant = ctx.field.reduce([draw(st.fractions(min_value=-4, max_value=4,
+                                                           max_denominator=3))
+                                         for _ in range(ctx.field.degree)])
+            hypothesis.assume(constant)
+            v = FactoredValue(ctx, constant, tuple(draw(small) for _ in range(nvars)))
+            # atom coordinates are primitive and lex-positive
+            coords = st.sampled_from([c for c in itertools.product(range(-2, 3), repeat=nvars)
+                                      if math.gcd(*c) == 1 and next(x for x in c if x) > 0])
+            for _ in range(draw(st.integers(min_value=0, max_value=4))):
+                v = v * FactoredValue.atom(ctx, draw(coords), draw(st.integers(0, ell - 1)),
+                                           draw(small.filter(bool)))
+            return v
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(factored_values())
+        def check(v):
+            assert literal_to_factored(to_literal(v), v.ctx.ell, v.ctx.nvars) == v
+
+        check()
 
     def test_laurent_addition_of_atoms(self):
         # additive identities stay exact at the Laurent level

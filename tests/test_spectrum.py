@@ -10,7 +10,6 @@ from antipode_spectrum.errors import (
     EmptyEigenspace,
     InvalidTwist,
     JDependence,
-    NonConvergence,
     NotInEigenspace,
     ZeroEntry,
 )
@@ -415,12 +414,6 @@ class TestSpectrumInvariants:
         assert char_poly_s2(f2, mod2, perron_m_vector(mod2, f2)).close_to(
             char_poly_s2(f2, mod2, m2), 1e-9
         )
-
-    def test_perron_non_convergence(self):
-        f = fibonacci_fusion()
-        mod, _ = regular_module(f)
-        with pytest.raises(NonConvergence):
-            perron_m_vector(mod, f, max_iter=1)
 
 
 class TestTwistInvariance:
