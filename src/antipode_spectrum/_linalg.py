@@ -1,24 +1,36 @@
-"""Exact Gaussian elimination over a field (CycNum or Fraction entries),
-plus a numeric SVD nullspace for the float backend.
+"""Linear algebra over one scalar backend.
 
-Matrices are lists of row lists.  Entries must support +, -, *, bool
-(nonzero test), == and scalar.inverse.
+``nullspace`` and ``rank`` lift their entries with scalar.lift and choose
+the method from the result: exact entries (int, Fraction, CycNum) take
+Gaussian elimination, numeric ones an SVD whose cutoff is tol times the
+largest singular value.  ``Subspace`` is an exact subspace held in reduced
+row echelon form.
+
+Matrices are sequences of rows (lists, or a 2-D numpy array).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .scalar import inverse
+from .scalar import DEFAULT_TOLERANCE, inverse, lift
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
+def _lifted(m):
+    """(backend, rows, cols): the entries of m brought into one backend."""
+    rows = [list(r) for r in m]
+    cols = len(rows[0]) if rows else 0
+    if not cols:
+        return None, [], 0
+    backend, flat = lift([x for r in rows for x in r])
+    if backend == "numeric":
+        return backend, np.array(flat, dtype=complex).reshape(len(rows), cols), cols
+    return backend, [flat[i:i + cols] for i in range(0, len(flat), cols)], cols
 
 
 def rref(m):
-    """Reduced row echelon form in place; returns (matrix, pivot_columns)."""
-    m = mat_copy(m)
+    """Reduced row echelon form of exact rows; returns (matrix, pivot_columns)."""
+    m = [list(row) for row in m]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -42,22 +54,32 @@ def rref(m):
     return m, pivots
 
 
-def rank(m) -> int:
-    return len(rref(m)[1])
+def rank(m, tol=DEFAULT_TOLERANCE) -> int:
+    """Rank of m: exact, or the singular values above tol * the largest."""
+    backend, a, cols = _lifted(m)
+    if backend != "numeric":
+        return len(rref(a)[1])
+    s = np.linalg.svd(a, compute_uv=False)
+    return int((s > tol * s[0]).sum())
 
 
-def nullspace(m, one, zero):
-    """Basis of the right kernel, one vector per free column.
+def nullspace(m, tol=DEFAULT_TOLERANCE):
+    """Basis of the right kernel of m.
 
-    ``one``/``zero`` are the field constants used to fill the basis vectors.
-    """
-    if not m:
+    Exact: one vector per free column, with the field's one there.
+    Numeric: the conjugated rows of V^H (A V = U S needs columns of V) whose
+    singular value is at most tol * the largest, or absent."""
+    backend, a, cols = _lifted(m)
+    if not cols:
         return []
-    cols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    if backend == "numeric":
+        _, s, vh = np.linalg.svd(a)
+        return [list(v.conj()) for i, v in enumerate(vh) if i >= len(s) or s[i] <= tol * s[0]]
+    red, pivots = rref(a)
+    zero = a[0][0] * 0
+    one = zero + 1
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [zero] * cols
         v[fc] = one
         for r, pc in enumerate(pivots):
@@ -71,23 +93,33 @@ def mat_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), start=row[0] * 0) for col in bt] for row in a]
 
 
-def numeric_nullspace(a: np.ndarray, tol: float):
-    """Right-kernel basis via SVD; threshold = tol * largest singular value.
+class Subspace:
+    """Span of exact rows, held as the nonzero rows of their reduced row
+    echelon form and the pivot column of each."""
 
-    Kernel vectors are the conjugated rows of V^H (A V = U S needs columns
-    of V, i.e. conj(vh rows))."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return []
-    _, s, vh = np.linalg.svd(a)
-    cutoff = tol * (s[0] if len(s) else 1.0)
-    null_rows = [vh[i].conj() for i in range(vh.shape[0]) if i >= len(s) or s[i] <= cutoff]
-    return [np.asarray(v) for v in null_rows]
+    def __init__(self, rows):
+        red, self.pivots = rref(rows)
+        self.rows = red[:len(self.pivots)]
 
+    @property
+    def dim(self):
+        return len(self.rows)
 
-def numeric_rank(a: np.ndarray, tol: float) -> int:
-    a = np.asarray(a, dtype=complex)
-    s = np.linalg.svd(a, compute_uv=False)
-    if not len(s):
-        return 0
-    return int((s > tol * s[0]).sum())
+    def reduce(self, v):
+        """v minus its component along the span: zero at every pivot."""
+        v = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    def coords(self, v):
+        """Coordinates of v in the rows; AssertionError when v is outside
+        the span."""
+        if any(self.reduce(v)):
+            raise AssertionError("vector escaped the quotient basis")
+        return [v[p] for p in self.pivots]

@@ -285,37 +285,48 @@ def _parse_candidate(text):
     return rows
 
 
+def _oracle_size(args):
+    """--n for Taft, --ell for u_q(sl2), 3 when absent; the other family's
+    option is refused rather than ignored."""
+    own, other = ("n", "ell") if args.family == "taft" else ("ell", "n")
+    if getattr(args, other) is not None:
+        raise BadParameters(f"--{other} does not apply to --family {args.family}; use --{own}")
+    size = getattr(args, own)
+    return 3 if size is None else size
+
+
 def cmd_oracle(args):
+    if args.what == "s2" and args.family != "taft":
+        raise BadParameters("oracle s2 computes the Taft spectrum only; use --family taft")
+    size = _oracle_size(args)
     if args.what == "radical":
         if args.family == "taft":
-            alg = oracle.taft_algebra(args.n, args.s).algebra
+            alg = oracle.taft_algebra(size, args.s).algebra
         else:
-            alg = oracle.uqsl2_algebra(args.ell, args.s)
+            alg = oracle.uqsl2_algebra(size, args.s)
         rad = oracle.radical_via_trace_form(alg)
         print(f"dim algebra = {alg.dim}, dim radical = {len(rad)}")
         return 0
     if args.what == "cartan":
         if args.family == "taft":
-            orc = oracle.taft_algebra(args.n, args.s)
+            orc = oracle.taft_algebra(size, args.s)
             alg, gens = orc.algebra, oracle.taft_generators(orc.algebra)
-            simples = oracle.taft_simple_modules(args.n, args.s)
-            idem = oracle.taft_idempotents(args.n, args.s)
+            simples = oracle.taft_simple_modules(size, args.s)
+            idem = oracle.taft_idempotents(size, args.s)
             cand = (_parse_candidate(args.candidate) if args.candidate
-                    else [[1] * args.n for _ in range(args.n)])
+                    else [[1] * size for _ in range(size)])
         else:
-            alg = oracle.uqsl2_algebra(args.ell, args.s)
+            alg = oracle.uqsl2_algebra(size, args.s)
             gens = oracle.uqsl2_generators(alg)
-            simples = oracle.uqsl2_simple_modules(args.ell, args.s)
+            simples = oracle.uqsl2_simple_modules(size, args.s)
             idem = None
             cand = (_parse_candidate(args.candidate) if args.candidate
-                    else families.uqsl2_family(args.ell, args.s).fusion.cartan)
+                    else families.uqsl2_family(size, args.s).fusion.cartan)
         rep = oracle.validate_cartan(alg, gens, simples, cand, idempotents=idem)
         print(rep)
         return 0 if rep.ok else 1
     if args.what == "s2":
-        if args.family != "taft":
-            raise BadParameters("oracle s2 computes the Taft spectrum only; use --family taft")
-        spec = oracle.taft_s2_spectrum(args.n, args.s)
+        spec = oracle.taft_s2_spectrum(size, args.s)
         print_spectrum(spec, args.json)
         return 0
     raise BadParameters(f"unknown oracle command {args.what!r}")
@@ -403,8 +414,8 @@ def build_parser():
         q.add_argument("--family", choices=["taft", "uqsl2"],
                        default="taft" if what == "s2" else None,
                        required=(what != "s2"))
-        q.add_argument("--n", type=int, default=3)
-        q.add_argument("--ell", type=int, default=3)
+        q.add_argument("--n", type=int, help="Taft size (default 3)")
+        q.add_argument("--ell", type=int, help="u_q(sl2) root of unity order (default 3)")
         q.add_argument("--s", type=int, default=1)
         if what == "s2":
             q.add_argument("--json", action="store_true")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -42,6 +42,14 @@ def _divide_exact(a, b):
                 a[i + j] -= c * y
     assert not any(a), "divisor must divide exactly"
     return q
+
+
+def _float_or_inf(c: int, den: int) -> float:
+    """c / den as a float, +-inf when it is beyond the float range."""
+    try:
+        return c / den
+    except OverflowError:
+        return inf if c > 0 else -inf
 
 
 @lru_cache(maxsize=None)
@@ -331,10 +339,19 @@ class CycNum:
         return _canonical(target, target._fold(acc), self.den)
 
     def complex_value(self) -> complex:
+        """The value in the standard embedding; a part beyond the float range
+        is +-inf (or nan where infinities of both signs meet)."""
         z = cmath.exp(2j * cmath.pi / self.field.order)
         den = self.den
-        # int / int is correctly rounded, so c / den is float(Fraction(c, den))
-        return sum(c / den * z**k for k, c in enumerate(self.num) if c)
+        try:
+            # int / int is correctly rounded, so c / den is float(Fraction(c, den))
+            return sum(c / den * z**k for k, c in enumerate(self.num) if c)
+        except OverflowError:
+            pass
+        terms = [(_float_or_inf(c, den), z**k) for k, c in enumerate(self.num) if c]
+        # a zero component of z^k adds nothing, not inf * 0
+        return complex(sum(x * w.real for x, w in terms if w.real),
+                       sum(x * w.imag for x, w in terms if w.imag))
 
     def sort_key(self):
         """Per coefficient (numerator, denominator) in lowest terms."""

@@ -75,7 +75,9 @@ def verify_module(f: FusionData, mod: ModuleActionData) -> VerificationReport:
 
     rep.record("transpose-duality")
     for r in f.labels:
-        if not (mod.matrix(f.dual[r]) == mod.matrix(r).T).all():
+        if r not in f.dual:
+            rep.fail("transpose-duality", (r,), "dual undefined")
+        elif not (mod.matrix(f.dual[r]) == mod.matrix(r).T).all():
             rep.fail("transpose-duality", (r,), "N_{r*} != N_r^T")
 
     rep.record("indecomposability")

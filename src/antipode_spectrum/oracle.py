@@ -83,6 +83,10 @@ class StructureAlgebra:
             tr.append(t)
         return tr
 
+    def identity_rows(self):
+        """The basis as dense rows."""
+        return [self.dense({i: self.field.one()}) for i in range(self.dim)]
+
     def dense(self, v: dict):
         out = [self.field.zero()] * self.dim
         for k, c in v.items():
@@ -316,57 +320,22 @@ def radical_via_trace_form(alg: StructureAlgebra):
     """Exact basis of the Jacobson radical in characteristic zero: the null
     space of the Gram matrix B_{uv} = Tr(L_{e_u e_v}) of the trace form."""
     tr = alg.trace_vector()
-    zero, one = alg.field.zero(), alg.field.one()
     gram = []
     for u in range(alg.dim):
         row = []
         for v in range(alg.dim):
-            t = zero
+            t = alg.field.zero()
             for k, c in alg.basis_product(u, v).items():
                 t = t + c * tr[k]
             row.append(t)
         gram.append(row)
-    return _linalg.nullspace(gram, one, zero)
-
-
-def _rref_rows(rows, zero):
-    red, pivots = _linalg.rref(rows)
-    out = [r for r in red if any(r)]
-    return out, pivots
-
-
-def _reduce_by(v, rows, pivots):
-    v = list(v)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
-
-
-class _Subspace:
-    """Exact subspace of k^dim in reduced row echelon form."""
-
-    def __init__(self, rows, zero):
-        self.zero = zero
-        self.rows, self.pivots = _rref_rows(rows, zero) if rows else ([], [])
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def reduce(self, v):
-        return _reduce_by(v, self.rows, self.pivots)
-
-    def contains(self, v):
-        return not any(self.reduce(v))
+    return _linalg.nullspace(gram)
 
 
 def _ideal_chain(alg: StructureAlgebra, radical_rows):
     """rad^0 = A >= rad >= rad^2 >= ... as exact subspaces, ending at 0."""
-    zero, one = alg.field.zero(), alg.field.one()
-    full = _Subspace([[one if i == j else zero for j in range(alg.dim)] for i in range(alg.dim)], zero)
-    rad = _Subspace([list(r) for r in radical_rows], zero)
+    full = _linalg.Subspace(alg.identity_rows())
+    rad = _linalg.Subspace(radical_rows)
     chain = [full, rad]
     while chain[-1].dim > 0:
         prev = chain[-1]
@@ -376,37 +345,25 @@ def _ideal_chain(alg: StructureAlgebra, radical_rows):
             for w in rad.rows:
                 wv = {i: c for i, c in enumerate(w) if c}
                 gens.append(alg.dense(alg.multiply(uv, wv)))
-        nxt = _Subspace(gens, zero)
+        nxt = _linalg.Subspace(gens)
         if nxt.dim == prev.dim:
             raise AssertionError("radical chain does not descend; not nilpotent")
         chain.append(nxt)
     return chain
 
 
-def _layer_action(alg: StructureAlgebra, generators, big: _Subspace, small: _Subspace):
+def _layer_action(alg: StructureAlgebra, generators, big: _linalg.Subspace,
+                  small: _linalg.Subspace):
     """Action matrices of the generators on big/small, with the quotient
     basis extracted from big's rows reduced mod small."""
-    zero = alg.field.zero()
-    reduced = [small.reduce(r) for r in big.rows]
-    basis = _Subspace(reduced, zero)
+    basis = _linalg.Subspace([small.reduce(r) for r in big.rows])
     qdim = basis.dim
-
-    def coords(v):
-        v = small.reduce(v)
-        c = [v[p] for p in basis.pivots]
-        check = list(v)
-        for row, x in zip(basis.rows, c):
-            check = [a - x * b for a, b in zip(check, row)]
-        if any(check):
-            raise AssertionError("vector escaped the quotient basis")
-        return c
-
     mats = {}
     for name, g in generators.items():
         cols = []
         for row in basis.rows:
             img = alg.multiply(g, {i: c for i, c in enumerate(row) if c})
-            cols.append(coords(alg.dense(img)))
+            cols.append(basis.coords(small.reduce(alg.dense(img))))
         mats[name] = [[cols[j][i] for j in range(qdim)] for i in range(qdim)]
     return qdim, mats
 
@@ -416,7 +373,7 @@ def _intertwiner_multiplicity(field, layer_dim, layer_mats, simple: SimpleModule
     if layer_dim == 0:
         return 0
     dl = simple.dim
-    zero, one = field.zero(), field.one()
+    zero = field.zero()
     rows = []
     for name, rho in simple.matrices.items():
         sigma = layer_mats[name]
@@ -428,7 +385,7 @@ def _intertwiner_multiplicity(field, layer_dim, layer_mats, simple: SimpleModule
                 for u in range(layer_dim):
                     row[u * dl + b] = row[u * dl + b] - sigma[a][u]
                 rows.append(row)
-    return len(_linalg.nullspace(rows, one, zero))
+    return len(_linalg.nullspace(rows))
 
 
 def validate_cartan(alg: StructureAlgebra, generators, simples, candidate,
@@ -453,7 +410,6 @@ def validate_cartan(alg: StructureAlgebra, generators, simples, candidate,
 
     if idempotents is not None:
         rep.record("projective-dims")
-        zero = alg.field.zero()
         for r, e in enumerate(idempotents):
             cols = []
             for m in range(alg.dim):
@@ -486,28 +442,17 @@ def validate_cartan(alg: StructureAlgebra, generators, simples, candidate,
 def quotient_algebra(alg: StructureAlgebra, ideal_rows) -> StructureAlgebra:
     """A / I for a two-sided ideal given by spanning rows; used to confirm
     that A/rad is semisimple."""
-    zero = alg.field.zero()
-    ideal = _Subspace([list(r) for r in ideal_rows], zero)
-    full = _Subspace(
-        [[alg.field.one() if i == j else zero for j in range(alg.dim)] for i in range(alg.dim)],
-        zero,
-    )
-    reduced = [ideal.reduce(r) for r in full.rows]
-    basis = _Subspace(reduced, zero)
-
-    def coords(v):
-        v = ideal.reduce(v)
-        return [v[p] for p in basis.pivots]
-
+    ideal = _linalg.Subspace(ideal_rows)
+    basis = _linalg.Subspace([ideal.reduce(r) for r in alg.identity_rows()])
     labels = [f"q{i}" for i in range(basis.dim)]
     mult = {}
     for i, ri in enumerate(basis.rows):
         vi = {t: c for t, c in enumerate(ri) if c}
         for j, rj in enumerate(basis.rows):
             vj = {t: c for t, c in enumerate(rj) if c}
-            prod = coords(alg.dense(alg.multiply(vi, vj)))
+            prod = basis.coords(ideal.reduce(alg.dense(alg.multiply(vi, vj))))
             mult[(i, j)] = {t: c for t, c in enumerate(prod) if c}
-    unit = coords(alg.dense(alg.unit))
+    unit = basis.coords(ideal.reduce(alg.dense(alg.unit)))
     return StructureAlgebra(labels, alg.field, mult, {t: c for t, c in enumerate(unit) if c})
 
 

@@ -201,6 +201,8 @@ def roots_of_unity(values) -> bool:
     for an exact value whichever field or rational type stores it."""
     n = len(values)
     z = [numeric_value(v) for v in values]
+    if not all(abs(abs(x) - 1) <= 1e-6 for x in z):  # also keeps x**n finite
+        return False
     roots = sorted(round(cmath.phase(x) / (2 * math.pi) * n) % n for x in z)
     if roots != list(range(n)) or any(abs(x**n - 1) > 1e-6 for x in z):
         return False
@@ -315,14 +317,20 @@ def _tokenize(s: str):
     return toks
 
 
+# parentheses nest at most this deep in a literal, as in CPython's parser
+MAX_NESTING = 200
+
+
 class _Parser:
     """Recursive descent over the literal grammar, evaluating into either a
-    LaurentPoly or a FactoredValue (after a non-monomial division)."""
+    LaurentPoly or a FactoredValue (after a non-monomial division).  Only
+    parentheses recurse, MAX_NESTING deep at most."""
 
     def __init__(self, s: str, ctx: FactoredContext):
         self.src = s
         self.toks = _tokenize(s)
         self.i = 0
+        self.depth = 0
         self.ctx = ctx
 
     def peek(self):
@@ -374,17 +382,24 @@ class _Parser:
         return v
 
     def unary(self):
-        if self.peek().kind == "-":
+        neg = False
+        while self.peek().kind == "-":
             self.next()
-            return self._neg(self.unary())
-        return self.primary()
+            neg = not neg
+        v = self.primary()
+        return self._neg(v) if neg else v
 
     def primary(self):
         t = self.next()
         ctx = self.ctx
         if t.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 location=f"offset {t.pos}")
             v = self.expr()
             self.expect(")")
+            self.depth -= 1
             if self.peek().kind == "^":
                 self.next()
                 v = self._pow(v, self._signed_int())
@@ -519,9 +534,12 @@ def literal_to_complex(s: str, order: int) -> complex:
 
 
 def from_literal(s: str, mode: str, order: int, nvars: int = 0):
-    """A literal read into its backend's kind: a FactoredValue when nvars > 0,
-    a complex in numeric mode, a CycNum otherwise."""
+    """A literal read into its backend's kind: a FactoredValue when nvars > 0
+    (cyclotomic mode only: torus variables have no complex value), a complex
+    in numeric mode, a CycNum otherwise."""
     if nvars > 0:
+        if mode != "cyclotomic":
+            raise ParseError(f"torus variables need mode 'cyclotomic', not {mode!r}")
         return literal_to_factored(s, order, nvars)
     if mode == "numeric":
         return literal_to_complex(s, order)

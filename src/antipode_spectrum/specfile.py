@@ -23,12 +23,19 @@ data survives the round trip.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ParseError, SchemaError
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .pivotalization import PivotalizationData
 from .scalar import DEFAULT_TOLERANCE, count_torus_vars, from_literal, literal_order, to_literal
+
+
+# Q(zeta_n) keeps an n x phi(n) reduction table: about 130 MB at n = 4093
+MAX_ORDER = 4096
+# counts and matrix entries are stored as int64
+MAX_COUNT = 2**63 - 1
 
 
 class SpecDocument:
@@ -42,8 +49,19 @@ class SpecDocument:
         self.pivotalization = pivotalization
 
 
+def _object(obj, path):
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", location=path)
+    return obj
+
+
+def _count(x):
+    """True for a JSON integer in 0..MAX_COUNT (booleans excluded)."""
+    return type(x) is int and 0 <= x <= MAX_COUNT
+
+
 def _need(obj, key, path):
-    if key not in obj:
+    if key not in _object(obj, path):
         raise SchemaError(f"missing key {key!r}", location=path)
     return obj[key]
 
@@ -63,9 +81,16 @@ def _parse_matrix(obj, size, path):
         raise SchemaError(f"expected a {size}x{size} integer matrix", location=path)
     for r in obj:
         for x in r:
-            if not isinstance(x, int) or x < 0:
-                raise SchemaError("matrix entries must be nonnegative integers", location=path)
+            if not _count(x):
+                raise SchemaError("matrix entries must be nonnegative int64 integers",
+                                  location=path)
     return obj
+
+
+def _parse_matrices(obj, size, path):
+    """A map from labels to size x size integer matrices."""
+    return {lab: _parse_matrix(mat, size, f"{path}.{lab}")
+            for lab, mat in _object(obj, path).items()}
 
 
 def loads(text: str) -> SpecDocument:
@@ -73,27 +98,30 @@ def loads(text: str) -> SpecDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", location=f"line {e.lineno}, column {e.colno}")
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object", location="$")
 
     backend = _need(doc, "scalar_backend", "$")
     mode = _need(backend, "mode", "$.scalar_backend")
     if mode not in ("cyclotomic", "numeric"):
         raise SchemaError(f"unknown mode {mode!r}", location="$.scalar_backend.mode")
     order = backend.get("order", 1)
-    if not isinstance(order, int) or order < 1:
-        raise SchemaError("order must be a positive integer", location="$.scalar_backend.order")
-    tolerance = float(backend.get("precision", backend.get("tolerance", DEFAULT_TOLERANCE)))
+    if type(order) is not int or not 1 <= order <= MAX_ORDER:
+        raise SchemaError(f"order must be an integer in 1..{MAX_ORDER}",
+                          location="$.scalar_backend.order")
+    tolerance = backend.get("precision", backend.get("tolerance", DEFAULT_TOLERANCE))
+    if type(tolerance) not in (int, float) or not 0 <= tolerance < math.inf:
+        raise SchemaError("precision must be a finite nonnegative number",
+                          location="$.scalar_backend.precision")
+    tolerance = float(tolerance)
 
     cat = _need(doc, "category", "$")
     labels = _need(cat, "labels", "$.category")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("labels must be a list of strings", location="$.category.labels")
     unit = _need(cat, "unit", "$.category")
-    dual = _need(cat, "dual", "$.category")
-    if not isinstance(dual, dict):
-        raise SchemaError("dual must map labels to labels", location="$.category.dual")
+    dual = _object(_need(cat, "dual", "$.category"), "$.category.dual")
     fusion_triples = _need(cat, "fusion", "$.category")
+    if not isinstance(fusion_triples, list):
+        raise SchemaError("fusion must be a list of rows", location="$.category.fusion")
     structure = {}
     for idx, row in enumerate(fusion_triples):
         path = f"$.category.fusion[{idx}]"
@@ -103,15 +131,15 @@ def loads(text: str) -> SpecDocument:
         for lab in (q, r, s):
             if lab not in labels:
                 raise SchemaError(f"unknown label {lab!r}", location=path)
-        if not isinstance(c, int) or c < 0:
-            raise SchemaError("fusion count must be a nonnegative integer", location=path)
+        if not _count(c):
+            raise SchemaError("fusion count must be a nonnegative int64 integer", location=path)
         structure[(q, r, s)] = c
     cartan = cat.get("cartan")
     if cartan is not None:
         cartan = _parse_matrix(cartan, len(labels), "$.category.cartan")
     dims = None
     if cat.get("dims") is not None:
-        raw = cat["dims"]
+        raw = _object(cat["dims"], "$.category.dims")
         if set(raw) != set(labels):
             raise SchemaError("dims must cover exactly the labels", location="$.category.dims")
         dims = {
@@ -125,13 +153,12 @@ def loads(text: str) -> SpecDocument:
 
     modobj = _need(doc, "module", "$")
     mlabels = _need(modobj, "labels", "$.module")
-    action_raw = _need(modobj, "action", "$.module")
+    if not isinstance(mlabels, list) or not all(isinstance(x, str) for x in mlabels):
+        raise SchemaError("labels must be a list of strings", location="$.module.labels")
+    action_raw = _object(_need(modobj, "action", "$.module"), "$.module.action")
     if set(action_raw) != set(labels):
         raise SchemaError("module action must cover exactly the ring labels", location="$.module.action")
-    action = {
-        lab: _parse_matrix(action_raw[lab], len(mlabels), f"$.module.action.{lab}")
-        for lab in action_raw
-    }
+    action = _parse_matrices(action_raw, len(mlabels), "$.module.action")
     try:
         module = ModuleActionData(mlabels, action)
     except Exception as e:
@@ -158,14 +185,10 @@ def loads(text: str) -> SpecDocument:
             _parse_scalar(x, mode, order, f"$.pivotalization.nu[{i}]")
             for i, x in enumerate(nu_raw)
         ]
-        n_plus = {
-            lab: _parse_matrix(mat, len(mlabels), f"$.pivotalization.n_plus.{lab}")
-            for lab, mat in _need(p, "n_plus", "$.pivotalization").items()
-        }
-        n_minus = {
-            lab: _parse_matrix(mat, len(mlabels), f"$.pivotalization.n_minus.{lab}")
-            for lab, mat in _need(p, "n_minus", "$.pivotalization").items()
-        }
+        n_plus = _parse_matrices(_need(p, "n_plus", "$.pivotalization"), len(mlabels),
+                                 "$.pivotalization.n_plus")
+        n_minus = _parse_matrices(_need(p, "n_minus", "$.pivotalization"), len(mlabels),
+                                  "$.pivotalization.n_minus")
         try:
             pivot = PivotalizationData(mlabels, nu, n_plus, n_minus, unsigned=module)
         except Exception as e:

@@ -123,22 +123,14 @@ class SpectrumFactorization:
 def dimension_eigenspace(f: FusionData, mod: ModuleActionData, tol=DEFAULT_TOLERANCE):
     """Exact basis of the joint eigenspace  cap_r ker(N_r - dim(X_r) I)  and
     its dimension (the multiplicity of the dimension character in Gr(M))."""
-    backend, dims = lift(f.dims_vector())
     size = mod.size
-    mats = mod.matrices(f)
-    if backend == "numeric":
-        rows = np.vstack([np.asarray(m, dtype=complex) - d * np.eye(size) for m, d in zip(mats, dims)])
-        basis = [list(b) for b in _linalg.numeric_nullspace(rows, tol)]
-    else:
-        zero = 0 * dims[0]
-        one = zero + 1
-        stacked = []
-        for m, d in zip(mats, dims):
-            for j in range(size):
-                row = [one * int(m[j, i]) for i in range(size)]
-                row[j] = row[j] - d
-                stacked.append(row)
-        basis = _linalg.nullspace(stacked, one, zero)
+    rows = []
+    for m, d in zip(mod.matrices(f), f.dims_vector()):
+        for j in range(size):
+            row = [int(x) for x in m[j]]
+            row[j] -= d
+            rows.append(row)
+    basis = _linalg.nullspace(rows, tol)
     if not basis:
         raise EmptyEigenspace("no matched pivotal structure for the given dims")
     return basis, len(basis)
@@ -249,11 +241,7 @@ def matched_checks(f: FusionData, mod: ModuleActionData, m, mbar,
         rep.fail("trace", (), f"Tr(Q_M) = {tr}, expected dim(C) = {dim_c}")
 
     rep.record("rank-one")
-    backend, entries = lift([x for row in Q for x in row])
-    if backend == "numeric":
-        r = _linalg.numeric_rank(np.array(entries).reshape(size, size), tol)
-    else:
-        r = _linalg.rank(Q)
+    r = _linalg.rank(Q, tol)
     if r != 1:
         rep.fail("rank-one", (), f"rank(Q_M) = {r}")
 
@@ -414,9 +402,9 @@ def perron_m_vector(mod: ModuleActionData, f: FusionData):
     first entry 1."""
     fp = fp_dimensions(f)
     rows = np.vstack([mod.matrix(r) - d * np.eye(mod.size) for r, d in zip(f.labels, fp)])
-    basis = _linalg.numeric_nullspace(rows, DEFAULT_TOLERANCE)
+    basis = _linalg.nullspace(rows)
     if len(basis) == 1 and abs(basis[0][0]) > DEFAULT_TOLERANCE:
-        v = basis[0] / basis[0][0]
+        v = np.array(basis[0]) / basis[0][0]
         if (v.real > 0).all() and (abs(v.imag) <= DEFAULT_TOLERANCE).all():
             return v.real.tolist()
     raise EmptyEigenspace("action matrices share no positive Frobenius-Perron eigenvector")

@@ -264,6 +264,31 @@ class TestCliCommands:
         assert code == 2
         assert out == "" and "taft" in err
 
+    def test_oracle_refuses_the_other_familys_size(self, capsys):
+        for argv in (["radical", "--family", "taft", "--ell", "5"],
+                     ["cartan", "--family", "taft", "--ell", "5"],
+                     ["s2", "--ell", "5"],
+                     ["radical", "--family", "uqsl2", "--n", "7"],
+                     ["cartan", "--family", "uqsl2", "--n", "7"]):
+            code, out, err = run(capsys, "oracle", *argv)
+            assert code == 2, argv
+            assert out == "" and "does not apply" in err
+
+    def test_torus_literals_need_cyclotomic_mode(self, capsys, tmp_path):
+        fam = uqsl2_family(3)
+        doc = json.loads(specfile.dumps(fam.fusion, fam.module, m=fam.m, order=3))
+        doc["scalar_backend"]["mode"] = "numeric"
+        path = self.write_spec(tmp_path, json.dumps(doc))
+        for cmd in ("charpoly", "pivotalize"):
+            code, out, err = run(capsys, cmd, path)
+            assert code == 2, cmd
+            assert out == "" and "$.m_vector[0]" in err
+        m = ", ".join(doc.pop("m_vector"))
+        path = self.write_spec(tmp_path, json.dumps(doc))
+        code, out, err = run(capsys, "charpoly", path, "--m", m)
+        assert code == 2
+        assert out == "" and "cyclotomic" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/spec.json")
         assert code == 2

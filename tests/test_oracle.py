@@ -129,9 +129,9 @@ class TestRadical:
     def test_radical_is_two_sided_ideal(self):
         alg = taft_algebra(3).algebra
         rad = radical_via_trace_form(alg)
-        from antipode_spectrum.oracle import _Subspace
+        from antipode_spectrum._linalg import Subspace
 
-        sub = _Subspace([list(r) for r in rad], alg.field.zero())
+        sub = Subspace(rad)
         for row in rad:
             v = {i: c for i, c in enumerate(row) if c}
             for mlab in range(alg.dim):

@@ -16,12 +16,14 @@ from antipode_spectrum.pivotalization import signed_spectrum
 from antipode_spectrum.scalar import (
     canonical_key,
     close,
+    from_literal,
     inverse,
     is_zero,
     literal_to_cycnum,
     literal_to_factored,
     numeric_value,
     parse_literal,
+    roots_of_unity,
     sign,
     to_literal,
 )
@@ -92,6 +94,16 @@ class TestCycArithmetic:
                 av, bv = a.complex_value(), b.complex_value()
                 assert abs((a * b).complex_value() - av * bv) < 1e-9
                 assert abs((a + b).complex_value() - (av + bv)) < 1e-9
+
+    def test_values_beyond_the_float_range(self):
+        F = CycField(5)
+        big = F.from_rational(10**999)
+        assert big.complex_value() == complex(math.inf, 0)
+        assert (-big * F.zeta(1)).complex_value() == complex(-math.inf, -math.inf)
+        assert (big / (big + 1)).complex_value() == 1
+        assert not roots_of_unity([big, -1])
+        assert not roots_of_unity([1e200, -1])
+        assert roots_of_unity([F.zeta(k) for k in range(5)])
 
     def test_embedding(self):
         F3, F15 = CycField(3), CycField(15)
@@ -299,6 +311,18 @@ class TestLiteralParser:
             literal_to_factored("L^2 + L + 1", 5, 1)  # not an atom
         with pytest.raises(ParseError):
             parse_literal("1/0", 3, 0)
+
+    def test_nesting_limit(self):
+        z = CycField(3).zeta(1)
+        assert literal_to_cycnum("(" * 200 + "z" + ")" * 200, 3) == z
+        assert literal_to_cycnum("-" * 5001 + "z", 3) == -z
+        with pytest.raises(ParseError, match="nested"):
+            literal_to_cycnum("(" * 201 + "z" + ")" * 201, 3)
+
+    def test_torus_variables_need_cyclotomic_mode(self):
+        assert isinstance(from_literal("L - 1", "cyclotomic", 3, 1), FactoredValue)
+        with pytest.raises(ParseError, match="cyclotomic"):
+            from_literal("L - 1", "numeric", 3, 1)
 
     def test_products_of_atoms(self):
         ctx = FactoredContext(5, 1)
