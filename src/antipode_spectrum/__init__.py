@@ -6,7 +6,6 @@ from .cyclotomic import CycField, CycNum, cyclotomic_polynomial
 from .grothendieck import (
     FusionData,
     VerificationReport,
-    fp_dimensions,
     global_dimension,
     q_matrix,
     verify_fusion,
@@ -50,7 +49,6 @@ __all__ = [
     "d_action_triviality",
     "dimension_eigenspace",
     "dimension_identity",
-    "fp_dimensions",
     "from_matched_pivotal",
     "global_dimension",
     "m_bar",

@@ -216,10 +216,3 @@ def q_matrix(f: FusionData, action_matrices):
             out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, term)]
     return out
 
-
-def fp_dimensions(f: FusionData):
-    """Frobenius-Perron dimension of each X_r: the Perron root of the
-    nonnegative left-multiplication matrix L_r, its spectral radius
-    max |eig(L_r)|.  Returns a float numpy vector in label order."""
-    return np.array([np.abs(np.linalg.eigvals(f.left_mult_matrix(x).astype(float))).max()
-                     for x in f.labels])

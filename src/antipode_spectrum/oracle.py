@@ -5,7 +5,8 @@ package takes as input: Cartan matrices are validated against radical
 filtrations of the actual finite dimensional algebras, and the squared
 antipode is composed directly on a PBW basis.
 
-Elements of a StructureAlgebra are sparse dicts {basis index: CycNum}.
+Elements of a StructureAlgebra are sparse dicts {basis index: CycNum}, and
+each algebra carries its whole multiplication table, built when the algebra is.
 """
 
 from __future__ import annotations
@@ -27,20 +28,15 @@ class StructureAlgebra:
     """Finite dimensional associative algebra with explicit basis and sparse
     multiplication tensor over a cyclotomic field.
 
-    ``mult`` is either a dict (i, j) -> {k: CycNum} or a callable computing
-    one basis product on demand; products are memoized either way.
+    ``mult`` is the complete table (i, j) -> {k: CycNum}; a pair that is
+    absent multiplies to zero.
     """
 
-    def __init__(self, labels, field: CycField, mult, unit):
+    def __init__(self, labels, field: CycField, mult: dict, unit):
         self.labels = list(labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
         self.field = field
-        if callable(mult):
-            self._mult_fn = mult
-            self.mult = {}
-        else:
-            self._mult_fn = None
-            self.mult = mult  # (i, j) -> {k: CycNum}
+        self.mult = mult
         self.unit = dict(unit)  # sparse vector
 
     @property
@@ -48,13 +44,7 @@ class StructureAlgebra:
         return len(self.labels)
 
     def basis_product(self, i: int, j: int) -> dict:
-        got = self.mult.get((i, j))
-        if got is None:
-            if self._mult_fn is None:
-                return {}
-            got = self._mult_fn(i, j)
-            self.mult[(i, j)] = got
-        return got
+        return self.mult.get((i, j), {})
 
     def multiply(self, v: dict, w: dict) -> dict:
         out = {}
@@ -92,6 +82,11 @@ class StructureAlgebra:
         for k, c in v.items():
             out[k] = c
         return out
+
+    @staticmethod
+    def sparse(row) -> dict:
+        """The nonzero entries of a dense row, as a sparse vector."""
+        return {i: c for i, c in enumerate(row) if c}
 
     def check_unit(self) -> bool:
         for i in range(self.dim):
@@ -139,7 +134,6 @@ def taft_algebra(n: int, s: int = 1) -> HopfOracle:
     for i, (a1, b1) in enumerate(labels):
         for j, (a2, b2) in enumerate(labels):
             if b1 + b2 >= n:
-                mult[(i, j)] = {}
                 continue
             coeff = field.zeta(-s * b1 * a2)
             mult[(i, j)] = {index[((a1 + a2) % n, b1 + b2)]: coeff}
@@ -178,7 +172,8 @@ def taft_s2_spectrum(n: int, s: int = 1) -> SpectrumFactorization:
 def uqsl2_algebra(ell: int, s: int = 1) -> StructureAlgebra:
     """u_q(sl2) on the PBW basis E^a F^b K^c, 0 <= a,b,c < ell, with the
     standard straightening derived from KE = q^2 EK, KF = q^-2 FK and
-    EF - FE = (K - K^-1)/(q - q^-1)."""
+    EF - FE = (K - K^-1)/(q - q^-1).  The ell^6 basis products come from
+    the ell^2 normal forms of F^b E^a, each computed once."""
     if ell < 3 or ell % 2 == 0 or math.gcd(s, ell) != 1:
         raise BadParameters("need odd ell >= 3 and gcd(s, ell) = 1")
     field = CycField(ell)
@@ -218,32 +213,28 @@ def uqsl2_algebra(ell: int, s: int = 1) -> StructureAlgebra:
                 out[key] = out.get(key, field.zero()) + coeff * c_fe * phase
         return {k: c for k, c in out.items() if c}
 
-    def basis_mul(m1, m2):
-        a1, b1, c1 = m1
-        a2, b2, c2 = m2
-        phase = field.zeta(2 * s * c1 * (a2 - b2))
-        # F^{b1} E^{a2}
-        v = {(a2, 0, 0): field.one()}
-        for _ in range(b1):
-            v = mul_f_left(v)
-        # E^{a1} . v
-        for _ in range(a1):
-            v = mul_e_left(v)
-        # right factors F^{b2} K^{c1+c2}
-        out = {}
-        for (a3, b3, c3), coeff in v.items():
-            nb = b3 + b2
-            if nb >= ell:
-                continue
-            ph = field.zeta(-2 * s * c3 * b2)
-            key = (a3, nb, (c3 + c1 + c2) % ell)
-            out[key] = out.get(key, field.zero()) + coeff * ph * phase
-        return {k: c for k, c in out.items() if c}
+    # nf[b][a] = normal form of F^b E^a
+    nf = [[{(a, 0, 0): field.one()} for a in range(ell)]]
+    for _ in range(1, ell):
+        nf.append([mul_f_left(v) for v in nf[-1]])
 
-    def mult_fn(i, j):
-        return {index[k]: c for k, c in basis_mul(labels[i], labels[j]).items()}
+    # (E^a1 F^b1 K^c1)(E^a2 F^b2 K^c2) = q^(2 c1 (a2 - b2)) E^a1 (F^b1 E^a2) F^b2 K^(c1 + c2),
+    # and a term E^a3 F^b3 K^c3 of F^b1 E^a2 contributes
+    # q^(-2 c3 b2) E^(a1 + a3) F^(b3 + b2) K^(c3 + c1 + c2). Distinct terms land on
+    # distinct basis elements, so nothing needs summing.
+    mult = {}
+    for i, (a1, b1, c1) in enumerate(labels):
+        for j, (a2, b2, c2) in enumerate(labels):
+            prod = {
+                index[(a1 + a3, b3 + b2, (c3 + c1 + c2) % ell)]:
+                    coeff * field.zeta(2 * s * (c1 * (a2 - b2) - c3 * b2))
+                for (a3, b3, c3), coeff in nf[b1][a2].items()
+                if a1 + a3 < ell and b3 + b2 < ell
+            }
+            if prod:
+                mult[(i, j)] = prod
 
-    return StructureAlgebra(labels, field, mult_fn, {index[(0, 0, 0)]: field.one()})
+    return StructureAlgebra(labels, field, mult, {index[(0, 0, 0)]: field.one()})
 
 
 def uqsl2_generators(alg: StructureAlgebra) -> dict:
@@ -341,9 +332,9 @@ def _ideal_chain(alg: StructureAlgebra, radical_rows):
         prev = chain[-1]
         gens = []
         for u in prev.rows:
-            uv = {i: c for i, c in enumerate(u) if c}
+            uv = alg.sparse(u)
             for w in rad.rows:
-                wv = {i: c for i, c in enumerate(w) if c}
+                wv = alg.sparse(w)
                 gens.append(alg.dense(alg.multiply(uv, wv)))
         nxt = _linalg.Subspace(gens)
         if nxt.dim == prev.dim:
@@ -362,7 +353,7 @@ def _layer_action(alg: StructureAlgebra, generators, big: _linalg.Subspace,
     for name, g in generators.items():
         cols = []
         for row in basis.rows:
-            img = alg.multiply(g, {i: c for i, c in enumerate(row) if c})
+            img = alg.multiply(g, alg.sparse(row))
             cols.append(basis.coords(small.reduce(alg.dense(img))))
         mats[name] = [[cols[j][i] for j in range(qdim)] for i in range(qdim)]
     return qdim, mats
@@ -447,13 +438,13 @@ def quotient_algebra(alg: StructureAlgebra, ideal_rows) -> StructureAlgebra:
     labels = [f"q{i}" for i in range(basis.dim)]
     mult = {}
     for i, ri in enumerate(basis.rows):
-        vi = {t: c for t, c in enumerate(ri) if c}
+        vi = alg.sparse(ri)
         for j, rj in enumerate(basis.rows):
-            vj = {t: c for t, c in enumerate(rj) if c}
+            vj = alg.sparse(rj)
             prod = basis.coords(ideal.reduce(alg.dense(alg.multiply(vi, vj))))
-            mult[(i, j)] = {t: c for t, c in enumerate(prod) if c}
+            mult[(i, j)] = alg.sparse(prod)
     unit = basis.coords(ideal.reduce(alg.dense(alg.unit)))
-    return StructureAlgebra(labels, alg.field, mult, {t: c for t, c in enumerate(unit) if c})
+    return StructureAlgebra(labels, alg.field, mult, alg.sparse(unit))
 
 
 # -- independent spectrum enumeration ---------------------------------------------------

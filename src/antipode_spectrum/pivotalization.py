@@ -78,21 +78,12 @@ def from_matched_pivotal(f: FusionData, mod: ModuleActionData, m, mbar=None,
     if any(s == 0 for s in d_sign) or any(s == 0 for s in m_sign):
         raise NonRealSigns("zero dimension or trace entry; signs undefined")
     nu = [x * y for x, y in zip(m, mbar)]
-    size = mod.size
-    n_plus, n_minus = {}, {}
-    for r, lab in enumerate(f.labels):
-        N = mod.matrix(lab)
-        plus = np.zeros_like(N)
-        minus = np.zeros_like(N)
-        for j in range(size):
-            for i in range(size):
-                if N[j, i]:
-                    if d_sign[r] * m_sign[i] * m_sign[j] > 0:
-                        plus[j, i] = N[j, i]
-                    else:
-                        minus[j, i] = N[j, i]
-        n_plus[lab] = plus
-        n_minus[lab] = minus
+    N = np.stack([mod.matrix(lab) for lab in f.labels])  # N[r, j, i]
+    signs = np.multiply.outer(np.multiply.outer(d_sign, m_sign), m_sign)
+    plus = np.where(signs > 0, N, 0)
+    minus = N - plus
+    n_plus = dict(zip(f.labels, plus))
+    n_minus = dict(zip(f.labels, minus))
     return PivotalizationData(mod.labels, nu, n_plus, n_minus, unsigned=mod)
 
 

@@ -319,6 +319,9 @@ def _tokenize(s: str):
 
 # parentheses nest at most this deep in a literal, as in CPython's parser
 MAX_NESTING = 200
+# |e| in (expr)^e is at most this, so square-and-multiply takes at most 20
+# products; exact coefficients grow linearly with e
+MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -401,8 +404,12 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             if self.peek().kind == "^":
-                self.next()
-                v = self._pow(v, self._signed_int())
+                caret = self.next()
+                e = self._signed_int()
+                if abs(e) > MAX_EXPONENT:
+                    raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT} in absolute value",
+                                     location=f"offset {caret.pos}")
+                v = self._pow(v, e)
             return v
         if t.kind == "num":
             try:
@@ -478,12 +485,16 @@ class _Parser:
         return self._to_factored(a) / self._to_factored(b)
 
     def _pow(self, a, e: int):
-        if e >= 0:
-            out = LaurentPoly.constant(self.ctx, self.ctx.field.one())
-            for _ in range(e):
+        if e < 0:
+            return self._to_factored(a) ** e
+        out = LaurentPoly.constant(self.ctx, self.ctx.field.one())
+        while e:
+            if e & 1:
                 out = self._mul(out, a)
-            return out
-        return self._to_factored(a) ** e
+            e >>= 1
+            if e:
+                a = self._mul(a, a)
+        return out
 
 
 def parse_literal(s: str, order: int, nvars: int = 0):

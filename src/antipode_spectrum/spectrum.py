@@ -27,7 +27,7 @@ from .errors import (
     NotInEigenspace,
     ZeroEntry,
 )
-from .grothendieck import FusionData, VerificationReport, fp_dimensions, global_dimension, q_matrix
+from .grothendieck import FusionData, VerificationReport, global_dimension, q_matrix
 from .modcat import ModuleActionData
 from .scalar import (
     DEFAULT_TOLERANCE,
@@ -395,16 +395,3 @@ def pivotal_twist_invariance(f: FusionData, mod: ModuleActionData, m,
         raise InvalidTwist(f"twist is not compatible with the action: {e}") from e
     return char_poly_s2(f, mod, m, tol) == char_poly_s2(f, mod, twisted_m, tol)
 
-
-def perron_m_vector(mod: ModuleActionData, f: FusionData):
-    """Positive common eigenvector N_r m = FPdim(X_r) m of the action
-    matrices (the pseudounitary m, Frobenius-Perron dimensions of the M_i),
-    first entry 1."""
-    fp = fp_dimensions(f)
-    rows = np.vstack([mod.matrix(r) - d * np.eye(mod.size) for r, d in zip(f.labels, fp)])
-    basis = _linalg.nullspace(rows)
-    if len(basis) == 1 and abs(basis[0][0]) > DEFAULT_TOLERANCE:
-        v = np.array(basis[0]) / basis[0][0]
-        if (v.real > 0).all() and (abs(v.imag) <= DEFAULT_TOLERANCE).all():
-            return v.real.tolist()
-    raise EmptyEigenspace("action matrices share no positive Frobenius-Perron eigenvector")

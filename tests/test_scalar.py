@@ -319,6 +319,26 @@ class TestLiteralParser:
         with pytest.raises(ParseError, match="nested"):
             literal_to_cycnum("(" * 201 + "z" + ")" * 201, 3)
 
+    def test_power_is_repeated_product(self):
+        for base, order, nvars in (("2 + z", 7, 0), ("1 + L", 3, 1), ("L*z - z^-1", 5, 1),
+                                   ("L1 + L2 + z", 5, 2), ("L/(L*z - z^-1)", 5, 1)):
+            for e in range(12):
+                product = "*".join([f"({base})"] * e) or "1"
+                assert parse_literal(f"({base})^{e}", order, nvars) == \
+                    parse_literal(product, order, nvars), (base, e)
+
+    def test_exponent_limit(self):
+        # |e| <= 1000 in (expr)^e, and a power at the limit is immediate
+        ctx = FactoredContext(5, 1)
+        atom = FactoredValue.atom(ctx, (1,), 1)
+        for e in (1000, -1000):
+            assert literal_to_factored(f"(L*z - z^-1)^{e}", 5, 1) == atom**e
+        F = CycField(3)
+        assert literal_to_cycnum("(1 + z)^1000", 3) == (1 + F.zeta(1)) ** 1000
+        for e in (1001, -1001, 10**9):
+            with pytest.raises(ParseError, match="exponent"):
+                literal_to_factored(f"(L*z - z^-1)^{e}", 5, 1)
+
     def test_torus_variables_need_cyclotomic_mode(self):
         assert isinstance(from_literal("L - 1", "cyclotomic", 3, 1), FactoredValue)
         with pytest.raises(ParseError, match="cyclotomic"):

@@ -32,7 +32,6 @@ from antipode_spectrum.spectrum import (
     m_bar,
     matched_checks,
     pair_class_spectrum,
-    perron_m_vector,
     pivotal_twist_invariance,
     SpectrumFactorization,
     select_m,
@@ -400,20 +399,6 @@ class TestSpectrumInvariants:
             exact = char_poly_s2(f, mod, m)
             numeric = char_poly_s2(f, mod, [numeric_value(x) for x in m])
             assert numeric.close_to(exact, 1e-9)
-
-    def test_pseudounitary_path(self):
-        # Perron m reproduces the matched spectrum on pseudounitary input
-        f = fibonacci_fusion()
-        mod, m = regular_module(f)
-        m_fp = perron_m_vector(mod, f)
-        spec_fp = char_poly_s2(f, mod, m_fp)
-        assert spec_fp.close_to(char_poly_s2(f, mod, m), 1e-9)
-
-        s3 = Group.symmetric3()
-        f2, mod2, m2 = vecg_family(s3, {g: 1 for g in s3.elements}, ["e"])
-        assert char_poly_s2(f2, mod2, perron_m_vector(mod2, f2)).close_to(
-            char_poly_s2(f2, mod2, m2), 1e-9
-        )
 
 
 class TestTwistInvariance:
