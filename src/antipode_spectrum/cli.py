@@ -247,11 +247,6 @@ def _parse_group(name):
 
 def cmd_family(args):
     if args.kind == "uqg":
-        if args.emit_spec:
-            raise BadParameters(
-                "the general-g family evaluates the closed product formula; "
-                "no Grothendieck spec document is constructed"
-            )
         if args.lam is None and families.RootSystemData.preset(args.type).rank >= 2:
             raise BadParameters(
                 "rank >= 2 families run numerically by default to bound memory; "
@@ -370,8 +365,6 @@ def build_parser():
     fsub = fam.add_subparsers(dest="kind", required=True)
 
     def family_common(q):
-        q.add_argument("--emit-spec", action="store_true",
-                       help="print the spec document (default)")
         q.add_argument("--charpoly", action="store_true", help="run end-to-end instead")
         q.add_argument("--json", action="store_true")
         q.set_defaults(func=cmd_family)

@@ -304,15 +304,23 @@ class CycNum:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
+
+    def galois(self, k: int) -> "CycNum":
+        """The Galois automorphism sigma_k: zeta -> zeta^k, a ring map fixing
+        Q; k must be a unit mod n."""
+        field = self.field
+        if gcd(k, field.order) != 1:
+            raise ValueError(f"{k} is not a unit mod {field.order}")
+        return _canonical(field, field._galois(self.num, k), self.den)
 
     def conjugate(self) -> "CycNum":
         """Galois conjugation zeta -> zeta^-1 (complex conjugation under the
         standard embedding); a ring involution fixing Q."""
-        field = self.field
-        return _canonical(field, field._galois(self.num, -1 % field.order), self.den)
+        return self.galois(-1)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

@@ -23,7 +23,7 @@ from .errors import BadParameters, EmptyEigenspace, MissingDims, NotACharacter, 
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .scalar import DEFAULT_TOLERANCE, inverse, is_zero, lift
-from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum, pair_products
+from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum
 from .symbolic import FactoredContext, FactoredValue
 
 
@@ -224,8 +224,7 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
         raise BadParameters(
             f"ell = {ell} shares a factor with det(Cartan) = {det} for {rs.name}"
         )
-    pairs = pair_products(ys, backend)
-    return pair_class_spectrum(pairs, pairs, ell ** (rs.dim_g - 2 * rs.rank), backend, tol)
+    return pair_class_spectrum(ys, ell ** (rs.dim_g - 2 * rs.rank), backend, tol)
 
 
 # -- pointed categories Vec_G -------------------------------------------------------

@@ -13,7 +13,7 @@ from .errors import NonRealSigns, SignSplitMismatch
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .scalar import DEFAULT_TOLERANCE, SignedEigenvalue, lift, sign
-from .spectrum import SpectrumFactorization, m_bar, pair_class_spectrum, pair_products
+from .spectrum import SpectrumFactorization, m_bar, pair_class_spectrum
 
 
 class PivotalizationData:
@@ -53,14 +53,10 @@ def char_poly_pivotalized(p: PivotalizationData, tol=DEFAULT_TOLERANCE) -> Spect
     M = np.stack([p.n_minus[r] for r in p.ring_labels])
     n_plus = np.einsum("rji,rkl->ijkl", P, P) + np.einsum("rji,rkl->ijkl", M, M)
     n_minus = np.einsum("rji,rkl->ijkl", M, P) + np.einsum("rji,rkl->ijkl", P, M)
-    size = len(p.module_labels)
     backend, nu = lift(p.nu)
-    pairs = pair_products(nu, backend)
     signed = []
     for s, n in ((1, n_plus), (-1, n_minus)):
-        # rows: pairs (j, k) of the numerator; columns: pairs (i, l) of the denominator
-        weights = n.transpose(1, 2, 0, 3).reshape(size * size, size * size)
-        spec = pair_class_spectrum(pairs, pairs, weights, backend, tol)
+        spec = pair_class_spectrum(nu, n.transpose(1, 2, 0, 3), backend, tol)
         signed += [(SignedEigenvalue(s, v), m) for v, m in spec.entries]
     return SpectrumFactorization.merge_pairs(signed, "signed", tol)
 

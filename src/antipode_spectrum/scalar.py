@@ -322,6 +322,11 @@ MAX_NESTING = 200
 # |e| in (expr)^e is at most this, so square-and-multiply takes at most 20
 # products; exact coefficients grow linearly with e
 MAX_EXPONENT = 1000
+# a product of two expanded Laurent polynomials in a literal forms at most
+# this many term pairs (len(a) * len(b)), so a power of a sum in several
+# torus variables, whose term count grows as e^nvars, is refused before it
+# runs long
+MAX_TERM_PAIRS = 20000
 
 
 class _Parser:
@@ -468,6 +473,9 @@ class _Parser:
                     return FactoredValue.from_laurent(a) * FactoredValue.from_laurent(b)
                 except NotFactorable:
                     pass
+            if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+                raise ParseError(f"product of {len(a.terms)}- and {len(b.terms)}-term "
+                                 f"polynomials exceeds {MAX_TERM_PAIRS} term pairs")
             return a * b
         return self._to_factored(a) * self._to_factored(b)
 

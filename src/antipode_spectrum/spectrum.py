@@ -291,20 +291,8 @@ def char_poly_s2(f: FusionData, mod: ModuleActionData, m,
     (C, M): eigenvalue m_j m_l / (m_i m_k) with multiplicity n_{ijkl},
     merged under canonical equality."""
     n = block_multiplicities(f, mod)
-    size = mod.size
     backend, m = lift(m)
-    pairs = pair_products(m, backend)
-    # rows: pairs (j, l) of the numerator; columns: pairs (i, k) of the denominator
-    weights = n.transpose(1, 3, 0, 2).reshape(size * size, size * size)
-    return pair_class_spectrum(pairs, pairs, weights, backend, tol)
-
-
-def pair_products(values, backend):
-    """values[a] * values[b] for every pair (a, b), a major."""
-    if backend == "numeric":
-        v = np.asarray(values, dtype=complex)
-        return np.multiply.outer(v, v).ravel()
-    return [a * b for a in values for b in values]
+    return pair_class_spectrum(m, n.transpose(1, 3, 0, 2), backend, tol)
 
 
 def _exact_classes(values, tol):
@@ -318,38 +306,35 @@ def _exact_classes(values, tol):
     return reps, np.array(classes, dtype=np.intp)
 
 
-def _numeric_classes(values, tol):
-    """Classes of bitwise-equal floats; rounding never joins two values here."""
-    return np.unique(values, return_inverse=True)
+def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE):
+    """The spectrum kernel: eigenvalue values[a] values[b] / (values[c] values[d])
+    with multiplicity weights[a, b, c, d], where weights is an integer tensor
+    of shape (k, k, k, k) or one integer shared by every quadruple.
 
-
-def pair_class_spectrum(num, den, weights, backend, tol=DEFAULT_TOLERANCE):
-    """The spectrum kernel: eigenvalue num[p] / den[q] with multiplicity
-    weights[p, q], where weights is an integer matrix or one integer shared
-    by every pair (p, q).
-
-    Equal pair values form one class, so a quotient is formed once per pair
-    of classes with nonzero total weight.  Exact backends merge the quotients
-    by canonical key; the numeric backend merges them by sort and sweep at
-    tol (see _sweep_numeric)."""
-    classes = _numeric_classes if backend == "numeric" else _exact_classes
-    num_reps, num_cls = classes(num, tol)
-    den_reps, den_cls = classes(den, tol)
-    if np.ndim(weights) == 0:
-        totals = int(weights) * np.outer(
-            np.bincount(num_cls, minlength=len(num_reps)),
-            np.bincount(den_cls, minlength=len(den_reps)),
-        )
+    The k^2 pair products are formed once and equal ones form one class
+    (bitwise-equal floats when numeric, so rounding never joins two values
+    here), so a quotient is formed once per pair of classes with nonzero
+    total weight.  Exact backends merge the quotients by canonical key; the
+    numeric backend merges them by sort and sweep at tol (see _sweep_numeric)."""
+    k = len(values)
+    if backend == "numeric":
+        v = np.asarray(values, dtype=complex)
+        reps, cls = np.unique(np.multiply.outer(v, v).ravel(), return_inverse=True)
     else:
-        totals = np.zeros((len(num_reps), len(den_reps)), dtype=np.int64)
-        np.add.at(totals, np.ix_(num_cls, den_cls), weights)
+        reps, cls = _exact_classes([a * b for a in values for b in values], tol)
+    if np.ndim(weights) == 0:
+        hist = np.bincount(cls, minlength=len(reps))
+        totals = int(weights) * np.outer(hist, hist)
+    else:
+        totals = np.zeros((len(reps), len(reps)), dtype=np.int64)
+        np.add.at(totals, np.ix_(cls, cls), weights.reshape(k * k, k * k))
     nonzero = totals != 0
     if backend == "numeric":
-        return _sweep_numeric(np.divide.outer(num_reps, den_reps)[nonzero], totals[nonzero], tol)
+        return _sweep_numeric(np.divide.outer(reps, reps)[nonzero], totals[nonzero], tol)
     p, q = np.nonzero(nonzero)
-    inv = {b: inverse(den_reps[b]) for b in set(q.tolist())}
+    inv = {b: inverse(reps[b]) for b in set(q.tolist())}
     return SpectrumFactorization.merge_pairs(
-        [(num_reps[a] * inv[b], int(totals[a, b])) for a, b in zip(p.tolist(), q.tolist())],
+        [(reps[a] * inv[b], int(totals[a, b])) for a, b in zip(p.tolist(), q.tolist())],
         backend, tol,
     )
 

@@ -304,6 +304,20 @@ class TestCliCommands:
         assert out == "" and "exponent" in err
         assert run(capsys, "charpoly", path, "--m", "1, (z)^1000, z^2")[0] == 0
 
+    def test_literal_term_pair_limit(self, capsys, tmp_path):
+        f, mod, m = taft_family(3)
+        doc = json.loads(specfile.dumps(f, mod, m=m, order=3))
+        doc["m_vector"][1] = "(L1 + L2 + 1)^50"
+        path = self.write_spec(tmp_path, json.dumps(doc))
+        code, out, err = run(capsys, "charpoly", path)
+        assert code == 2
+        assert out == "" and "$.m_vector[1]" in err and "term pairs" in err
+        del doc["m_vector"]
+        path = self.write_spec(tmp_path, json.dumps(doc))
+        code, out, err = run(capsys, "charpoly", path, "--m", "1, (L1 + L2 + 1)^50, z^2")
+        assert code == 2
+        assert out == "" and "term pairs" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/spec.json")
         assert code == 2

@@ -3,6 +3,7 @@ import cmath
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,20 @@ class TestCycArithmetic:
         with pytest.raises(FieldMismatch):
             CycField(3).one() + CycField(5).one()
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # one product per set bit of e and one squaring per further bit
+        F = CycField(7)
+        x = 2 + F.zeta(1)
+        calls = []
+        mul_vec = CycField._mul_vec
+        monkeypatch.setattr(CycField, "_mul_vec",
+                            lambda self, a, b: calls.append(1) or mul_vec(self, a, b))
+        for e in (1, 2, 3, 8, 100, 255, 256):
+            calls.clear()
+            y = x**e
+            assert len(calls) == bin(e).count("1") + e.bit_length() - 1, e
+            assert y == math.prod([x] * e, start=F.one())
+
     def test_inverse_property_random(self):
         rng = random.Random(11)
         for n in (3, 4, 5, 7, 9, 12):
@@ -139,6 +154,24 @@ class TestGaloisConjugate:
             assert (a * b).conjugate() == a.conjugate() * b.conjugate()
             assert (a + b).conjugate() == a.conjugate() + b.conjugate()
         assert F.from_rational(Fraction(7, 3)).conjugate() == F.from_rational(Fraction(7, 3))
+
+
+    def test_galois_automorphisms(self):
+        rng = random.Random(6)
+        F = CycField(12)
+        units = [k for k in range(12) if math.gcd(k, 12) == 1]
+        assert F.zeta(1).galois(5) == F.zeta(5)
+        for _ in range(5):
+            x, y = rand_cyc(F, rng), rand_cyc(F, rng)
+            assert x.galois(-1) == x.conjugate() and x.galois(1) == x
+            for a in units:
+                assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+                assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+                for b in units:
+                    assert x.galois(a).galois(b) == x.galois(a * b)
+        for k in (0, 2, 3, 6, -4):
+            with pytest.raises(ValueError, match="unit"):
+                F.zeta(1).galois(k)
 
 
 class TestFactoredValues:
@@ -338,6 +371,14 @@ class TestLiteralParser:
         for e in (1001, -1001, 10**9):
             with pytest.raises(ParseError, match="exponent"):
                 literal_to_factored(f"(L*z - z^-1)^{e}", 5, 1)
+
+    def test_term_pair_limit(self):
+        # (L1 + L2 + 1)^32 squares a 153-term expansion: 23,409 term pairs
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="term pairs"):
+            parse_literal("(L1 + L2 + 1)^50", 5, 2)
+        assert time.perf_counter() - start < 1
+        assert len(parse_literal("(L1 + L2 + 1)^16", 5, 2).terms) == 153
 
     def test_torus_variables_need_cyclotomic_mode(self):
         assert isinstance(from_literal("L - 1", "cyclotomic", 3, 1), FactoredValue)

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from antipode_spectrum import spectrum
-from antipode_spectrum.cyclotomic import CycField
+from antipode_spectrum.cyclotomic import CycField, CycNum
 from antipode_spectrum.errors import (
     AmbiguousM,
     EmptyEigenspace,
@@ -24,7 +25,7 @@ from antipode_spectrum.families import (
 )
 from antipode_spectrum.grothendieck import FusionData, global_dimension
 from antipode_spectrum.oracle import brute_force_spectrum
-from antipode_spectrum.scalar import canonical_key
+from antipode_spectrum.scalar import canonical_key, lift
 from antipode_spectrum.spectrum import (
     block_multiplicities,
     char_poly_s2,
@@ -229,35 +230,111 @@ class TestCharPolyS2:
 class TestPairClassSpectrum:
     def test_numeric_merge_across_a_rounding_boundary(self):
         # 2e-14 apart, on the two sides of a ninth-digit rounding boundary
-        num = np.array([0.12345678849999, 0.12345678850001], dtype=complex)
-        spec = pair_class_spectrum(num, np.ones(1, dtype=complex), 1, "numeric", 1e-9)
+        values = np.array([0.12345678849999, 0.12345678850001], dtype=complex)
+        spec = spectrum._sweep_numeric(values, np.ones(2, dtype=np.int64), 1e-9)
         assert spec.entries == [(0.123456788 + 0j, 2)]
 
     def test_numeric_values_beyond_tolerance_stay_apart(self):
-        num = np.array([0.5, 0.5 + 3e-9, 0.5 + 3e-9j, 0.5 + 1e-10j])
-        spec = pair_class_spectrum(num, np.ones(1, dtype=complex), 1, "numeric", 1e-9)
+        values = np.array([0.5, 0.5 + 3e-9, 0.5 + 3e-9j, 0.5 + 1e-10j])
+        spec = spectrum._sweep_numeric(values, np.ones(4, dtype=np.int64), 1e-9)
         assert spec.entries == [(0.5 + 0j, 2), (0.5 + 3e-9j, 1), (0.500000003 + 0j, 1)]
 
     def test_weight_matrix_and_uniform_weight_agree(self):
         F = CycField(5)
         values = [F.zeta(t) for t in range(5)] + [F.zeta(2)]
-        uniform = pair_class_spectrum(values, values, 3, "cyclotomic")
-        full = pair_class_spectrum(values, values, np.full((6, 6), 3), "cyclotomic")
+        uniform = pair_class_spectrum(values, 3, "cyclotomic")
+        full = pair_class_spectrum(values, np.full((6, 6, 6, 6), 3), "cyclotomic")
         assert uniform.entries == full.entries
-        assert uniform.total_degree == 3 * 36
-        assert uniform.multiset()[canonical_key(F.one())] == 3 * 8
+        assert uniform.total_degree == 3 * 6**4
+        # the 36 exponent sums t_a + t_b mod 5 fall 7, 7, 7, 7, 8 times on
+        # 0..4, so 7^2 * 4 + 8^2 = 260 quadruples give the eigenvalue 1
+        assert uniform.multiset()[canonical_key(F.one())] == 3 * 260
 
     def test_zero_weights_are_skipped(self):
         F = CycField(3)
-        weights = np.array([[0, 2], [0, 0]])
-        spec = pair_class_spectrum([F.one(), F.zeta(1)], [F.zeta(1), F.zeta(2)], weights,
-                                   "cyclotomic")
+        weights = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        weights[0, 0, 1, 1] = 2
+        spec = pair_class_spectrum([F.one(), F.zeta(1)], weights, "cyclotomic")
         assert spec.entries == [(F.zeta(1), 2)]  # 1 / z^2 = z
+
+    def test_kernel_equals_quadruple_loop(self):
+        """Against merge_pairs over every quadruple, on values whose pair
+        products collide (roots of unity times small rationals)."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        F = CycField(6)
+        value = st.builds(lambda q, t: q * F.zeta(t),
+                          st.sampled_from([1, -1, 2, Fraction(1, 2), 3]),
+                          st.integers(min_value=0, max_value=5))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(min_value=1, max_value=4))
+            values = data.draw(st.lists(value, min_size=k, max_size=k))
+            if data.draw(st.booleans()):
+                weights = data.draw(st.integers(min_value=1, max_value=3))
+                w = np.full((k,) * 4, weights)
+            else:
+                flat = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                          min_size=k**4, max_size=k**4))
+                weights = w = np.array(flat, dtype=np.int64).reshape((k,) * 4)
+            quads = [(a, b, c, d) for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]]
+            for backend, vals in (("cyclotomic", values),
+                                  ("numeric", [v.complex_value() for v in values])):
+                expect = SpectrumFactorization.merge_pairs(
+                    [(vals[a] * vals[b] / (vals[c] * vals[d]), int(w[a, b, c, d]))
+                     for a, b, c, d in quads], backend)
+                got = pair_class_spectrum(vals, weights, backend)
+                assert got.total_degree == int(w.sum())
+                if backend == "numeric":
+                    assert got.close_to(expect, 1e-9)
+                else:
+                    assert got.entries == expect.entries
+
+        check()
 
     def test_matched_builtins_equal_brute_force(self):
         for ex in matched_builtins():
             spec = char_poly_s2(ex.fusion, ex.module, ex.m)
             assert spec == brute_force_spectrum(ex.fusion, ex.module, ex.m), ex.name
+
+
+class TestGaloisEquivariance:
+    """The eigenvalues lie in the field of the data, and sigma_k permutes
+    them: sigma_k(spec(D)) = spec(sigma_k(D)) for every unit k."""
+
+    def test_matched_builtins(self):
+        checked = 0
+        for ex in matched_builtins():
+            if not any(isinstance(x, CycNum) for x in ex.m):
+                continue  # symbolic, or rational (every sigma_k is the identity)
+            dims = ex.fusion.dims_vector()
+            _, lifted = lift(list(dims) + list(ex.m))
+            n = lifted[0].field.order
+            spec = char_poly_s2(ex.fusion, ex.module, ex.m)
+            for k in (k for k in range(1, n) if math.gcd(k, n) == 1):
+                image = [x.galois(k) for x in lifted]
+                sdims, sm = image[:len(dims)], image[len(dims):]
+                spectrum._verify_eigenvector(ex.fusion, ex.module, sm, 1e-9, sdims)
+                expect = SpectrumFactorization.merge_pairs(
+                    [(v.galois(k), mult) for v, mult in spec.entries], "cyclotomic")
+                assert char_poly_s2(ex.fusion, ex.module, sm).entries == expect.entries, \
+                    (ex.name, k)
+            checked += 1
+        assert checked == 5  # taft-2, taft-3, taft-5, vecg-z3-omega, fibonacci
+
+    def test_spectrum_is_the_same_at_every_generator(self):
+        for n in (7, 9):
+            base = char_poly_s2(*taft_family(n))
+            for s in (s for s in range(2, n) if math.gcd(s, n) == 1):
+                assert char_poly_s2(*taft_family(n, s)).entries == base.entries, (n, s)
+        spectra = []
+        for s in range(1, 7):
+            fam = uqsl2_family(7, s, Fraction(5, 7))
+            spectra.append(char_poly_s2(fam.fusion, fam.module, fam.m))
+        assert spectra[0].total_degree == 7**5
+        assert all(spec.entries == spectra[0].entries for spec in spectra[1:])
 
 
 class TestUniformRootPower:
