@@ -13,11 +13,15 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import families, oracle, specfile
+from .cyclotomic import CycNum
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import count_torus_vars, from_literal, literal_to_cycnum, to_json, to_text
 from .spectrum import SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m
+from .symbolic import FactoredValue
 
 
 # -- output helpers ------------------------------------------------------------------
@@ -33,6 +37,15 @@ def _float_text(x) -> str:
     if x != x:
         return "NaN"
     return "Infinity" if x > 0 else "-Infinity"
+
+
+def _list_text(texts, pad: str) -> str:
+    """A JSON list of already rendered items, when it starts on a line
+    indented by pad."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]"
 
 
 def _json_text(obj, pad: str) -> str:
@@ -52,48 +65,110 @@ def _json_text(obj, pad: str) -> str:
                  for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [inner + _json_text(x, inner) for x in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return _list_text([_json_text(x, inner) for x in obj], pad)
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _entry_text(v, m) -> str:
+def _coeff_texts(c: CycNum) -> list:
+    """The "coeffs" items of to_json(c): each coefficient in lowest terms, as
+    str(Fraction) writes it, from the one gcd per coefficient of sort_key."""
+    return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in c.sort_key()]
+
+
+# The direct writers below write to_json(v) of a CycNum or a FactoredValue as
+# _json_text does at the indent of an eigenvalue's "value", without building
+# the payload's dicts.
+
+def _cyclotomic_text(v: CycNum) -> str:
+    a = v.complex_value()  # the int 0 when v is zero
+    return (f'{{\n        "approx": [\n          {_json_text(a.real, "")},\n'
+            f'          {_json_text(a.imag, "")}\n        ],\n'
+            f'        "coeffs": {_list_text(_coeff_texts(v), "        ")},\n'
+            f'        "kind": "cyclotomic",\n        "order": {v.field.order},\n'
+            f'        "str": {encode_basestring_ascii(str(v))}\n      }}')
+
+
+def _factored_text(v: FactoredValue, constants: dict) -> str:
+    """constants caches the "constant" block by value over one print call:
+    nearly every symbolic constant is 1."""
+    c = v.constant
+    key = (v.ctx.ell, c.num, c.den)
+    const = constants.get(key)
+    if const is None:
+        const = constants[key] = (
+            f'{{\n          "coeffs": {_list_text(_coeff_texts(c), "          ")},\n'
+            f'          "order": {v.ctx.ell}\n        }}')
+    factors = [f'{{\n            "class": {a},\n            "power": {p},\n'
+               f'            "root": {_list_text([str(x) for x in coords], "            ")}'
+               f'\n          }}'
+               for (coords, a), p in sorted(v.factors.items())]
+    return (f'{{\n        "constant": {const},\n'
+            f'        "factors": {_list_text(factors, "        ")},\n'
+            f'        "kind": "factored",\n'
+            f'        "monomial": {_list_text([str(e) for e in v.monomial], "        ")},\n'
+            f'        "str": {encode_basestring_ascii(str(v))}\n      }}')
+
+
+def _entry_text(v, m, constants: dict) -> str:
     """One item of the "eigenvalues" list, indented as the list's members."""
-    if type(v) is complex:
-        # the numeric payload of to_json, written without building it:
-        # numeric spectra run to tens of thousands of entries
-        value = (f'{{\n        "im": {_float_text(v.imag)},\n'
-                 f'        "kind": "numeric",\n'
-                 f'        "re": {_float_text(v.real)}\n      }}')
+    kind = type(v)
+    if kind is FactoredValue:
+        value = _factored_text(v, constants)
+    elif kind is CycNum:
+        value = _cyclotomic_text(v)
     else:
         value = _json_text(to_json(v), "      ")
     return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
+
+
+# the text of a numeric entry, cut around its multiplicity, imaginary part
+# and real part; the last piece ends with the separator to the next entry
+_NUMERIC_PIECES = ('    {\n      "multiplicity": ', None,
+                   ',\n      "value": {\n        "im": ', None,
+                   ',\n        "kind": "numeric",\n        "re": ', None,
+                   '\n      }\n    },\n')
+
+
+def _numeric_chunk_text(values, mults) -> str:
+    """The entries of the arrays values (complex) and mults (int) as
+    _entry_text writes them, joined by ",\n": by column when every value is
+    finite (repr is then the float's JSON text), else entry by entry."""
+    if not np.isfinite(values).all():
+        return ",\n".join([_entry_text(v, m, None)
+                           for v, m in zip(values.tolist(), mults.tolist())])
+    parts = list(_NUMERIC_PIECES) * len(values)
+    parts[1::7] = map(str, mults.tolist())
+    parts[3::7] = map(repr, values.imag.tolist())
+    parts[5::7] = map(repr, values.real.tolist())
+    parts[-1] = parts[-1][:-2]  # no separator after the last entry
+    return "".join(parts)
 
 
 def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     """Write spec as text, or as the JSON object {"backend", "eigenvalues",
     "total_degree"} laid out byte for byte as the json module writes it with
     indent=2 and sort_keys=True, plus a newline.  The JSON is rendered and
-    written JSON_CHUNK entries at a time, without building the document."""
+    written JSON_CHUNK entries at a time, without building the document; an
+    array-backed spectrum is rendered straight from its arrays."""
     out = out or sys.stdout
     if as_json:
         out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
-        entries = spec.entries
-        if entries:
-            sep = "[\n"
-            for start in range(0, len(entries), JSON_CHUNK):
-                chunk = entries[start:start + JSON_CHUNK]
-                out.write(sep + ",\n".join([_entry_text(v, m) for v, m in chunk]))
-                sep = ",\n"
-            out.write("\n  ]")
-        else:
-            out.write("[]")
+        constants = {}
+        sep = "[\n"
+        for start in range(0, len(spec), JSON_CHUNK):
+            stop = start + JSON_CHUNK
+            if spec.values is not None:
+                text = _numeric_chunk_text(spec.values[start:stop], spec.mults[start:stop])
+            else:
+                text = ",\n".join([_entry_text(v, m, constants)
+                                   for v, m in spec.entries[start:stop]])
+            out.write(sep + text)
+            sep = ",\n"
+        out.write("\n  ]" if len(spec) else "[]")
         out.write(f',\n  "total_degree": {_json_text(spec.total_degree, "  ")}\n}}\n')
         return
     rp = spec.uniform_root_power()
-    out.write(f"total degree {spec.total_degree}, {len(spec.entries)} distinct eigenvalue(s)\n")
+    out.write(f"total degree {spec.total_degree}, {len(spec)} distinct eigenvalue(s)\n")
     if rp:
         out.write(f"chi(z) = (z^{rp[0]} - 1)^{rp[1]}\n")
     for v, m in spec.entries:

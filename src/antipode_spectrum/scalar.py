@@ -325,7 +325,8 @@ MAX_EXPONENT = 1000
 # a product of two expanded Laurent polynomials in a literal forms at most
 # this many term pairs (len(a) * len(b)), so a power of a sum in several
 # torus variables, whose term count grows as e^nvars, is refused before it
-# runs long
+# runs long; a factored value multiplied out before + or - forms at most
+# this many over all of its atom products together
 MAX_TERM_PAIRS = 20000
 
 
@@ -448,7 +449,7 @@ class _Parser:
         if isinstance(v, LaurentPoly):
             return v
         try:
-            return v.expand()
+            return v.expand(MAX_TERM_PAIRS)
         except NotFactorable:
             raise ParseError("cannot add or subtract factored quotients")
 

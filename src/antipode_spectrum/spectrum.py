@@ -46,13 +46,36 @@ from .scalar import (
 
 class SpectrumFactorization:
     """Multiset of (eigenvalue, multiplicity) pairs; eigenvalues pairwise
-    distinct under canonical equality, entries sorted by canonical key."""
+    distinct under canonical equality, entries sorted by canonical key.
+
+    A numeric spectrum from the sweep is held as two arrays instead, the
+    eigenvalues ``values`` (complex128) and their multiplicities ``mults``
+    (int64); ``entries`` is then built from them on first use.  Every other
+    spectrum keeps its entries list, and ``values`` is None."""
+
+    values = mults = None
 
     def __init__(self, entries, backend, tol=DEFAULT_TOLERANCE):
-        self.entries = list(entries)
+        self._entries = list(entries)
         self.backend = backend
         self.tol = tol
-        self.total_degree = sum(m for _, m in self.entries)
+        self.total_degree = sum(m for _, m in self._entries)
+
+    @classmethod
+    def from_arrays(cls, values, mults, tol=DEFAULT_TOLERANCE):
+        """The numeric spectrum of the sorted distinct eigenvalues values
+        with multiplicities mults, held as the arrays themselves."""
+        spec = cls.__new__(cls)
+        spec.backend, spec.tol = "numeric", tol
+        spec._entries, spec.values, spec.mults = None, values, mults
+        spec.total_degree = sum(mults.tolist())
+        return spec
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = list(zip(self.values.tolist(), self.mults.tolist()))
+        return self._entries
 
     @classmethod
     def merge_pairs(cls, pairs, backend, tol=DEFAULT_TOLERANCE):
@@ -75,7 +98,7 @@ class SpectrumFactorization:
         return self.multiset() == other.multiset()
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.entries if self.values is None else self.values)
 
     def close_to(self, other: "SpectrumFactorization", tol: float) -> bool:
         """Numeric comparison: same multiplicities after matching each
@@ -99,7 +122,7 @@ class SpectrumFactorization:
     def uniform_root_power(self):
         """(n, e) when the spectrum is exactly all n-th roots of unity, each
         with multiplicity e: the factorization (z^n - 1)^e.  None otherwise."""
-        n = len(self.entries)
+        n = len(self)
         if n == 0 or self.backend not in ("cyclotomic", "numeric"):
             return None
         mults = {m for _, m in self.entries}
@@ -355,9 +378,7 @@ def _sweep_numeric(values, mults, tol):
     reps = np.round(first.real, digits) + 1j * np.round(first.imag, digits)
     totals = np.add.reduceat(mults, np.flatnonzero(new))
     order = np.lexsort((reps.imag, reps.real))
-    return SpectrumFactorization(
-        zip(reps[order].tolist(), totals[order].tolist()), "numeric", tol
-    )
+    return SpectrumFactorization.from_arrays(reps[order], totals[order], tol)
 
 
 def pivotal_twist_invariance(f: FusionData, mod: ModuleActionData, m,

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import CycField, CycNum
-from .errors import DivisionByZero, FieldMismatch, NotFactorable
+from .errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
 
 
 class FactoredContext:
@@ -288,11 +288,15 @@ class FactoredValue:
     def is_constant(self):
         return not any(self.monomial) and not self.factors
 
-    def expand(self) -> LaurentPoly:
-        """Multiply out; factor powers must be nonnegative."""
+    def expand(self, max_pairs=None) -> LaurentPoly:
+        """Multiply out, one 2-term atom at a time; factor powers must be
+        nonnegative.  With max_pairs (the literal parser's bound) a
+        ParseError is raised once the products together would form more
+        than max_pairs term pairs."""
         ctx = self.ctx
         out = LaurentPoly.constant(ctx, self.constant).scale_monomial(self.monomial)
         field = ctx.field
+        pairs = 0
         for (coords, a), p in self.factors.items():
             if p < 0:
                 raise NotFactorable("cannot expand a factor with negative power")
@@ -304,6 +308,10 @@ class FactoredValue:
                 },
             )
             for _ in range(p):
+                pairs += 2 * len(out.terms)
+                if max_pairs is not None and pairs > max_pairs:
+                    raise ParseError(
+                        f"expanding a factored value exceeds {max_pairs} term pairs")
                 out = out * atom_poly
         return out
 

@@ -1,16 +1,20 @@
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import antipode_spectrum
 from antipode_spectrum import errors, specfile
+from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.cli import JSON_CHUNK, build_parser, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
 from antipode_spectrum.families import (
@@ -25,7 +29,7 @@ from antipode_spectrum.families import (
 from antipode_spectrum.pivotalization import SignedEigenvalue, from_matched_pivotal
 from antipode_spectrum.scalar import to_json
 from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2
-from antipode_spectrum.symbolic import FactoredValue
+from antipode_spectrum.symbolic import FactoredContext, FactoredValue
 
 
 def run(capsys, *argv):
@@ -403,6 +407,82 @@ class TestJsonRenderer:
         spec = SpectrumFactorization([(bare, 3), (SignedEigenvalue(1, bare), 1)], "symbolic")
         assert render(spec) == stdlib_render(spec)
 
+    def test_cyclotomic_values_match_stdlib(self):
+        """Orders 1-12, mixed denominators, and values whose approx is beyond
+        the float range (Infinity, or NaN where infinities meet)."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def values(draw):
+            field = CycField(draw(st.integers(min_value=1, max_value=12)))
+            scale = draw(st.sampled_from([1, 1, 10**400, Fraction(-1, 7**500)]))
+            return field.reduce([draw(st.fractions(min_value=-40, max_value=40,
+                                                   max_denominator=30)) * scale
+                                 for _ in range(field.degree)])
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(st.tuples(values(), st.integers(1, 10**20)), max_size=6))
+        def check(entries):
+            spec = SpectrumFactorization(entries, "cyclotomic")
+            assert render(spec) == stdlib_render(spec)
+
+        check()
+        big = CycField(4).reduce([10**400, -(10**400)])
+        assert "Infinity" in render(SpectrumFactorization([(big, 1)], "cyclotomic"))
+
+    def test_factored_values_match_stdlib(self):
+        """1-3 torus variables, non-unit constants, nonzero monomials and
+        negative powers."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def values(draw, ctx):
+            constant = ctx.field.reduce([draw(st.fractions(min_value=-4, max_value=4,
+                                                           max_denominator=5))
+                                         for _ in range(ctx.field.degree)])
+            hypothesis.assume(constant)
+            small = st.integers(min_value=-3, max_value=3)
+            v = FactoredValue(ctx, constant, tuple(draw(small) for _ in range(ctx.nvars)))
+            coords = [c for c in itertools.product(range(-2, 3), repeat=ctx.nvars)
+                      if math.gcd(*c) == 1 and next(x for x in c if x) > 0]
+            for _ in range(draw(st.integers(min_value=0, max_value=4))):
+                v = v * FactoredValue.atom(ctx, draw(st.sampled_from(coords)),
+                                           draw(st.integers(0, ctx.ell - 1)),
+                                           draw(small.filter(bool)))
+            return v
+
+        @st.composite
+        def spectra(draw):
+            ctx = FactoredContext(draw(st.sampled_from([2, 3, 5, 6, 9])),
+                                  draw(st.integers(min_value=1, max_value=3)))
+            return draw(st.lists(st.tuples(values(ctx), st.integers(1, 10**20)), max_size=6))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(spectra())
+        def check(entries):
+            spec = SpectrumFactorization(entries, "symbolic")
+            assert render(spec) == stdlib_render(spec)
+
+        check()
+
+    def test_array_backed_numeric_spectrum_matches_stdlib(self):
+        """JSON_CHUNK + 1 entries held as arrays; NaN and infinities sit in
+        the first chunk only, so one chunk is written by column and the other
+        entry by entry."""
+        values = np.array([complex(k / 7, -k / 3) for k in range(JSON_CHUNK + 1)])
+        values[[5, 9, 17]] = [complex(float("nan"), 1), complex(float("inf"), -0.0),
+                              complex(-0.0, float("-inf"))]
+        values[JSON_CHUNK] = complex(5e-324, -1e300)
+        mults = np.arange(1, JSON_CHUNK + 2, dtype=np.int64) * 3
+        spec = SpectrumFactorization.from_arrays(values, mults)
+        text = render(spec)
+        assert text == stdlib_render(spec)
+        assert "NaN" in text and "-Infinity" in text
+        finite = SpectrumFactorization.from_arrays(values[JSON_CHUNK - 5:], mults[JSON_CHUNK - 5:])
+        assert render(finite) == stdlib_render(finite)
+
     def test_numeric_entries_match_stdlib(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
@@ -474,6 +554,20 @@ GOLDEN_JSON = {
 }
 
 
+# the text output (--charpoly without --json) of two GOLDEN_JSON cases
+GOLDEN_TEXT = {
+    "uqg-A2-5-numeric": (
+        ("family", "uqg", "--type", "A2", "--ell", "5", "--s", "2", "--lambda=-0.6+0.9j,1.3-0.4j",
+         "--charpoly"),
+        "2ec7f82ad7358cbe3642c75253d97e5ee9220566153ec06e2854a0f6a50b89b6",
+    ),
+    "uqsl2-9-symbolic": (
+        ("family", "uqsl2", "--ell", "9", "--lambda", "symbolic", "--charpoly"),
+        "2a0b74784c8d705e77954f0d642a74722f4582804b9b8f9a8347414d4fb10d87",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_golden_json_digest(capsys, name):
     """The --json bytes of exact, symbolic and numeric spectra of the built-in
@@ -482,6 +576,16 @@ def test_golden_json_digest(capsys, name):
     cyclotomic value, a float of a numeric torus character, or the ring,
     module or dims of u_q(sl2) shows up here."""
     argv, digest = GOLDEN_JSON[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+def test_golden_text_digest(capsys, name):
+    """The text bytes of a numeric spectrum held as arrays and of a symbolic
+    one are pinned as well."""
+    argv, digest = GOLDEN_TEXT[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

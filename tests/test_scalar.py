@@ -1,6 +1,8 @@
 import ast
 import cmath
+import importlib.util
 import itertools
+import json
 import math
 import random
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from antipode_spectrum import errors
+from antipode_spectrum import errors, specfile
 from antipode_spectrum.cyclotomic import CycField, cyclotomic_polynomial
 from antipode_spectrum.errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
 from antipode_spectrum.families import uqsl2_family
@@ -30,6 +32,9 @@ from antipode_spectrum.scalar import (
 )
 from antipode_spectrum.spectrum import char_poly_s2
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue, LaurentPoly
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rand_cyc(field, rng, span=6):
@@ -380,6 +385,40 @@ class TestLiteralParser:
         assert time.perf_counter() - start < 1
         assert len(parse_literal("(L1 + L2 + 1)^16", 5, 2).terms) == 153
 
+    def test_factored_expansion_counts_toward_the_term_pair_limit(self):
+        # multiplied out before "+", one atom at a time: 3,660 term pairs for
+        # the first power, then 223,260 for the second
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="term pairs"):
+            parse_literal("(L1*z - z^-1)^60 * (L2*z - z^-1)^60 + 1", 5, 2)
+        assert time.perf_counter() - start < 1
+        assert len(parse_literal("(L1*z - z^-1)^60 + 1", 5, 2).terms) == 61
+        assert len(parse_literal("(L1*z - z^-1)^10 * (L2*z - z^-1)^10 + 1", 5, 2).terms) == 121
+
+    def test_documented_and_benchmark_literals_parse(self, tmp_path):
+        """The literals of the README and of every benchmark document and
+        --kappa value (seeds 1-10) stay within the parser's limits."""
+        readme = (ROOT / "README.md").read_text()
+        doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        for text in [*doc["category"]["dims"].values(), *doc["m_vector"]]:
+            literal_to_cycnum(text, doc["scalar_backend"]["order"])
+        literal_to_factored("(2)*L^-1*(L*z^1 - z^-1)^2*(L*z^2 - z^-2)^-1", 5, 1)
+        spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        for workload in gen.WORKLOADS:
+            for seed in range(1, 11):
+                workdir = tmp_path / f"{workload}-{seed}"
+                workdir.mkdir()
+                for job in gen.generate(workload, seed, workdir, tmp_path):
+                    argv = job["argv"]
+                    if "--kappa" in argv:
+                        order = int(argv[argv.index("--order") + 1])
+                        for text in argv[argv.index("--kappa") + 1].split(","):
+                            literal_to_cycnum(text, order)
+                for path in workdir.iterdir():
+                    specfile.load(str(path))
+
     def test_torus_variables_need_cyclotomic_mode(self):
         assert isinstance(from_literal("L - 1", "cyclotomic", 3, 1), FactoredValue)
         with pytest.raises(ParseError, match="cyclotomic"):
@@ -439,7 +478,7 @@ class TestLiteralParser:
         assert v == w
 
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "antipode_spectrum"
+PACKAGE = ROOT / "src" / "antipode_spectrum"
 SCALAR_TYPES = {"CycNum", "FactoredValue", "Fraction", "complex", "SignedEigenvalue"}
 
 

@@ -378,6 +378,48 @@ class TestUniformRootPower:
             assert SpectrumFactorization(entries, "cyclotomic").uniform_root_power() is None
 
 
+class TestArrayBackedSpectrum:
+    """A numeric spectrum held as arrays and the same spectrum built from its
+    entries list agree on every view."""
+
+    def pair(self, values, mults):
+        arrays = SpectrumFactorization.from_arrays(
+            np.array(values, dtype=complex), np.array(mults, dtype=np.int64))
+        return arrays, SpectrumFactorization(zip(values, mults), "numeric")
+
+    def test_views_agree(self):
+        values = [complex(-1.5, 0), complex(0.25, -1e-7), complex(1, 1), complex(2, -0.0)]
+        arrays, listed = self.pair(values, [3, 1, 7, 2])
+        assert arrays.values is not None and listed.values is None
+        assert len(arrays) == len(listed) == 4
+        assert arrays.total_degree == listed.total_degree == 13
+        assert type(arrays.total_degree) is int
+        assert arrays.entries == listed.entries == list(zip(values, [3, 1, 7, 2]))
+        assert all(type(v) is complex and type(m) is int for v, m in arrays.entries)
+        assert arrays == listed and listed == arrays
+        assert arrays.close_to(listed, 1e-9) and listed.close_to(arrays, 1e-9)
+        assert str(arrays) == str(listed)
+        other, _ = self.pair(values, [3, 1, 7, 3])
+        assert other != listed and not other.close_to(listed, 1e-9)
+
+    def test_empty_and_roots_of_unity(self):
+        arrays, listed = self.pair([], [])
+        assert (len(arrays), arrays.total_degree, arrays.entries) == (0, 0, [])
+        assert arrays == listed and str(arrays) == str(listed) == ""
+        roots = [complex(math.cos(2 * math.pi * t / 3), math.sin(2 * math.pi * t / 3))
+                 for t in range(3)]
+        arrays, listed = self.pair(roots, [4, 4, 4])
+        assert arrays.uniform_root_power() == listed.uniform_root_power() == (3, 4)
+        assert str(arrays) == str(listed) == "(z^3 - 1)^4"
+
+    def test_sweep_returns_the_arrays(self):
+        values = np.array([0.5, 0.5 + 3e-9, 0.5 + 3e-9j, 0.5 + 1e-10j])
+        spec = spectrum._sweep_numeric(values, np.ones(4, dtype=np.int64), 1e-9)
+        assert spec.values.dtype == complex and spec.mults.dtype == np.int64
+        assert spec.values.tolist() == [v for v, _ in spec.entries]
+        assert spec.mults.tolist() == [2, 1, 1] and len(spec) == 3
+
+
 class TestCloseTo:
     def spec(self, entries):
         return SpectrumFactorization(entries, "numeric")
