@@ -80,40 +80,48 @@ def _coeff_texts(c: CycNum) -> list:
 # the payload's dicts.
 
 def _cyclotomic_text(v: CycNum) -> str:
-    a = v.complex_value()  # the int 0 when v is zero
-    return (f'{{\n        "approx": [\n          {_json_text(a.real, "")},\n'
-            f'          {_json_text(a.imag, "")}\n        ],\n'
+    a = v.complex_value()
+    return (f'{{\n        "approx": [\n          {_float_text(a.real)},\n'
+            f'          {_float_text(a.imag)}\n        ],\n'
             f'        "coeffs": {_list_text(_coeff_texts(v), "        ")},\n'
             f'        "kind": "cyclotomic",\n        "order": {v.field.order},\n'
             f'        "str": {encode_basestring_ascii(str(v))}\n      }}')
 
 
-def _factored_text(v: FactoredValue, constants: dict) -> str:
-    """constants caches the "constant" block by value over one print call:
-    nearly every symbolic constant is 1."""
+def _factored_text(v: FactoredValue, blocks: dict) -> str:
+    """blocks caches the "constant" block and each factor's block by value
+    over one print call: nearly every symbolic constant is 1, and the same
+    atom powers recur from entry to entry."""
     c = v.constant
     key = (v.ctx.ell, c.num, c.den)
-    const = constants.get(key)
+    const = blocks.get(key)
     if const is None:
-        const = constants[key] = (
+        const = blocks[key] = (
             f'{{\n          "coeffs": {_list_text(_coeff_texts(c), "          ")},\n'
             f'          "order": {v.ctx.ell}\n        }}')
-    factors = [f'{{\n            "class": {a},\n            "power": {p},\n'
-               f'            "root": {_list_text([str(x) for x in coords], "            ")}'
-               f'\n          }}'
-               for (coords, a), p in sorted(v.factors.items())]
+    items = sorted(v.factors.items())
+    factors = []
+    for item in items:
+        block = blocks.get(item)
+        if block is None:
+            (coords, a), p = item
+            block = blocks[item] = (
+                f'{{\n            "class": {a},\n            "power": {p},\n'
+                f'            "root": {_list_text([str(x) for x in coords], "            ")}'
+                f'\n          }}')
+        factors.append(block)
     return (f'{{\n        "constant": {const},\n'
             f'        "factors": {_list_text(factors, "        ")},\n'
             f'        "kind": "factored",\n'
             f'        "monomial": {_list_text([str(e) for e in v.monomial], "        ")},\n'
-            f'        "str": {encode_basestring_ascii(str(v))}\n      }}')
+            f'        "str": {encode_basestring_ascii(v.text(items))}\n      }}')
 
 
-def _entry_text(v, m, constants: dict) -> str:
+def _entry_text(v, m, blocks: dict) -> str:
     """One item of the "eigenvalues" list, indented as the list's members."""
     kind = type(v)
     if kind is FactoredValue:
-        value = _factored_text(v, constants)
+        value = _factored_text(v, blocks)
     elif kind is CycNum:
         value = _cyclotomic_text(v)
     else:
@@ -153,14 +161,14 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     out = out or sys.stdout
     if as_json:
         out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
-        constants = {}
+        blocks = {}
         sep = "[\n"
         for start in range(0, len(spec), JSON_CHUNK):
             stop = start + JSON_CHUNK
             if spec.values is not None:
                 text = _numeric_chunk_text(spec.values[start:stop], spec.mults[start:stop])
             else:
-                text = ",\n".join([_entry_text(v, m, constants)
+                text = ",\n".join([_entry_text(v, m, blocks)
                                    for v, m in spec.entries[start:stop]])
             out.write(sep + text)
             sep = ",\n"

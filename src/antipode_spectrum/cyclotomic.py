@@ -349,6 +349,8 @@ class CycNum:
     def complex_value(self) -> complex:
         """The value in the standard embedding; a part beyond the float range
         is +-inf (or nan where infinities of both signs meet)."""
+        if not self:
+            return 0j
         z = cmath.exp(2j * cmath.pi / self.field.order)
         den = self.den
         try:

@@ -95,6 +95,10 @@ class NonRealSigns(DataError):
     pass
 
 
+class NumericOverflow(DataError):
+    """A numeric eigenvalue left the float range (inf or nan)."""
+
+
 # -- families ----------------------------------------------------------------
 
 class BadParameters(InputError):

@@ -24,7 +24,7 @@ from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .scalar import DEFAULT_TOLERANCE, inverse, is_zero, lift
 from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum
-from .symbolic import FactoredContext, FactoredValue
+from .symbolic import FactoredContext, FactoredValue, exponent_keys
 
 
 # -- Chebyshev polynomials of the second kind ------------------------------------
@@ -210,7 +210,10 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
     """Spectrum of the dynamical family for a simply-laced g, evaluated
     directly from the closed product formula: eigenvalues
     y_l y_k / (y_m y_n) over quadruples of torus characters, each with
-    multiplicity ell^(dim g - 2 rank)."""
+    multiplicity ell^(dim g - 2 rank).  The spectrum at an exact or numeric
+    torus point is a specialization of the symbolic one: the quadruples are
+    merged by the exponent keys of the factored characters, and only one
+    representative per symbolic eigenvalue is evaluated at the point."""
     if isinstance(rs, str):
         rs = RootSystemData.preset(rs)
     chars = list(itertools.product(range(ell), repeat=rs.rank))
@@ -224,7 +227,9 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
         raise BadParameters(
             f"ell = {ell} shares a factor with det(Cartan) = {det} for {rs.name}"
         )
-    return pair_class_spectrum(ys, ell ** (rs.dim_g - 2 * rs.rank), backend, tol)
+    _, factored = _torus_characters(ell, s, rs.positive_roots, pairings, "symbolic", tol)
+    return pair_class_spectrum(ys, ell ** (rs.dim_g - 2 * rs.rank), backend, tol,
+                               exponent_keys(factored))
 
 
 # -- pointed categories Vec_G -------------------------------------------------------

@@ -225,15 +225,15 @@ def to_json(v):
             "str": str(v),
         }
     if isinstance(v, FactoredValue):
+        items = sorted(v.factors.items())
         return {
             "kind": "factored",
             "constant": {"order": v.ctx.ell, "coeffs": [str(c) for c in v.constant.coeffs]},
             "monomial": list(v.monomial),
             "factors": [
-                {"root": list(coords), "class": cls, "power": p}
-                for (coords, cls), p in sorted(v.factors.items())
+                {"root": list(coords), "class": cls, "power": p} for (coords, cls), p in items
             ],
-            "str": str(v),
+            "str": v.text(items),
         }
     if isinstance(v, (int, Fraction)):
         return {"kind": "rational", "value": str(v)}

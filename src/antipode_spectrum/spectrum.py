@@ -25,6 +25,7 @@ from .errors import (
     InvalidTwist,
     JDependence,
     NotInEigenspace,
+    NumericOverflow,
     ZeroEntry,
 )
 from .grothendieck import FusionData, VerificationReport, global_dimension, q_matrix
@@ -40,6 +41,7 @@ from .scalar import (
     numeric_value,
     roots_of_unity,
 )
+from .symbolic import KEY_RADIX_LIMIT, canonical_order, exponent_keys
 
 
 # -- spectrum container ----------------------------------------------------------
@@ -109,14 +111,15 @@ class SpectrumFactorization:
         theirs = sorted(((numeric_value(w), mw) for w, mw in other.entries),
                         key=lambda t: t[0].real)
         reals = [w.real for w, _ in theirs]
+        taken = [False] * len(theirs)
         for v, m in self.entries:
             z = numeric_value(v)
             lo, hi = bisect_left(reals, z.real - tol), bisect_right(reals, z.real + tol)
             best = min(((abs(z - w), i) for i, (w, mw) in enumerate(theirs[lo:hi], lo)
-                        if mw == m), default=None)
+                        if mw == m and not taken[i]), default=None)
             if best is None or best[0] > tol:
                 return False
-            del theirs[best[1]], reals[best[1]]
+            taken[best[1]] = True
         return True
 
     def uniform_root_power(self):
@@ -329,20 +332,69 @@ def _exact_classes(values, tol):
     return reps, np.array(classes, dtype=np.intp)
 
 
-def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE):
+def _fuse(words, radices):
+    """One int64 per row of words (int64, shape (n, w), column j in
+    [0, radices[j])), equal exactly for equal rows: the columns joined by
+    mixed radix.  Where the running radix would pass KEY_RADIX_LIMIT, the
+    partial ids and the next column are re-ranked first."""
+    ids, span = words[:, 0], radices[0]
+    for col, radix in zip(words.T[1:], radices[1:]):
+        if span * radix > KEY_RADIX_LIMIT:
+            uniq, ids = np.unique(ids, return_inverse=True)
+            other, col = np.unique(col, return_inverse=True)
+            span, radix = len(uniq), len(other)
+        ids = ids * radix + col
+        span *= radix
+    return ids
+
+
+def _merge_class_pairs(pair_keys, radices, p, q, mults):
+    """The class pairs (p, q) merged by their quotient keys
+    pair_keys[p] - pair_keys[q] in int64: per distinct key its first class
+    pair and the sum of its multiplicities."""
+    half = np.array([(r - 1) // 2 for r in radices], dtype=np.int64)
+    quotient = _fuse(pair_keys[p] - pair_keys[q] + half, radices)
+    order = np.argsort(quotient, kind="stable")
+    starts = np.flatnonzero(np.diff(quotient[order], prepend=-1))
+    first = order[starts]
+    return p[first], q[first], np.add.reduceat(mults[order], starts)
+
+
+def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE, keys=None):
     """The spectrum kernel: eigenvalue values[a] values[b] / (values[c] values[d])
     with multiplicity weights[a, b, c, d], where weights is an integer tensor
     of shape (k, k, k, k) or one integer shared by every quadruple.
 
-    The k^2 pair products are formed once and equal ones form one class
-    (bitwise-equal floats when numeric, so rounding never joins two values
-    here), so a quotient is formed once per pair of classes with nonzero
-    total weight.  Exact backends merge the quotients by canonical key; the
-    numeric backend merges them by sort and sweep at tol (see _sweep_numeric)."""
+    keys, the symbolic.exponent_keys of the factored values of which values
+    are a specialization (made here when values are factored), give the
+    integer route: pair classes are the distinct sums keys[a] + keys[b],
+    class pairs of nonzero total weight are merged by the difference of
+    their sums in int64, and one representative class pair per distinct
+    difference is evaluated in the values' own backend.  Without keys the k^2
+    pair products are formed and classed (bitwise-equal floats when numeric,
+    so rounding never joins two values here, else by canonical key) and one
+    quotient is formed per class pair.  The quotients then merge by canonical
+    key, or by sort and sweep at tol when numeric (see _sweep_numeric), which
+    joins values that coincide although their keys differ."""
     k = len(values)
-    if backend == "numeric":
+    if keys is None and backend == "symbolic":
+        keys = exponent_keys(values)
+    if keys is not None:
+        sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, len(keys.radices))
+        _, first, cls = np.unique(_fuse(sums, keys.radices), return_index=True,
+                                  return_inverse=True)
+        left, right = np.divmod(first, k)
+        if backend == "numeric":
+            v = np.asarray(values, dtype=complex)
+            with np.errstate(all="ignore"):
+                reps = v[left] * v[right]
+        else:
+            reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
+    elif backend == "numeric":
         v = np.asarray(values, dtype=complex)
-        reps, cls = np.unique(np.multiply.outer(v, v).ravel(), return_inverse=True)
+        with np.errstate(all="ignore"):
+            products = np.multiply.outer(v, v).ravel()
+        reps, cls = np.unique(products, return_inverse=True)
     else:
         reps, cls = _exact_classes([a * b for a in values for b in values], tol)
     if np.ndim(weights) == 0:
@@ -351,33 +403,62 @@ def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE):
     else:
         totals = np.zeros((len(reps), len(reps)), dtype=np.int64)
         np.add.at(totals, np.ix_(cls, cls), weights.reshape(k * k, k * k))
-    nonzero = totals != 0
+    p, q = np.nonzero(totals)
+    mults = totals[p, q]
+    if keys is not None:
+        p, q, mults = _merge_class_pairs(sums[first], keys.radices, p, q, mults)
+        if backend == "symbolic" and len(p):  # nearly in the order merge_pairs sorts into
+            rows = keys.exponents[left] + keys.exponents[right]
+            order = canonical_order(rows[p] - rows[q], values[0].ctx.nvars)
+            p, q, mults = p[order], q[order], mults[order]
     if backend == "numeric":
-        return _sweep_numeric(np.divide.outer(reps, reps)[nonzero], totals[nonzero], tol)
-    p, q = np.nonzero(nonzero)
+        with np.errstate(all="ignore"):
+            quotients = reps[p] / reps[q]
+        return _sweep_numeric(quotients, mults, tol)
     inv = {b: inverse(reps[b]) for b in set(q.tolist())}
     return SpectrumFactorization.merge_pairs(
-        [(reps[a] * inv[b], int(totals[a, b])) for a, b in zip(p.tolist(), q.tolist())],
+        [(reps[a] * inv[b], m) for a, b, m in zip(p.tolist(), q.tolist(), mults.tolist())],
         backend, tol,
     )
+
+
+def _lex_order(primary, secondary):
+    """np.lexsort((secondary, primary)): one stable argsort of the complex
+    keys primary + i secondary.  Their parts are assigned, not summed, since
+    x + 1j * y turns an infinite y into a nan real part."""
+    keys = np.empty(len(primary), dtype=complex)
+    keys.real, keys.imag = primary, secondary
+    return np.argsort(keys, kind="stable")
+
+
+def _finite(values):
+    """values, when all of them are finite; NumericOverflow otherwise."""
+    if not np.isfinite(values).all():
+        raise NumericOverflow(
+            "a numeric eigenvalue is not finite: the data overflowed the float range; "
+            "use the cyclotomic mode for exact values")
+    return values
 
 
 def _sweep_numeric(values, mults, tol):
     """Merge numeric eigenvalues into clusters: sorted by real part, neighbours
     at most tol apart chain together; each chain, sorted by imaginary part,
     splits where neighbours are more than tol apart.  A cluster is listed as
-    its member of least imaginary part, rounded to the digits of tol."""
+    its member of least imaginary part, rounded to the digits of tol.
+    NumericOverflow when a value, or its rounding, is not finite."""
+    values = _finite(values)
     by_real = np.argsort(values.real)
     chain = np.empty(len(values), dtype=np.intp)
     chain[by_real] = np.cumsum(np.diff(values.real[by_real], prepend=-np.inf) > tol)
-    order = np.lexsort((values.imag, chain))
+    order = _lex_order(chain, values.imag)
     values, mults, chain = values[order], mults[order], chain[order]
     new = (np.diff(chain, prepend=-1) != 0) | (np.diff(values.imag, prepend=-np.inf) > tol)
     first = values[new]
     digits = _round_digits(tol)
-    reps = np.round(first.real, digits) + 1j * np.round(first.imag, digits)
+    with np.errstate(over="ignore"):
+        reps = _finite(np.round(first.real, digits) + 1j * np.round(first.imag, digits))
     totals = np.add.reduceat(mults, np.flatnonzero(new))
-    order = np.lexsort((reps.imag, reps.real))
+    order = _lex_order(reps.real, reps.imag)
     return SpectrumFactorization.from_arrays(reps[order], totals[order], tol)
 
 

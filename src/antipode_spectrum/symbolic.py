@@ -19,7 +19,10 @@ LaurentPoly is the additive workhorse used to verify linear identities
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
+
+import numpy as np
 
 from .cyclotomic import CycField, CycNum
 from .errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
@@ -38,6 +41,7 @@ class FactoredContext:
             inst.ell = ell
             inst.nvars = nvars
             inst.field = CycField(ell)
+            inst._atom_texts = {}
             cls._instances[key] = inst
         return inst
 
@@ -46,6 +50,16 @@ class FactoredContext:
 
     def zero_exp(self):
         return (0,) * self.nvars
+
+    def atom_text(self, atom):
+        """The text of the atom (coords, a) in str(FactoredValue), made once."""
+        text = self._atom_texts.get(atom)
+        if text is None:
+            coords, a = atom
+            mono = _monomial_str(coords, self.nvars)
+            text = f"({mono}*z^{a} - z^-{a})" if a else f"({mono} - 1)"
+            self._atom_texts[atom] = text
+        return text
 
 
 def _check_ctx(a, b):
@@ -146,6 +160,23 @@ def _lex_positive(exp):
         if e < 0:
             return False
     return False
+
+
+def _is_one(c) -> bool:
+    """c == 1, for a CycNum read off its canonical form."""
+    if type(c) is CycNum:
+        return c.den == 1 and c.num == c.field.one().num
+    return c == 1
+
+
+def _product(a, b):
+    """a * b for constants of factored values; nearly all are the CycNum 1,
+    and a product with it is skipped."""
+    if _is_one(b) and type(a) is CycNum:
+        return a
+    if _is_one(a) and type(b) is CycNum:
+        return b
+    return a * b
 
 
 def _monomial_str(exp, nvars):
@@ -258,7 +289,7 @@ class FactoredValue:
             factors[k] = factors.get(k, 0) + p
         return FactoredValue(
             self.ctx,
-            self.constant * other.constant,
+            _product(self.constant, other.constant),
             tuple(a + b for a, b in zip(self.monomial, other.monomial)),
             factors,
         )
@@ -340,15 +371,93 @@ class FactoredValue:
         return f"FactoredValue({self})"
 
     def __str__(self):
+        return self.text(sorted(self.factors.items()))
+
+    def text(self, factors):
+        """str(self), given its factor items sorted."""
+        ctx, c = self.ctx, self.constant
         parts = []
-        if not (self.constant == self.ctx.field.one()) or (
-            not self.factors and not any(self.monomial)
-        ):
-            parts.append(f"({self.constant})")
+        if not _is_one(c) or not (factors or any(self.monomial)):
+            parts.append(f"({c})")
         if any(self.monomial):
-            parts.append(_monomial_str(self.monomial, self.ctx.nvars))
-        for (coords, a), p in sorted(self.factors.items()):
-            mono = _monomial_str(coords, self.ctx.nvars)
-            body = f"{mono}*z^{a} - z^-{a}" if a else f"{mono} - 1"
-            parts.append(f"({body})" if p == 1 else f"({body})^{p}")
+            parts.append(_monomial_str(self.monomial, ctx.nvars))
+        for atom, p in factors:
+            text = ctx.atom_text(atom)
+            parts.append(text if p == 1 else f"{text}^{p}")
         return "*".join(parts)
+
+
+# every packed key word stays below this radix, so a key, the sum of two keys
+# and the difference of two such sums all fit in int64
+KEY_RADIX_LIMIT = 2**62
+
+ExponentKeys = namedtuple("ExponentKeys", "exponents keys radices")
+
+
+def exponent_keys(values):
+    """Additive integer keys of factored values of one context.
+
+    exponents is the int64 matrix of the values' columns: the monomial
+    coordinates, the powers of the atoms (coords, class) met in values in
+    sorted order and, when the constants differ, one count per distinct
+    constant.  A column whose entries span [lo, hi] is a digit of width
+    4 (hi - lo) + 1 holding entry - lo, packed by mixed radix into the
+    columns of keys, one word per radix in radices; a new word starts where
+    the running radix would pass KEY_RADIX_LIMIT.  Digits of a pair sum lie
+    in [0, 2 (hi - lo)] and of a difference of pair sums in
+    [-2 (hi - lo), 2 (hi - lo)], so per word keys[a] + keys[b] identifies
+    the exponents of the product of a and b, and that sum minus the one of
+    c and d identifies those of the quotient, all within (radix - 1) / 2 of
+    zero.  Equal keys mean equal values; unequal keys may still be equal
+    values (constants 2 * 2 and 4 * 1).  None when an exponent or a digit
+    is larger than KEY_RADIX_LIMIT."""
+    atoms = {a: j for j, a in enumerate(sorted({a for v in values for a in v.factors}))}
+    constants = {}
+    for v in values:
+        constants.setdefault(v.constant, len(constants))
+    if len(constants) == 1:
+        constants.clear()
+    nvars = values[0].ctx.nvars if values else 0
+    exponents = []
+    for v in values:
+        row = list(v.monomial) + [0] * (len(atoms) + len(constants))
+        for atom, p in v.factors.items():
+            row[nvars + atoms[atom]] = p
+        if constants:
+            row[nvars + len(atoms) + constants[v.constant]] = 1
+        exponents.append(row)
+    digits, radices, radix = [], [], KEY_RADIX_LIMIT
+    for j, col in enumerate(zip(*exponents)):
+        lo, hi = min(col), max(col)
+        width = 4 * (hi - lo) + 1
+        if width > KEY_RADIX_LIMIT or max(hi, -lo) > KEY_RADIX_LIMIT:
+            return None
+        if width > 1:
+            if radix * width > KEY_RADIX_LIMIT:
+                radices.append(1)
+                radix = 1
+            digits.append((j, lo, radix, len(radices) - 1))
+            radix = radices[-1] = radix * width
+    ncols = nvars + len(atoms) + len(constants)
+    exponents = np.array(exponents, dtype=np.int64).reshape(len(values), ncols)
+    keys = np.zeros((len(values), max(len(radices), 1)), dtype=np.int64)
+    for j, lo, place, word in digits:
+        keys[:, word] += (exponents[:, j] - lo) * place
+    return ExponentKeys(exponents, keys, radices or [1])
+
+
+def canonical_order(exponents, nvars):
+    """Stable argsort of exponent rows (columns as in exponent_keys) in the
+    order of FactoredValue.sort_key when the constants are equal: the
+    monomial, then the list of (atom, power) pairs of the nonzero powers,
+    a list coming before any longer list that it begins.  In that order a
+    zero power at an atom sorts below every power when no later atom has a
+    nonzero power, and above every power otherwise."""
+    powers = exponents[:, nvars:]
+    nonzero = powers != 0
+    later = np.zeros_like(nonzero)
+    later[:, :-1] = np.cumsum(nonzero[:, :0:-1], axis=1)[:, ::-1] > 0
+    top = int(np.abs(powers).max(initial=0)) + 1
+    digits = np.where(nonzero, powers, np.where(later, top, -top))
+    columns = [exponents[:, j] for j in range(nvars)] + list(digits.T)
+    return np.lexsort(columns[::-1]) if columns else np.arange(len(exponents))

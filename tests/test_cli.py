@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,23 @@ class TestCliCommands:
                            "--subgroup", "0,1", "--charpoly")
         assert code == 1
         assert "match failure" in err
+
+    def test_numeric_overflow_exits_1(self, capsys, tmp_path):
+        """Pair products of 1e200 overflow the float range: the command
+        refuses the spectrum instead of printing nan, and numpy warns
+        nothing."""
+        code, out, _ = run(capsys, "family", "vecg", "--group", "z2", "--kappa", "1,1",
+                           "--subgroup", "0")
+        doc = json.loads(out)
+        doc["scalar_backend"]["mode"] = "numeric"
+        doc["m_vector"] = ["1e200", "1e200"]
+        path = self.write_spec(tmp_path, json.dumps(doc))
+        for extra in ((), ("--json",)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "charpoly", path, *extra)
+            assert code == 1 and out == ""
+            assert "overflow" in err and "cyclotomic" in err
 
     def test_pivotalize(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "vecg", "--group", "z2", "--kappa", "1,-1",

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from antipode_spectrum.cyclotomic import CycField, CycNum, cyclotomic_polynomial
+from antipode_spectrum.scalar import to_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -135,6 +136,16 @@ def test_views_match_the_fraction_coefficients(x):
     assert str(x) == reference_str(coeffs)
     if x.is_rational():
         assert x.rational_value() == coeffs[0]
+
+
+def test_zero_has_a_complex_value():
+    """complex_value of zero is 0j like every other value's, so the JSON
+    approx of a zero cyclotomic value holds floats."""
+    for order in (1, 5, 12):
+        zero = CycField(order).zero()
+        assert type(zero.complex_value()) is complex and zero.complex_value() == 0
+        approx = to_json(zero)["approx"]
+        assert [type(x) for x in approx] == [float, float] and approx == [0.0, 0.0]
 
 
 @settings

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import math
 import operator
 import random
@@ -26,7 +27,12 @@ from antipode_spectrum.families import (
 from antipode_spectrum.grothendieck import verify_fusion
 from antipode_spectrum.modcat import verify_module
 from antipode_spectrum.scalar import canonical_key
-from antipode_spectrum.spectrum import block_multiplicities, char_poly_s2
+from antipode_spectrum.spectrum import (
+    SpectrumFactorization,
+    _sweep_numeric,
+    block_multiplicities,
+    char_poly_s2,
+)
 
 
 class TestChebyshev:
@@ -259,6 +265,87 @@ class TestUqgFamily:
         second = uqg_family("A2", 5, lam=lam)
         assert first == second
         assert first.entries == second.entries
+
+
+def specialize(spec, point):
+    """The factored eigenvalues of spec evaluated at the torus point and
+    merged again: exact CycNum values for rational coordinates, merged by
+    canonical key, or complex values merged by the numeric sweep.  Atom
+    values and the products of an entry's positive and of its negative
+    powers are memoized, since entries share them."""
+    ctx = spec.entries[0][0].ctx
+    exact = all(isinstance(x, (int, Fraction)) for x in point)
+    if exact:
+        zeta, one = ctx.field.zeta, ctx.field.one()
+    else:
+        zeta, one = (lambda a: cmath.exp(2j * cmath.pi * a / ctx.ell)), 1
+
+    @functools.cache
+    def atom(coords, a):
+        return math.prod(x**e for x, e in zip(point, coords)) * zeta(a) - zeta(-a)
+
+    @functools.cache
+    def product(powers):
+        return math.prod((atom(*key) ** p for key, p in powers), start=one)
+
+    @functools.cache
+    def reciprocal(powers):
+        return 1 / product(powers)
+
+    pairs = []
+    for v, mult in spec.entries:
+        num = frozenset((key, p) for key, p in v.factors.items() if p > 0)
+        den = frozenset((key, -p) for key, p in v.factors.items() if p < 0)
+        value = product(num) * reciprocal(den) if den else product(num)
+        if any(v.monomial):
+            value = value * math.prod(x**e for x, e in zip(point, v.monomial))
+        if v.constant != ctx.field.one():
+            value = value * (v.constant if exact else v.constant.complex_value())
+        pairs.append((value, mult))
+    if exact:
+        return SpectrumFactorization.merge_pairs(pairs, "cyclotomic")
+    values, mults = zip(*pairs)
+    return _sweep_numeric(np.array(values), np.array(mults, dtype=np.int64), 1e-9)
+
+
+class TestSpecialization:
+    """The spectrum at a torus point is the symbolic spectrum evaluated at
+    that point, with multiplicities added where values meet: exactly at a
+    rational point, within tol at a complex one.  A2 runs at ell = 5 (ell = 3
+    shares the factor 3 with det(Cartan) and is refused) and only at a
+    complex point: evaluating its 72,541 symbolic entries exactly takes
+    longer than the whole suite may grow."""
+
+    def test_uqsl2_exact_point(self):
+        for ell, lam in ((5, Fraction(2, 3)), (7, Fraction(-5, 4))):
+            symbolic = char_poly_s2(*uqsl2_family(ell))
+            exact = char_poly_s2(*uqsl2_family(ell, lam=lam))
+            assert specialize(symbolic, (lam,)).entries == exact.entries, ell
+
+    def test_uqsl2_complex_point(self):
+        for ell, lam in ((5, 0.8 - 0.3j), (7, -1.1 + 0.6j)):
+            symbolic = char_poly_s2(*uqsl2_family(ell))
+            numeric = char_poly_s2(*uqsl2_family(ell, lam=lam))
+            assert specialize(symbolic, (lam,)).close_to(numeric, 1e-7), ell
+
+    def test_a2_complex_point(self):
+        point = (0.7 + 0.2j, 1.3 - 0.4j)
+        numeric = uqg_family("A2", 5, lam=point)
+        assert len(numeric) == 72541
+        assert specialize(uqg_family("A2", 5), point).close_to(numeric, 1e-7)
+
+    def test_a1_exact_point(self):
+        for ell, lam in ((7, Fraction(5, 2)), (9, Fraction(-2, 9))):
+            exact = uqg_family("A1", ell, 2, [lam])
+            assert specialize(uqg_family("A1", ell, 2), (lam,)).entries == exact.entries, ell
+
+    def test_a1_special_point_merges(self):
+        # at Lambda = 0 the atoms L z^a - z^-a become -z^-a and many
+        # symbolic eigenvalues meet: their multiplicities add up
+        symbolic = uqg_family("A1", 5)
+        exact = uqg_family("A1", 5, lam=[Fraction(0)])
+        assert len(exact) < len(symbolic)
+        assert specialize(symbolic, (Fraction(0),)).entries == exact.entries
 
 
 class TestVecGFamily:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from antipode_spectrum.errors import (
     InvalidTwist,
     JDependence,
     NotInEigenspace,
+    NumericOverflow,
     ZeroEntry,
 )
 from antipode_spectrum.families import (
@@ -36,6 +38,12 @@ from antipode_spectrum.spectrum import (
     pivotal_twist_invariance,
     SpectrumFactorization,
     select_m,
+)
+from antipode_spectrum.symbolic import (
+    KEY_RADIX_LIMIT,
+    FactoredContext,
+    FactoredValue,
+    exponent_keys,
 )
 
 PHI5 = lambda: -(CycField(5).zeta(2)) - CycField(5).zeta(3)
@@ -239,6 +247,13 @@ class TestPairClassSpectrum:
         spec = spectrum._sweep_numeric(values, np.ones(4, dtype=np.int64), 1e-9)
         assert spec.entries == [(0.5 + 0j, 2), (0.5 + 3e-9j, 1), (0.500000003 + 0j, 1)]
 
+    def test_non_finite_values_are_refused(self):
+        # a nan is not within tol of 1+1j and must not join its cluster
+        for bad in (complex("nan+nanj"), complex(1e308 * 10, 1), complex(1, -1e308 * 10)):
+            values = np.array([1 + 1j, bad])
+            with pytest.raises(NumericOverflow, match="overflow"):
+                spectrum._sweep_numeric(values, np.array([1, 2], dtype=np.int64), 1e-9)
+
     def test_weight_matrix_and_uniform_weight_agree(self):
         F = CycField(5)
         values = [F.zeta(t) for t in range(5)] + [F.zeta(2)]
@@ -298,6 +313,152 @@ class TestPairClassSpectrum:
         for ex in matched_builtins():
             spec = char_poly_s2(ex.fusion, ex.module, ex.m)
             assert spec == brute_force_spectrum(ex.fusion, ex.module, ex.m), ex.name
+
+
+def quadruple_loop(values, w):
+    """merge_pairs over every quadruple of nonzero weight: the reference."""
+    return SpectrumFactorization.merge_pairs(
+        [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
+         for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "symbolic")
+
+
+class TestExponentKeys:
+    """The integer route of the kernel: factored values merged by their
+    exponent keys, and specializations merged by the keys of their factored
+    form, against the quadruple loop."""
+
+    CTX = FactoredContext(5, 2)
+
+    def check(self, values, weights, k, point=(0.8 + 0.3j, 1.2 - 0.5j)):
+        w = np.broadcast_to(weights, (k,) * 4)
+        expect = quadruple_loop(values, w)
+        got = pair_class_spectrum(values, weights, "symbolic")
+        assert got.entries == expect.entries
+        assert got.total_degree == int(w.sum())
+        keys = exponent_keys(values)
+        numeric = pair_class_spectrum([v.complex_value(point) for v in values],
+                                      weights, "numeric", keys=keys)
+        evaluated = SpectrumFactorization(
+            [(v.complex_value(point), m) for v, m in expect.entries], "numeric")
+        assert numeric.close_to(evaluated, 1e-7)
+        return keys
+
+    def test_keyed_kernel_equals_quadruple_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ctx, F = self.CTX, self.CTX.field
+        atom = st.builds(lambda c, a, p: FactoredValue.atom(ctx, c, a, p),
+                         st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]),
+                         st.integers(0, 4), st.integers(-2, 2))
+        constant = st.sampled_from([F.one(), F.from_rational(2), F.from_rational(Fraction(1, 4)),
+                                    -F.one(), F.zeta(1), F.one() + F.zeta(2)])
+        monomial = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        value = st.builds(lambda c, m, atoms: math.prod(atoms, start=FactoredValue(ctx, c, m)),
+                          constant, monomial, st.lists(atom, max_size=3))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(min_value=1, max_value=4))
+            values = data.draw(st.lists(value, min_size=k, max_size=k))
+            if data.draw(st.booleans()):
+                weights = data.draw(st.integers(min_value=1, max_value=3))
+            else:
+                flat = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                          min_size=k**4, max_size=k**4))
+                weights = np.array(flat, dtype=np.int64).reshape((k,) * 4)
+            self.check(values, weights, k)
+
+        check()
+
+    def test_constants_with_unequal_keys_merge(self):
+        # 2 * 2 / (4 * 1) = 1 = 1 * 1 / (1 * 1): unequal keys, one eigenvalue
+        F = self.CTX.field
+        values = [FactoredValue(self.CTX, F.from_rational(c)) for c in (1, 2, 4)]
+        spec = pair_class_spectrum(values, 1, "symbolic")
+        assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
+        assert dict((str(v), m) for v, m in spec.entries)["(1)"] == 19
+
+    def test_more_columns_than_one_radix(self):
+        """Forty-two atoms with powers 0 and 1 need digits of width 5 each,
+        more than one int64 word holds: the words are joined by re-ranking."""
+        ctx = FactoredContext(7, 2)
+        atoms = [FactoredValue.atom(ctx, c, a) for c in [(1, 0), (0, 1), (1, 1), (1, 2),
+                                                         (2, 1), (1, -1)] for a in range(7)]
+        rng = random.Random(5)
+        values = [math.prod(rng.sample(atoms, 8), start=FactoredValue.one(ctx)) for _ in range(7)]
+        keys = self.check(values, 1, 7, point=(0.9 - 0.2j, 1.1 + 0.4j))
+        assert len(keys.radices) > 1
+        assert all(1 < r <= KEY_RADIX_LIMIT for r in keys.radices)
+        assert math.prod(keys.radices) > 2**63
+
+    def test_fused_words_never_wrap(self):
+        """Words whose radices together pass int64 fuse by re-ranking: the
+        ids stay nonnegative (the merge starts its groups after -1) and are
+        equal exactly for equal rows."""
+        rng = np.random.default_rng(11)
+        radices = [2**62, 3, 2**61, 2**62]
+        pool = np.stack([rng.integers(0, r, 6) for r in radices], axis=1)
+        words = pool[rng.integers(0, 6, 200)]
+        words[::7, 1] = rng.integers(0, 3, len(words[::7]))
+        ids = spectrum._fuse(words, radices)
+        assert (ids >= 0).all()
+        rows = [tuple(w) for w in words.tolist()]
+        assert len(set(ids.tolist())) == len(set(rows))
+        assert len(set(zip(ids.tolist(), rows))) == len(set(rows))
+
+    def test_too_wide_a_digit_takes_the_canonical_route(self):
+        big = FactoredValue.atom(self.CTX, (1, 0), 1, 2**61)
+        values = [big, FactoredValue.atom(self.CTX, (1, 0), 1, -2**61), big * big]
+        assert exponent_keys(values) is None
+        spec = pair_class_spectrum(values, 1, "symbolic")
+        assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
+
+
+def lexsort_sweep(values, mults, tol):
+    """The numeric sweep as it was written with np.lexsort: the reference."""
+    by_real = np.argsort(values.real)
+    chain = np.empty(len(values), dtype=np.intp)
+    chain[by_real] = np.cumsum(np.diff(values.real[by_real], prepend=-np.inf) > tol)
+    order = np.lexsort((values.imag, chain))
+    values, mults, chain = values[order], mults[order], chain[order]
+    new = (np.diff(chain, prepend=-1) != 0) | (np.diff(values.imag, prepend=-np.inf) > tol)
+    first = values[new]
+    reps = np.round(first.real, 9) + 1j * np.round(first.imag, 9)
+    totals = np.add.reduceat(mults, np.flatnonzero(new))
+    order = np.lexsort((reps.imag, reps.real))
+    return reps[order], totals[order]
+
+
+class TestSweepOrder:
+    """The sweep sorts by stable complex argsort; np.lexsort is the reference."""
+
+    POOL = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, 3.0, np.inf])
+
+    def test_lex_order_equals_lexsort(self):
+        rng = np.random.default_rng(7)
+        for case in range(2000):
+            n = int(rng.integers(0, 30))
+            primary = rng.choice(self.POOL, n)
+            if case % 2:
+                primary = rng.integers(0, 4, n)  # the sweep's int chain ids
+            secondary = rng.choice(self.POOL, n)
+            got = spectrum._lex_order(primary, secondary)
+            assert got.tolist() == np.lexsort((secondary, primary)).tolist(), case
+
+    def test_sweep_equals_lexsort_sweep(self):
+        rng = np.random.default_rng(3)
+        parts = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+        for case in range(300):
+            n = int(rng.integers(1, 40))
+            values = rng.choice(parts, n) + 1j * rng.choice(parts, n)
+            values = values + rng.choice([0.0, 4e-10, -4e-10, 2e-9], n)  # ties and chains
+            values.imag = np.where(rng.random(n) < 0.3, -0.0, values.imag)
+            mults = rng.integers(1, 5, n)
+            spec = spectrum._sweep_numeric(values, mults, 1e-9)
+            reps, totals = lexsort_sweep(values, mults, 1e-9)
+            assert spec.values.tobytes() == reps.tobytes(), case
+            assert spec.mults.tolist() == totals.tolist(), case
 
 
 class TestGaloisEquivariance:
