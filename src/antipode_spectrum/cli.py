@@ -26,8 +26,13 @@ from .symbolic import FactoredValue
 
 # -- output helpers ------------------------------------------------------------------
 
-# entries rendered and written per write() call
-JSON_CHUNK = 4096
+# entries rendered per write() call; a numeric chunk is about 1.2 MB of text.
+# io.StringIO keeps each written string until getvalue() joins them, and the
+# copies made after that must fit among the freed pieces.  With this size,
+# and the separator written on its own rather than copied onto each chunk,
+# perfbench's client (many jobs in one process) peaks at the same RSS from
+# run to run; 4096 entries let it swing by about 11 MB.
+JSON_CHUNK = 8192
 
 
 def _float_text(x) -> str:
@@ -170,7 +175,8 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
             else:
                 text = ",\n".join([_entry_text(v, m, blocks)
                                    for v, m in spec.entries[start:stop]])
-            out.write(sep + text)
+            out.write(sep)
+            out.write(text)
             sep = ",\n"
         out.write("\n  ]" if len(spec) else "[]")
         out.write(f',\n  "total_degree": {_json_text(spec.total_degree, "  ")}\n}}\n')

@@ -501,6 +501,28 @@ class TestJsonRenderer:
         finite = SpectrumFactorization.from_arrays(values[JSON_CHUNK - 5:], mults[JSON_CHUNK - 5:])
         assert render(finite) == stdlib_render(finite)
 
+    def test_chunks_are_written_apart_from_separators(self):
+        """A writer that keeps what it is given, as io.StringIO does, holds
+        each chunk's text itself (at most JSON_CHUNK entries), not a copy
+        with the separator in front."""
+        n = 2 * JSON_CHUNK + 1
+        values = np.array([complex(k, -k / 3) for k in range(n)])
+        spec = SpectrumFactorization.from_arrays(values, np.ones(n, dtype=np.int64))
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        out = Recorder()
+        print_spectrum(spec, True, out)
+        assert "".join(out.writes) == stdlib_render(spec)
+        body = out.writes[1:-2]
+        assert body[0::2] == ["[\n", ",\n", ",\n"]
+        assert [w.count('"multiplicity"') for w in body[1::2]] == [JSON_CHUNK, JSON_CHUNK, 1]
+
     def test_numeric_entries_match_stdlib(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
