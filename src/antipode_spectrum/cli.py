@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -19,19 +20,22 @@ from . import families, oracle, specfile
 from .cyclotomic import CycNum
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
-from .scalar import count_torus_vars, from_literal, literal_to_cycnum, to_json, to_text
+from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
+                     to_text)
 from .spectrum import SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m
 from .symbolic import FactoredValue
 
 
 # -- output helpers ------------------------------------------------------------------
 
-# entries rendered per write() call; a numeric chunk is about 1.2 MB of text.
-# io.StringIO keeps each written string until getvalue() joins them, and the
-# copies made after that must fit among the freed pieces.  With this size,
-# and the separator written on its own rather than copied onto each chunk,
-# perfbench's client (many jobs in one process) peaks at the same RSS from
-# run to run; 4096 entries let it swing by about 11 MB.
+# entries rendered per write() call; a numeric chunk is about 1.2 MB of text,
+# gathered from an 8192 x 187 uint8 matrix and a bool mask of the same shape
+# (1.5 MB each; see _numeric_chunk_text).  io.StringIO keeps each written
+# string until getvalue() joins them, and the copies made after that must fit
+# among the freed pieces.  With this size, and the separator written on its
+# own rather than copied onto each chunk, perfbench's client (many jobs in
+# one process) peaks at the same RSS from run to run; 4096 entries let it
+# swing by about 11 MB.
 JSON_CHUNK = 8192
 
 
@@ -134,27 +138,92 @@ def _entry_text(v, m, blocks: dict) -> str:
     return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
 
 
-# the text of a numeric entry, cut around its multiplicity, imaginary part
-# and real part; the last piece ends with the separator to the next entry
-_NUMERIC_PIECES = ('    {\n      "multiplicity": ', None,
-                   ',\n      "value": {\n        "im": ', None,
-                   ',\n        "kind": "numeric",\n        "re": ', None,
-                   '\n      }\n    },\n')
+# the text of a numeric entry with NUL fields for its multiplicity (room for
+# the largest int64), imaginary part and real part (room for the longest repr
+# of a double, "-2.2250738585072014e-308", or for a sign, 6 integer digits,
+# "." and 12 fraction digits); the row ends with the separator to the next entry
+_NUMERIC_TEXT = ('    {\n      "multiplicity": ' + "\0" * 19
+                 + ',\n      "value": {\n        "im": ' + "\0" * 24
+                 + ',\n        "kind": "numeric",\n        "re": ' + "\0" * 24
+                 + '\n      }\n    },\n')
+_NUMERIC_ROW = np.frombuffer(_NUMERIC_TEXT.encode(), np.uint8)
+_NUMERIC_FIELDS = [slice(*m.span()) for m in re.finditer("\0+", _NUMERIC_TEXT)]
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 
 
-def _numeric_chunk_text(values, mults) -> str:
-    """The entries of the arrays values (complex) and mults (int) as
-    _entry_text writes them, joined by ",\n": by column when every value is
-    finite (repr is then the float's JSON text), else entry by entry."""
-    if not np.isfinite(values).all():
-        return ",\n".join([_entry_text(v, m, None)
-                           for v, m in zip(values.tolist(), mults.tolist())])
-    parts = list(_NUMERIC_PIECES) * len(values)
-    parts[1::7] = map(str, mults.tolist())
-    parts[3::7] = map(repr, values.imag.tolist())
-    parts[5::7] = map(repr, values.real.tolist())
-    parts[-1] = parts[-1][:-2]  # no separator after the last entry
-    return "".join(parts)
+@functools.cache
+def _tables():
+    """The ASCII texts "000" to "999" as 3-byte items; the masks whose row c
+    keeps the last c bytes of a multiplicity field and whose row (i, f)
+    keeps i integer digits, the point and f fraction digits of a float
+    field.  Built on first use, as the numpy loops that build them page in
+    about 0.5 MB that a process printing no numeric spectrum never needs."""
+    groups = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    return (groups.astype(np.uint8).view("S3").ravel(),
+            np.arange(19) >= 19 - np.arange(20)[:, None],
+            (np.arange(24) >= 7 - np.arange(7)[:, None, None])
+            & (np.arange(24) < 8 + np.arange(13)[:, None]))
+
+
+def _digit_counts(n):
+    """The number of decimal digits of each nonnegative int64 in n."""
+    return 1 + np.searchsorted(_POWERS_OF_TEN, n, side="right")
+
+
+def _digit_rows(n, groups):
+    """The nonnegative int64 array n in decimal, zero padded to 3 * groups
+    ASCII digits a row."""
+    index = np.empty((groups, len(n)), np.int64)
+    for i in range(groups - 1, 0, -1):
+        q = n // 1000  # faster than np.divmod
+        index[i], n = n - 1000 * q, q
+    index[0] = n
+    return _tables()[0].take(index.T).view(np.uint8).reshape(len(n), -1)
+
+
+def _write_floats(x, digits, text, keep):
+    """The JSON text of each float of x in its field of text; keep marks it.
+    Where x = n / 10^digits and 10^-4 <= |x| < U = min(10^6, 2^e), e the
+    largest with 2^e 10^digits < 2^53, doubles near x lie under 10^-digits
+    apart and n < 2^53, so repr(x), the shortest decimal that reads back as
+    x, is n 10^-digits in fixed notation with trailing zeros stripped to one
+    fraction digit: those values and +-0.0 are written from the digits of n,
+    every other value by _float_text."""
+    scale = float(10**digits)
+    upper = min(1e6, 2.0 ** ((2**53 // 10**digits).bit_length() - 1))
+    a = np.abs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.rint(a * scale)
+        fast = ((n / scale == a) & (a >= 1e-4) & (a < upper)) | (a == 0)
+    n = np.where(fast, n, 0).astype(np.int64) * 10 ** (12 - digits)
+    d = _digit_rows(n, 6)
+    text[:, 0], text[:, 1:7], text[:, 7], text[:, 8:20] = ord("-"), d[:, :6], ord("."), d[:, 6:]
+    fraction = np.where(n % 10**12 > 0, 12 - np.argmax(d[:, :5:-1] != ord("0"), axis=1), 1)
+    keep[:] = _tables()[2][_digit_counts(n // 10**12), fraction]
+    keep[:, 0] = np.signbit(x)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = [_float_text(v) for v in x[slow].tolist()]
+        text[slow] = np.array(texts, f"S{text.shape[1]}").view(np.uint8).reshape(len(slow), -1)
+        keep[slow] = text[slow] != 0
+
+
+def _numeric_chunk_text(values, mults, digits) -> str:
+    """The entries of the arrays values (complex) and mults (int64) as
+    _entry_text writes them, joined by ",\n": one uint8 row per entry from
+    the template, its fields written by column, and one gather of the kept
+    bytes.  digits are the rounding digits of the spectrum's tolerance."""
+    text = np.tile(_NUMERIC_ROW, (len(values), 1))
+    keep = text != 0
+    field, counts = _NUMERIC_FIELDS[0], _digit_counts(mults)
+    rows = _digit_rows(mults, -(-counts.max() // 3))[:, -19:]
+    text[:, field.stop - rows.shape[1]:field.stop] = rows
+    keep[:, field] = _tables()[1][counts]
+    for column, field in zip((values.imag, values.real), _NUMERIC_FIELDS[1:]):
+        _write_floats(column, digits, text[:, field], keep[:, field])
+    keep[-1, -2:] = False  # no separator after the last entry
+    text = text[keep]  # the matrix is freed before the text is decoded
+    return str(text, "ascii")
 
 
 def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
@@ -167,14 +236,15 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     if as_json:
         out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
         blocks = {}
+        digits = _round_digits(spec.tol)
         sep = "[\n"
         for start in range(0, len(spec), JSON_CHUNK):
-            stop = start + JSON_CHUNK
+            chunk = slice(start, start + JSON_CHUNK)
             if spec.values is not None:
-                text = _numeric_chunk_text(spec.values[start:stop], spec.mults[start:stop])
+                text = _numeric_chunk_text(spec.values[chunk], spec.mults[chunk], digits)
             else:
                 text = ",\n".join([_entry_text(v, m, blocks)
-                                   for v, m in spec.entries[start:stop]])
+                                   for v, m in spec.entries[chunk]])
             out.write(sep)
             out.write(text)
             sep = ",\n"

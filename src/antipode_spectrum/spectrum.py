@@ -21,17 +21,20 @@ import numpy as np
 from . import _linalg
 from .errors import (
     AmbiguousM,
+    BadParameters,
     EmptyEigenspace,
     InvalidTwist,
     JDependence,
     NotInEigenspace,
     NumericOverflow,
+    ParseError,
     ZeroEntry,
 )
 from .grothendieck import FusionData, VerificationReport, global_dimension, q_matrix
 from .modcat import ModuleActionData
 from .scalar import (
     DEFAULT_TOLERANCE,
+    MAX_TERM_PAIRS,
     _round_digits,
     canonical_key,
     close,
@@ -168,7 +171,10 @@ def _verify_eigenvector(f, mod, m, tol, dims=None):
     size = mod.size
     backend, m = lift(m)
     if backend == "symbolic":
-        m = [x.expand() for x in m]  # factored values have no sum
+        try:  # factored values have no sum
+            m = [x.expand(MAX_TERM_PAIRS) for x in m]
+        except ParseError as e:
+            raise BadParameters(f"the m-vector is too large to check: {e}") from None
     for lab, d in zip(f.labels, f.dims_vector() if dims is None else dims):
         N = mod.matrix(lab)
         for j in range(size):

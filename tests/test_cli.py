@@ -232,6 +232,24 @@ class TestCliCommands:
             assert code == 1 and out == ""
             assert "overflow" in err and "cyclotomic" in err
 
+    def test_torus_point_of_large_modulus(self, capsys):
+        """Lambda^ell is past the float range, the characters and the
+        spectrum are not: the root-of-unity test does not overflow.  Where
+        the characters' products do overflow, the command refuses the
+        spectrum with a message, and numpy warns nothing."""
+        for argv in (("uqsl2", "--ell", "5", "--lambda", "1e70"),
+                     ("uqg", "--type", "A1", "--ell", "5", "--lambda", "1e100")):
+            code, out, _ = run(capsys, "family", *argv, "--charpoly", "--json")
+            assert code == 0
+            values = [e["value"] for e in json.loads(out)["eigenvalues"]]
+            assert all(math.isfinite(v["re"]) and math.isfinite(v["im"]) for v in values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "family", "uqsl2", "--ell", "5", "--lambda", "1e200",
+                                 "--charpoly")
+        assert code == 1 and out == ""
+        assert "overflow" in err
+
     def test_pivotalize(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "vecg", "--group", "z2", "--kappa", "1,-1",
                            "--subgroup", "0")
@@ -339,6 +357,16 @@ class TestCliCommands:
         code, out, err = run(capsys, "charpoly", path, "--m", "1, (L1 + L2 + 1)^50, z^2")
         assert code == 2
         assert out == "" and "term pairs" in err
+
+    def test_eigenvector_check_term_pair_limit(self, capsys, tmp_path):
+        """A symbolic --m stays factored when parsed; the eigenvector check
+        multiplies it out under the literal parser's term-pair bound."""
+        code, out, _ = run(capsys, "family", "uqsl2", "--ell", "3")
+        path = self.write_spec(tmp_path, out)
+        code, out, err = run(capsys, "charpoly", path, "--m",
+                             "(L - 1)^1000, L*z - z^-1, L*z^2 - z^-2")
+        assert code == 2
+        assert out == "" and "m-vector" in err and "term pairs" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/spec.json")
@@ -500,6 +528,71 @@ class TestJsonRenderer:
         assert "NaN" in text and "-Infinity" in text
         finite = SpectrumFactorization.from_arrays(values[JSON_CHUNK - 5:], mults[JSON_CHUNK - 5:])
         assert render(finite) == stdlib_render(finite)
+
+    def test_numeric_column_writer_matches_stdlib(self):
+        """Array-backed spectra at every rounding digit count d = 1..12:
+        values with magnitudes 10^-6 to 10^8 on the 10^-d grid and off it,
+        +-0.0, each edge of the writer's exact window (10^-4 and
+        U = min(10^6, 2^e), 2^e 10^d < 2^53) and the double just below it,
+        and multiplicities up to 2^62."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def edges(d):
+            upper = min(1e6, 2.0 ** ((2**53 // 10**d).bit_length() - 1))
+            return [y for x in (1e-4, upper) for y in (x, math.nextafter(x, 0))]
+
+        def check(d, entries):
+            values = np.array([complex(re, im) for re, im, _ in entries])
+            mults = np.array([m for *_, m in entries], dtype=np.int64)
+            spec = SpectrumFactorization.from_arrays(values, mults, 10.0**-d)
+            assert render(spec) == stdlib_render(spec)
+
+        for d in range(1, 13):
+            parts = [s * x for x in edges(d) + [0.0] for s in (1, -1)]
+            check(d, [(re, im, 2**62) for re in parts for im in parts])
+
+        @st.composite
+        def parts(draw, d):
+            x = 10 ** draw(st.floats(min_value=-6, max_value=8))
+            kind = draw(st.sampled_from(["grid", "off", "edge", "zero"]))
+            if kind == "grid":
+                x = float(np.rint(x * 10**d) / 10**d)
+            elif kind == "edge":
+                x = draw(st.sampled_from(edges(d)))
+            elif kind == "zero":
+                x = 0.0
+            return -x if draw(st.booleans()) else x
+
+        @st.composite
+        def spectra(draw):
+            d = draw(st.integers(min_value=1, max_value=12))
+            return d, draw(st.lists(st.tuples(parts(d), parts(d), st.integers(1, 2**62)),
+                                    min_size=1, max_size=30))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(spectra())
+        def check_drawn(case):
+            check(*case)
+
+        check_drawn()
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
+    def test_numeric_document_matches_stdlib(self, capsys, tmp_path, tolerance):
+        """charpoly --json of a numeric Taft document: the eighth roots of
+        unity rounded to the digits of the document's tolerance, with +-0.0
+        parts."""
+        f, mod, m = taft_family(8)
+        doc = json.loads(specfile.dumps(f, mod, m=m, order=8))
+        del doc["scalar_backend"]["precision"]
+        doc["scalar_backend"].update(mode="numeric", tolerance=tolerance)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "charpoly", str(path), "--json")
+        assert code == 0
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        digits = round(-math.log10(tolerance))
+        assert f'"re": {round(math.cos(math.pi / 4), digits)}' in out
 
     def test_chunks_are_written_apart_from_separators(self):
         """A writer that keeps what it is given, as io.StringIO does, holds
