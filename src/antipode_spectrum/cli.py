@@ -23,7 +23,7 @@ from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
                      to_text)
 from .spectrum import SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m
-from .symbolic import FactoredValue
+from .symbolic import FactoredValue, constant_text, monomial_text, value_text
 
 
 # -- output helpers ------------------------------------------------------------------
@@ -84,9 +84,9 @@ def _coeff_texts(c: CycNum) -> list:
     return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in c.sort_key()]
 
 
-# The direct writers below write to_json(v) of a CycNum or a FactoredValue as
-# _json_text does at the indent of an eigenvalue's "value", without building
-# the payload's dicts.
+# The direct writers below write to_json(v) of a CycNum or a factored value
+# as _json_text does at the indent of an eigenvalue's "value", without
+# building the payload's dicts.
 
 def _cyclotomic_text(v: CycNum) -> str:
     a = v.complex_value()
@@ -97,45 +97,96 @@ def _cyclotomic_text(v: CycNum) -> str:
             f'        "str": {encode_basestring_ascii(str(v))}\n      }}')
 
 
-def _factored_text(v: FactoredValue, blocks: dict) -> str:
-    """blocks caches the "constant" block and each factor's block by value
-    over one print call: nearly every symbolic constant is 1, and the same
-    atom powers recur from entry to entry."""
-    c = v.constant
-    key = (v.ctx.ell, c.num, c.den)
-    const = blocks.get(key)
-    if const is None:
-        const = blocks[key] = (
+# The parts of a factored value, each cached by value over one print call
+# in the dict blocks as its JSON block and the text it adds to "str": nearly
+# every symbolic constant is 1, and the same monomials and atom powers recur
+# from entry to entry.  The keys of the three kinds of part never meet: a
+# constant's holds a tuple second, a monomial's only ints, and an (atom,
+# power) pair's a tuple first.
+
+def _constant_part(c: CycNum, blocks: dict):
+    key = (c.field.order, c.num, c.den)
+    part = blocks.get(key)
+    if part is None:
+        part = blocks[key] = (
             f'{{\n          "coeffs": {_list_text(_coeff_texts(c), "          ")},\n'
-            f'          "order": {v.ctx.ell}\n        }}')
-    items = sorted(v.factors.items())
-    factors = []
-    for item in items:
-        block = blocks.get(item)
-        if block is None:
-            (coords, a), p = item
-            block = blocks[item] = (
-                f'{{\n            "class": {a},\n            "power": {p},\n'
-                f'            "root": {_list_text([str(x) for x in coords], "            ")}'
-                f'\n          }}')
-        factors.append(block)
-    return (f'{{\n        "constant": {const},\n'
-            f'        "factors": {_list_text(factors, "        ")},\n'
+            f'          "order": {c.field.order}\n        }}', constant_text(c))
+    return part
+
+
+def _monomial_part(monomial: tuple, blocks: dict):
+    part = blocks.get(monomial)
+    if part is None:
+        part = blocks[monomial] = (_list_text([str(e) for e in monomial], "        "),
+                                   monomial_text(monomial, len(monomial)))
+    return part
+
+
+def _factor_part(ctx, item, blocks: dict):
+    """item is (atom, power), atom = (coords, class)."""
+    part = blocks.get(item)
+    if part is None:
+        (coords, a), p = item
+        part = blocks[item] = (
+            f'{{\n            "class": {a},\n            "power": {p},\n'
+            f'            "root": {_list_text([str(x) for x in coords], "            ")}'
+            f'\n          }}', ctx.atom_text(*item))
+    return part
+
+
+def _factored_text(constant, monomial, factor_blocks, factor_texts) -> str:
+    """The factored value of the constant and monomial parts and the factor
+    parts, in sorted order, given as their JSON blocks and their texts."""
+    text = value_text(constant[1], monomial[1], factor_texts)
+    return (f'{{\n        "constant": {constant[0]},\n'
+            f'        "factors": {_list_text(factor_blocks, "        ")},\n'
             f'        "kind": "factored",\n'
-            f'        "monomial": {_list_text([str(e) for e in v.monomial], "        ")},\n'
-            f'        "str": {encode_basestring_ascii(v.text(items))}\n      }}')
+            f'        "monomial": {monomial[0]},\n'
+            f'        "str": {encode_basestring_ascii(text)}\n      }}')
 
 
 def _entry_text(v, m, blocks: dict) -> str:
     """One item of the "eigenvalues" list, indented as the list's members."""
     kind = type(v)
     if kind is FactoredValue:
-        value = _factored_text(v, blocks)
+        factors = [_factor_part(v.ctx, item, blocks) for item in sorted(v.factors.items())]
+        value = _factored_text(_constant_part(v.constant, blocks),
+                               _monomial_part(v.monomial, blocks),
+                               [f[0] for f in factors], [f[1] for f in factors])
     elif kind is CycNum:
         value = _cyclotomic_text(v)
     else:
         value = _json_text(to_json(v), "      ")
+    return _item_text(m, value)
+
+
+def _item_text(m, value: str) -> str:
     return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
+
+
+def _rows_chunk_text(spec, chunk, blocks: dict) -> str:
+    """The entries rows[chunk] of a row-backed symbolic spectrum as
+    _entry_text writes them, joined by ",\n".  The chunk's nonzero powers
+    are found by numpy, in row order, and the parts of each distinct
+    (atom column, power) are looked up once."""
+    ctx, rows = spec.ctx, spec.rows[chunk]
+    nvars = ctx.nvars
+    constant = _constant_part(ctx.field.one(), blocks)
+    monomials = [_monomial_part(m, blocks) for m in map(tuple, rows[:, :nvars].tolist())]
+    powers = rows[:, nvars:]
+    r, c = np.nonzero(powers)
+    items = list(zip(c.tolist(), powers[r, c].tolist()))
+    parts = {item: _factor_part(ctx, (spec.atoms[item[0]], item[1]), blocks)
+             for item in set(items)}
+    factor_blocks = [parts[item][0] for item in items]
+    factor_texts = [parts[item][1] for item in items]
+    ends = np.cumsum(np.bincount(r, minlength=len(rows))).tolist()
+    texts, start = [], 0
+    for m, monomial, end in zip(spec.mults[chunk].tolist(), monomials, ends):
+        texts.append(_item_text(m, _factored_text(
+            constant, monomial, factor_blocks[start:end], factor_texts[start:end])))
+        start = end
+    return ",\n".join(texts)
 
 
 # the text of a numeric entry with NUL fields for its multiplicity (room for
@@ -242,6 +293,8 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
             chunk = slice(start, start + JSON_CHUNK)
             if spec.values is not None:
                 text = _numeric_chunk_text(spec.values[chunk], spec.mults[chunk], digits)
+            elif spec.rows is not None:
+                text = _rows_chunk_text(spec, chunk, blocks)
             else:
                 text = ",\n".join([_entry_text(v, m, blocks)
                                    for v, m in spec.entries[chunk]])

@@ -14,6 +14,7 @@ On examples with real self-conjugate data both index orders coincide.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -44,7 +45,7 @@ from .scalar import (
     numeric_value,
     roots_of_unity,
 )
-from .symbolic import KEY_RADIX_LIMIT, canonical_order, exponent_keys
+from .symbolic import KEY_RADIX_LIMIT, canonical_order, exponent_keys, row_values
 
 
 # -- spectrum container ----------------------------------------------------------
@@ -53,12 +54,15 @@ class SpectrumFactorization:
     """Multiset of (eigenvalue, multiplicity) pairs; eigenvalues pairwise
     distinct under canonical equality, entries sorted by canonical key.
 
-    A numeric spectrum from the sweep is held as two arrays instead, the
-    eigenvalues ``values`` (complex128) and their multiplicities ``mults``
-    (int64); ``entries`` is then built from them on first use.  Every other
-    spectrum keeps its entries list, and ``values`` is None."""
+    Two spectra from the kernel are held as arrays instead, with their
+    multiplicities ``mults`` (int64): a numeric one as its eigenvalues
+    ``values`` (complex128), and a symbolic one whose eigenvalues have
+    constant 1 as their exponent ``rows`` (int64, columns as in
+    symbolic.exponent_keys: the monomial, then the powers of ``atoms``) in
+    the context ``ctx``.  ``entries`` is then built from the arrays on first
+    use.  Every other spectrum keeps its entries list, and ``mults`` is None."""
 
-    values = mults = None
+    values = mults = rows = None
 
     def __init__(self, entries, backend, tol=DEFAULT_TOLERANCE):
         self._entries = list(entries)
@@ -67,19 +71,37 @@ class SpectrumFactorization:
         self.total_degree = sum(m for _, m in self._entries)
 
     @classmethod
+    def _from_mults(cls, backend, mults, tol, make_values):
+        """A spectrum with multiplicities mults whose eigenvalues, in the same
+        order, make_values() lists on first use of entries."""
+        spec = cls.__new__(cls)
+        spec.backend, spec.tol, spec.mults = backend, tol, mults
+        spec._entries, spec._make_values = None, make_values
+        spec.total_degree = sum(mults.tolist())
+        return spec
+
+    @classmethod
     def from_arrays(cls, values, mults, tol=DEFAULT_TOLERANCE):
         """The numeric spectrum of the sorted distinct eigenvalues values
         with multiplicities mults, held as the arrays themselves."""
-        spec = cls.__new__(cls)
-        spec.backend, spec.tol = "numeric", tol
-        spec._entries, spec.values, spec.mults = None, values, mults
-        spec.total_degree = sum(mults.tolist())
+        spec = cls._from_mults("numeric", mults, tol, values.tolist)
+        spec.values = values
+        return spec
+
+    @classmethod
+    def from_rows(cls, rows, mults, atoms, ctx, tol=DEFAULT_TOLERANCE):
+        """The symbolic spectrum of the distinct eigenvalues of constant 1
+        with exponent rows, sorted in canonical order, and multiplicities
+        mults, held as the arrays themselves."""
+        spec = cls._from_mults("symbolic", mults, tol,
+                               functools.partial(row_values, ctx, atoms, rows))
+        spec.rows, spec.atoms, spec.ctx = rows, atoms, ctx
         return spec
 
     @property
     def entries(self):
         if self._entries is None:
-            self._entries = list(zip(self.values.tolist(), self.mults.tolist()))
+            self._entries = list(zip(self._make_values(), self.mults.tolist()))
         return self._entries
 
     @classmethod
@@ -103,7 +125,7 @@ class SpectrumFactorization:
         return self.multiset() == other.multiset()
 
     def __len__(self):
-        return len(self.entries if self.values is None else self.values)
+        return len(self.entries if self.mults is None else self.mults)
 
     def close_to(self, other: "SpectrumFactorization", tol: float) -> bool:
         """Numeric comparison: same multiplicities after matching each
@@ -376,12 +398,18 @@ def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE, keys=No
     integer route: pair classes are the distinct sums keys[a] + keys[b],
     class pairs of nonzero total weight are merged by the difference of
     their sums in int64, and one representative class pair per distinct
-    difference is evaluated in the values' own backend.  Without keys the k^2
-    pair products are formed and classed (bitwise-equal floats when numeric,
-    so rounding never joins two values here, else by canonical key) and one
-    quotient is formed per class pair.  The quotients then merge by canonical
-    key, or by sort and sweep at tol when numeric (see _sweep_numeric), which
-    joins values that coincide although their keys differ."""
+    difference is evaluated in the values' own backend.  Factored values of
+    one constant are not evaluated at all: every quotient has constant 1,
+    and its exponent row, the difference of two pair sums of rows, is its
+    canonical form, so distinct differences are distinct eigenvalues (the
+    atoms are pairwise coprime irreducibles of a unique factorization
+    domain), listed in canonical order as a row-backed spectrum.  Without
+    keys the k^2 pair products are formed and classed (bitwise-equal floats
+    when numeric, so rounding never joins two values here, else by canonical
+    key) and one quotient is formed per class pair.  The quotients then
+    merge by canonical key, or by sort and sweep at tol when numeric (see
+    _sweep_numeric), which joins values that coincide although their keys
+    differ."""
     k = len(values)
     if keys is None and backend == "symbolic":
         keys = exponent_keys(values)
@@ -390,33 +418,41 @@ def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE, keys=No
         _, first, cls = np.unique(_fuse(sums, keys.radices), return_index=True,
                                   return_inverse=True)
         left, right = np.divmod(first, k)
+        classes = len(first)
+    elif backend == "numeric":
+        v = np.asarray(values, dtype=complex)
+        with np.errstate(all="ignore"):
+            products = np.multiply.outer(v, v).ravel()
+        reps, cls = np.unique(products, return_inverse=True)
+        classes = len(reps)
+    else:
+        reps, cls = _exact_classes([a * b for a in values for b in values], tol)
+        classes = len(reps)
+    if np.ndim(weights) == 0:
+        hist = np.bincount(cls, minlength=classes)
+        totals = int(weights) * np.outer(hist, hist)
+    else:
+        totals = np.zeros((classes, classes), dtype=np.int64)
+        np.add.at(totals, np.ix_(cls, cls), weights.reshape(k * k, k * k))
+    p, q = np.nonzero(totals)
+    mults = totals[p, q]
+    if keys is not None:
+        p, q, mults = _merge_class_pairs(sums[first], keys.radices, p, q, mults)
+        if backend == "symbolic":
+            rows = keys.exponents[left] + keys.exponents[right]
+            quotients = rows[p] - rows[q]
+            order = canonical_order(quotients, values[0].ctx.nvars)
+            if not keys.constants:
+                return SpectrumFactorization.from_rows(quotients[order], mults[order],
+                                                       keys.atoms, values[0].ctx, tol)
+            # nearly in the order merge_pairs sorts into
+            p, q, mults = p[order], q[order], mults[order]
         if backend == "numeric":
             v = np.asarray(values, dtype=complex)
             with np.errstate(all="ignore"):
                 reps = v[left] * v[right]
         else:
             reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
-    elif backend == "numeric":
-        v = np.asarray(values, dtype=complex)
-        with np.errstate(all="ignore"):
-            products = np.multiply.outer(v, v).ravel()
-        reps, cls = np.unique(products, return_inverse=True)
-    else:
-        reps, cls = _exact_classes([a * b for a in values for b in values], tol)
-    if np.ndim(weights) == 0:
-        hist = np.bincount(cls, minlength=len(reps))
-        totals = int(weights) * np.outer(hist, hist)
-    else:
-        totals = np.zeros((len(reps), len(reps)), dtype=np.int64)
-        np.add.at(totals, np.ix_(cls, cls), weights.reshape(k * k, k * k))
-    p, q = np.nonzero(totals)
-    mults = totals[p, q]
-    if keys is not None:
-        p, q, mults = _merge_class_pairs(sums[first], keys.radices, p, q, mults)
-        if backend == "symbolic" and len(p):  # nearly in the order merge_pairs sorts into
-            rows = keys.exponents[left] + keys.exponents[right]
-            order = canonical_order(rows[p] - rows[q], values[0].ctx.nvars)
-            p, q, mults = p[order], q[order], mults[order]
     if backend == "numeric":
         with np.errstate(all="ignore"):
             quotients = reps[p] / reps[q]

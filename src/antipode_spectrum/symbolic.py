@@ -51,15 +51,16 @@ class FactoredContext:
     def zero_exp(self):
         return (0,) * self.nvars
 
-    def atom_text(self, atom):
-        """The text of the atom (coords, a) in str(FactoredValue), made once."""
+    def atom_text(self, atom, power=1):
+        """The text of the atom (coords, a) to the power in str(FactoredValue);
+        the atom's own text is made once."""
         text = self._atom_texts.get(atom)
         if text is None:
             coords, a = atom
-            mono = _monomial_str(coords, self.nvars)
+            mono = monomial_text(coords, self.nvars)
             text = f"({mono}*z^{a} - z^-{a})" if a else f"({mono} - 1)"
             self._atom_texts[atom] = text
-        return text
+        return text if power == 1 else f"{text}^{power}"
 
 
 def _check_ctx(a, b):
@@ -179,13 +180,26 @@ def _product(a, b):
     return a * b
 
 
-def _monomial_str(exp, nvars):
+def monomial_text(exp, nvars):
+    """The text of L^exp in str(FactoredValue); "" for exp = 0."""
     parts = []
     for i, e in enumerate(exp):
         if e:
             name = "L" if nvars == 1 else f"L{i + 1}"
             parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
+
+
+def constant_text(c):
+    """The text of the constant c in str(FactoredValue): "(c)", "" for 1."""
+    return "" if _is_one(c) else f"({c})"
+
+
+def value_text(constant, monomial, factors):
+    """str(FactoredValue) from the texts of its parts: the constant, the
+    monomial and the factor powers in sorted order; "(1)" when all are
+    empty."""
+    return "*".join(filter(None, (constant, monomial, *factors))) or "(1)"
 
 
 class FactoredValue:
@@ -375,32 +389,26 @@ class FactoredValue:
 
     def text(self, factors):
         """str(self), given its factor items sorted."""
-        ctx, c = self.ctx, self.constant
-        parts = []
-        if not _is_one(c) or not (factors or any(self.monomial)):
-            parts.append(f"({c})")
-        if any(self.monomial):
-            parts.append(_monomial_str(self.monomial, ctx.nvars))
-        for atom, p in factors:
-            text = ctx.atom_text(atom)
-            parts.append(text if p == 1 else f"{text}^{p}")
-        return "*".join(parts)
+        ctx = self.ctx
+        return value_text(constant_text(self.constant), monomial_text(self.monomial, ctx.nvars),
+                          [ctx.atom_text(atom, p) for atom, p in factors])
 
 
 # every packed key word stays below this radix, so a key, the sum of two keys
 # and the difference of two such sums all fit in int64
 KEY_RADIX_LIMIT = 2**62
 
-ExponentKeys = namedtuple("ExponentKeys", "exponents keys radices")
+ExponentKeys = namedtuple("ExponentKeys", "exponents keys radices atoms constants")
 
 
 def exponent_keys(values):
     """Additive integer keys of factored values of one context.
 
     exponents is the int64 matrix of the values' columns: the monomial
-    coordinates, the powers of the atoms (coords, class) met in values in
-    sorted order and, when the constants differ, one count per distinct
-    constant.  A column whose entries span [lo, hi] is a digit of width
+    coordinates, the powers of the atoms (coords, class) of the sorted list
+    atoms, all those met in values, and, when the constants differ, one count
+    per distinct constant of the list constants (empty when they are equal).
+    A column whose entries span [lo, hi] is a digit of width
     4 (hi - lo) + 1 holding entry - lo, packed by mixed radix into the
     columns of keys, one word per radix in radices; a new word starts where
     the running radix would pass KEY_RADIX_LIMIT.  Digits of a pair sum lie
@@ -411,7 +419,8 @@ def exponent_keys(values):
     zero.  Equal keys mean equal values; unequal keys may still be equal
     values (constants 2 * 2 and 4 * 1).  None when an exponent or a digit
     is larger than KEY_RADIX_LIMIT."""
-    atoms = {a: j for j, a in enumerate(sorted({a for v in values for a in v.factors}))}
+    atom_list = sorted({a for v in values for a in v.factors})
+    atoms = {a: j for j, a in enumerate(atom_list)}
     constants = {}
     for v in values:
         constants.setdefault(v.constant, len(constants))
@@ -443,7 +452,17 @@ def exponent_keys(values):
     keys = np.zeros((len(values), max(len(radices), 1)), dtype=np.int64)
     for j, lo, place, word in digits:
         keys[:, word] += (exponents[:, j] - lo) * place
-    return ExponentKeys(exponents, keys, radices or [1])
+    return ExponentKeys(exponents, keys, radices or [1], atom_list, list(constants))
+
+
+def row_values(ctx, atoms, rows):
+    """The factored values of constant 1 whose exponents are the int64 rows,
+    with columns as in exponent_keys of values with equal constants: the
+    monomial, then the powers of the atoms."""
+    one, nvars = ctx.field.one(), ctx.nvars
+    return [FactoredValue(ctx, one, tuple(row[:nvars]),
+                          {atoms[j]: p for j, p in enumerate(row[nvars:]) if p})
+            for row in rows.tolist()]
 
 
 def canonical_order(exponents, nvars):

@@ -27,9 +27,14 @@ from antipode_spectrum.families import (
     uqsl2_family,
     vecg_family,
 )
-from antipode_spectrum.pivotalization import SignedEigenvalue, from_matched_pivotal
+from antipode_spectrum.pivotalization import (
+    PivotalizationData,
+    SignedEigenvalue,
+    char_poly_pivotalized,
+    from_matched_pivotal,
+)
 from antipode_spectrum.scalar import to_json
-from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2
+from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2, pair_class_spectrum
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue
 
 
@@ -55,6 +60,24 @@ def stdlib_render(spec):
         ],
     }
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, byte for byte.  A mismatch is reported by its first
+    differing offset with 80 bytes of each text around it: pytest's own diff
+    of two texts of a megabyte or more runs for minutes."""
+    if got == want:
+        return
+    same, differ = 0, min(len(got), len(want)) + 1  # got[:same] == want[:same]
+    while differ - same > 1:
+        mid = (same + differ) // 2
+        if got[:mid] == want[:mid]:
+            same = mid
+        else:
+            differ = mid
+    around = slice(max(same - 40, 0), same + 40)
+    pytest.fail(f"texts of lengths {len(got)} and {len(want)} differ at offset {same}:\n"
+                f"  got  {got[around]!r}\n  want {want[around]!r}", pytrace=False)
 
 
 class TestSpecFiles:
@@ -129,7 +152,7 @@ class TestCliCommands:
         assert payload["backend"] == "symbolic"
         assert payload["total_degree"] == 5**5
         # cross-check against the closed product formula
-        assert out == render(uqg_family("A1", 5))
+        assert_same_text(out, render(uqg_family("A1", 5)))
 
     def test_json_is_deterministic(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "taft", "--n", "5", "--s", "2")
@@ -415,7 +438,7 @@ class TestJsonRenderer:
     def test_cli_output_round_trips(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        assert_same_text(out, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
 
     def test_signed_output_round_trips(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "vecg", "--group", "z2", "--kappa", "1,-1",
@@ -425,13 +448,13 @@ class TestJsonRenderer:
         code, out, _ = run(capsys, "pivotalize", str(path), "--json")
         assert code == 0
         assert json.loads(out)["backend"] == "signed"
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        assert_same_text(out, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
 
     def test_rational_output_round_trips(self):
         f, mod, m = vecg_family(Group.cyclic(3), {str(a): Fraction(1) for a in range(3)}, ["0"])
         out = render(char_poly_s2(f, mod, [Fraction(k + 1, 2) for k in range(len(m))]))
         assert json.loads(out)["eigenvalues"][0]["value"]["kind"] == "rational"
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        assert_same_text(out, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
 
     @pytest.mark.parametrize("entries", [
         [],
@@ -444,14 +467,14 @@ class TestJsonRenderer:
     ], ids=["empty", "int", "fraction", "signed", "floats", "chunk-boundary"])
     def test_matches_stdlib(self, entries):
         spec = SpectrumFactorization(entries, "numeric")
-        assert render(spec) == stdlib_render(spec)
+        assert_same_text(render(spec), stdlib_render(spec))
 
     def test_bare_factored_value_matches_stdlib(self):
         ctx = uqsl2_family(3).m[1].ctx
         bare = FactoredValue.one(ctx)
         assert bare.factors == {} and not any(bare.monomial)
         spec = SpectrumFactorization([(bare, 3), (SignedEigenvalue(1, bare), 1)], "symbolic")
-        assert render(spec) == stdlib_render(spec)
+        assert_same_text(render(spec), stdlib_render(spec))
 
     def test_cyclotomic_values_match_stdlib(self):
         """Orders 1-12, mixed denominators, and values whose approx is beyond
@@ -471,7 +494,7 @@ class TestJsonRenderer:
         @hypothesis.given(st.lists(st.tuples(values(), st.integers(1, 10**20)), max_size=6))
         def check(entries):
             spec = SpectrumFactorization(entries, "cyclotomic")
-            assert render(spec) == stdlib_render(spec)
+            assert_same_text(render(spec), stdlib_render(spec))
 
         check()
         big = CycField(4).reduce([10**400, -(10**400)])
@@ -509,14 +532,15 @@ class TestJsonRenderer:
         @hypothesis.given(spectra())
         def check(entries):
             spec = SpectrumFactorization(entries, "symbolic")
-            assert render(spec) == stdlib_render(spec)
+            assert_same_text(render(spec), stdlib_render(spec))
 
         check()
 
     def test_array_backed_numeric_spectrum_matches_stdlib(self):
-        """JSON_CHUNK + 1 entries held as arrays; NaN and infinities sit in
-        the first chunk only, so one chunk is written by column and the other
-        entry by entry."""
+        """JSON_CHUNK + 1 entries held as arrays, in two chunks: NaN and the
+        infinities in the first and 5e-324 and -1e300 in the second take the
+        column writer's repr route, as do those of the values k/7 and -k/3
+        off the 10^-9 grid."""
         values = np.array([complex(k / 7, -k / 3) for k in range(JSON_CHUNK + 1)])
         values[[5, 9, 17]] = [complex(float("nan"), 1), complex(float("inf"), -0.0),
                               complex(-0.0, float("-inf"))]
@@ -524,10 +548,10 @@ class TestJsonRenderer:
         mults = np.arange(1, JSON_CHUNK + 2, dtype=np.int64) * 3
         spec = SpectrumFactorization.from_arrays(values, mults)
         text = render(spec)
-        assert text == stdlib_render(spec)
+        assert_same_text(text, stdlib_render(spec))
         assert "NaN" in text and "-Infinity" in text
         finite = SpectrumFactorization.from_arrays(values[JSON_CHUNK - 5:], mults[JSON_CHUNK - 5:])
-        assert render(finite) == stdlib_render(finite)
+        assert_same_text(render(finite), stdlib_render(finite))
 
     def test_numeric_column_writer_matches_stdlib(self):
         """Array-backed spectra at every rounding digit count d = 1..12:
@@ -546,7 +570,7 @@ class TestJsonRenderer:
             values = np.array([complex(re, im) for re, im, _ in entries])
             mults = np.array([m for *_, m in entries], dtype=np.int64)
             spec = SpectrumFactorization.from_arrays(values, mults, 10.0**-d)
-            assert render(spec) == stdlib_render(spec)
+            assert_same_text(render(spec), stdlib_render(spec))
 
         for d in range(1, 13):
             parts = [s * x for x in edges(d) + [0.0] for s in (1, -1)]
@@ -590,7 +614,7 @@ class TestJsonRenderer:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "charpoly", str(path), "--json")
         assert code == 0
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        assert_same_text(out, json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
         digits = round(-math.log10(tolerance))
         assert f'"re": {round(math.cos(math.pi / 4), digits)}' in out
 
@@ -611,7 +635,7 @@ class TestJsonRenderer:
 
         out = Recorder()
         print_spectrum(spec, True, out)
-        assert "".join(out.writes) == stdlib_render(spec)
+        assert_same_text("".join(out.writes), stdlib_render(spec))
         body = out.writes[1:-2]
         assert body[0::2] == ["[\n", ",\n", ",\n"]
         assert [w.count('"multiplicity"') for w in body[1::2]] == [JSON_CHUNK, JSON_CHUNK, 1]
@@ -627,9 +651,109 @@ class TestJsonRenderer:
         ), max_size=20))
         def check(entries):
             spec = SpectrumFactorization(entries, "numeric")
-            assert render(spec) == stdlib_render(spec)
+            assert_same_text(render(spec), stdlib_render(spec))
 
         check()
+
+
+class TestRowBackedSpectra:
+    """Factored trace vectors of one constant give a spectrum held as exponent
+    rows, those of several constants the merge_pairs route: both give the
+    entries, order and bytes of merge_pairs over every quadruple."""
+
+    def test_kernel_and_render_equal_quadruple_loop(self):
+        """1-2 torus variables, 0-3 atom powers in -2..2 per value, non-unit
+        constants and monomials, uniform or random weights."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            ctx = FactoredContext(draw(st.sampled_from([3, 5, 6])),
+                                  draw(st.integers(min_value=1, max_value=2)))
+            k = draw(st.integers(min_value=2, max_value=4))
+            pool = [ctx.field.one(), ctx.field.from_rational(Fraction(-3, 2)), ctx.field.zeta(1)]
+            constants = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
+                                      unique_by=lambda c: c.sort_key()))
+            one = draw(st.booleans())
+            small = st.integers(min_value=-2, max_value=2)
+            coords = [c for c in itertools.product(range(-1, 3), repeat=ctx.nvars)
+                      if math.gcd(*c) == 1 and next(x for x in c if x) > 0]
+            values = []
+            for i in range(k):
+                c = constants[0] if one or i else constants[1]
+                v = FactoredValue(ctx, c, tuple(draw(small) for _ in range(ctx.nvars)))
+                for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                    v = v * FactoredValue.atom(ctx, draw(st.sampled_from(coords)),
+                                               draw(st.integers(0, ctx.ell - 1)), draw(small))
+                values.append(v)
+            if draw(st.booleans()):
+                weights = draw(st.integers(min_value=1, max_value=3))
+            else:
+                weights = np.array(draw(st.lists(st.integers(0, 2), min_size=k**4,
+                                                 max_size=k**4)), dtype=np.int64)
+                weights = weights.reshape((k,) * 4)
+            # an atom of class ell/2 or more carries a sign into the constant
+            return values, weights, len({v.constant for v in values}) == 1
+
+        routes = set()
+
+        @hypothesis.settings(max_examples=120, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            values, weights, shared = case
+            routes.add(shared)
+            w = np.broadcast_to(weights, (len(values),) * 4)
+            expect = SpectrumFactorization.merge_pairs(
+                [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
+                 for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "symbolic")
+            got = pair_class_spectrum(values, weights, "symbolic")
+            assert (got.rows is not None) == shared
+            text = render(got)
+            assert got.rows is None or got._entries is None  # rendered from the rows
+            assert_same_text(text, render(expect))
+            assert_same_text(text, stdlib_render(expect))
+            assert (len(got), got.total_degree) == (len(expect), expect.total_degree)
+            assert got.entries == expect.entries
+
+        check()
+        assert routes == {True, False}
+
+    # the JSON and text of char_poly_pivotalized over a signed split of
+    # Vec_Z/2 with constant factored nu: equal constants take the row route
+    # ((1, 1) and (3, 3) have the same spectrum), unequal ones merge_pairs
+    PIVOTALIZED = {
+        (1, 1): ("c24e22f55c6e8af69d4cccf780d662e0dddf74a9cc94a661f687252806f41bda",
+                 "b2e6c8090eaf3b10cabcf57215220e800e2488bfd32dce57465e5cb0c226b4c8"),
+        (3, 3): ("c24e22f55c6e8af69d4cccf780d662e0dddf74a9cc94a661f687252806f41bda",
+                 "b2e6c8090eaf3b10cabcf57215220e800e2488bfd32dce57465e5cb0c226b4c8"),
+        (1, 4): ("5e90f5d3323e562dac92b211ffbaee83ff0061937d349c592d13f907db1bff9a",
+                 "278a5f0ee2b3fa5ad0b8c0750ba19601baf40f9220eb0b4d2cbb764233b10ae5"),
+    }
+
+    @pytest.mark.parametrize("nu", sorted(PIVOTALIZED))
+    def test_pivotalized_symbolic_nu_digest(self, nu):
+        ctx = FactoredContext(4, 1)
+        split = PivotalizationData(
+            ["0", "1"], [FactoredValue.from_constant(ctx, ctx.field.from_rational(c)) for c in nu],
+            {"0": np.eye(2, dtype=np.int64), "1": np.zeros((2, 2), dtype=np.int64)},
+            {"0": np.zeros((2, 2), dtype=np.int64), "1": np.array([[0, 1], [1, 0]])})
+        spec = char_poly_pivotalized(split)
+        for as_json, digest in zip((True, False), self.PIVOTALIZED[nu]):
+            out = io.StringIO()
+            print_spectrum(spec, as_json, out)
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, as_json
+
+    def test_text_of_a_symbolic_m_digest(self, capsys, tmp_path):
+        """charpoly without --json on the u_q(sl2) ell=5 document, whose
+        m_vector is factored."""
+        code, out, _ = run(capsys, "family", "uqsl2", "--ell", "5")
+        path = tmp_path / "spec.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "charpoly", str(path))
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "580eecc8be073ebb9210e04b8f80ea78dff9e2266b7be67b7bb004ab5c0c70c4")
 
 
 def test_every_error_has_one_exit_code():

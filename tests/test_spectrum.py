@@ -581,6 +581,34 @@ class TestArrayBackedSpectrum:
         assert spec.mults.tolist() == [2, 1, 1] and len(spec) == 3
 
 
+class TestRowBackedSpectrum:
+    """A symbolic spectrum held as exponent rows builds its entries on first
+    use, and they equal those that merge_pairs builds eagerly."""
+
+    def test_lazy_entries_equal_eager_ones(self):
+        f, mod, m = uqsl2_family(5)
+        rows = char_poly_s2(f, mod, m)
+        eager = quadruple_loop(m, block_multiplicities(f, mod).transpose(1, 3, 0, 2))
+        assert rows.rows is not None and eager.rows is None
+        assert rows.rows.shape == (len(eager), 1 + len(rows.atoms))
+        assert (len(rows), rows.total_degree) == (len(eager), eager.total_degree) == (131, 5**5)
+        assert rows._entries is None
+        assert rows.entries == eager.entries
+        assert rows.entries is rows.entries
+        assert all(type(v) is FactoredValue and type(c) is int for v, c in rows.entries)
+        assert rows == eager and str(rows) == str(eager)
+        assert rows.multiset() == eager.multiset()
+
+    def test_no_atoms_and_no_entries(self):
+        ctx = FactoredContext(3, 1)
+        values = [FactoredValue(ctx, ctx.field.from_rational(2), (e,)) for e in (0, 1)]
+        spec = pair_class_spectrum(values, 1, "symbolic")
+        assert spec.rows.shape == (5, 1) and spec.atoms == []
+        assert spec.entries == quadruple_loop(values, np.ones((2,) * 4, dtype=np.int64)).entries
+        empty = pair_class_spectrum(values, np.zeros((2,) * 4, dtype=np.int64), "symbolic")
+        assert (len(empty), empty.total_degree, empty.entries) == (0, 0, [])
+
+
 class TestCloseTo:
     def spec(self, entries):
         return SpectrumFactorization(entries, "numeric")
