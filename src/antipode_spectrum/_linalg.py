@@ -29,7 +29,11 @@ def _lifted(m):
 
 
 def rref(m):
-    """Reduced row echelon form of exact rows; returns (matrix, pivot_columns)."""
+    """Reduced row echelon form of exact rows; returns (matrix, pivot_columns).
+
+    The entries are left as they are where elimination does not reach: a
+    zero of the scaled pivot row stays unscaled, and a row is updated only
+    at the pivot row's nonzero columns, which are listed once per pivot."""
     m = [list(row) for row in m]
     if not m:
         return m, []
@@ -42,11 +46,14 @@ def rref(m):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = inverse(m[r][c])
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
+        support = [(j, x) for j, x in enumerate(m[r]) if x]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j, x in support:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
         if r == rows:
@@ -100,18 +107,21 @@ class Subspace:
     def __init__(self, rows):
         red, self.pivots = rref(rows)
         self.rows = red[:len(self.pivots)]
+        self._supports = [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
 
     @property
     def dim(self):
         return len(self.rows)
 
     def reduce(self, v):
-        """v minus its component along the span: zero at every pivot."""
+        """v minus its component along the span: zero at every pivot.  Each
+        step touches only the stored row's nonzero columns."""
         v = list(v)
-        for row, p in zip(self.rows, self.pivots):
+        for support, p in zip(self._supports, self.pivots):
             c = v[p]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                for j, x in support:
+                    v[j] -= c * x
         return v
 
     def contains(self, v):

@@ -245,7 +245,10 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self.den, other.den
+        if a == b:
+            return _canonical(self.field, [x - y for x, y in zip(self.num, other.num)], a)
+        return _canonical(self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __rsub__(self, other):
         other = self._coerce(other)

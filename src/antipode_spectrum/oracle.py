@@ -317,7 +317,8 @@ def radical_via_trace_form(alg: StructureAlgebra):
         for v in range(alg.dim):
             t = alg.field.zero()
             for k, c in alg.basis_product(u, v).items():
-                t = t + c * tr[k]
+                if tr[k]:
+                    t = t + c * tr[k]
             row.append(t)
         gram.append(row)
     return _linalg.nullspace(gram)

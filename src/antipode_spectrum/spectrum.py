@@ -473,6 +473,20 @@ def _lex_order(primary, secondary):
     return np.argsort(keys, kind="stable")
 
 
+def _ties_by_index(order, primary, secondary):
+    """order, with each run of equal (primary, secondary) keys (as sorted
+    along it; -0.0 == 0.0) put in increasing index, as np.lexsort leaves
+    ties."""
+    same = (primary[1:] == primary[:-1]) & (secondary[1:] == secondary[:-1])
+    tied = np.flatnonzero(same)
+    if not len(tied):
+        return order
+    at = np.union1d(tied, tied + 1)
+    run = np.cumsum(np.concatenate(([True], ~same)))[at] * len(order)
+    order[at] = np.sort(run + order[at]) - run
+    return order
+
+
 def _finite(values):
     """values, when all of them are finite; NumericOverflow otherwise."""
     if not np.isfinite(values).all():
@@ -490,10 +504,14 @@ def _sweep_numeric(values, mults, tol):
     NumericOverflow when a value, or its rounding, is not finite."""
     values = _finite(values)
     by_real = np.argsort(values.real)
-    chain = np.empty(len(values), dtype=np.intp)
-    chain[by_real] = np.cumsum(np.diff(values.real[by_real], prepend=-np.inf) > tol)
-    order = _lex_order(chain, values.imag)
-    values, mults, chain = values[order], mults[order], chain[order]
+    chain = np.cumsum(np.diff(values.real[by_real], prepend=-np.inf) > tol)
+    imag = values.imag[by_real]
+    # the (chain, imag) order is sorted in real-sorted position: chain does
+    # not decrease there, so the stable sort meets nearly sorted keys
+    sub = _lex_order(chain, imag)
+    chain = chain[sub]
+    order = _ties_by_index(by_real[sub], chain, imag[sub])
+    values, mults = values[order], mults[order]
     new = (np.diff(chain, prepend=-1) != 0) | (np.diff(values.imag, prepend=-np.inf) > tol)
     first = values[new]
     digits = _round_digits(tol)

@@ -102,6 +102,24 @@ def test_equality_and_hash_across_construction_routes(x, y, k):
     assert zero.num == (0,) * F.degree and zero.den == 1 and hash(zero) == hash(F.zero())
 
 
+@settings
+@hypothesis.given(triples(), FRACTIONS, st.integers(min_value=-50, max_value=50))
+def test_subtraction_adds_the_negative(xyz, q, k):
+    """x - y is x + (-y), canonical, over mixed denominators and over equal
+    ones (x and x + 1 share theirs); int and Fraction operands subtract on
+    either side, through __sub__ and __rsub__."""
+    x, y, z = xyz
+    for a, b in ((x, y), (y, z), (x, x + 1), (x, x)):
+        got, want = a - b, a + (-b)
+        assert type(got) is CycNum and (got.num, got.den) == (want.num, want.den)
+        assert_canonical(got)
+    for r in (q, k):
+        lifted = x.field.from_rational(r)
+        for got, want in ((x - r, x + (-lifted)), (r - x, lifted + (-x))):
+            assert type(got) is CycNum and (got.num, got.den) == (want.num, want.den)
+            assert_canonical(got)
+
+
 def reference_str(coeffs):
     """The text of an element as the Fraction-coefficient implementation wrote it."""
     parts = []

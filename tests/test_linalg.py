@@ -1,12 +1,17 @@
 import ast
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from antipode_spectrum import _linalg
 from antipode_spectrum._linalg import Subspace, nullspace, rank
 from antipode_spectrum.cyclotomic import CycField, CycNum
+from antipode_spectrum.families import taft_family
+from antipode_spectrum.scalar import inverse, lift
+from antipode_spectrum.spectrum import dimension_eigenspace
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "antipode_spectrum"
 
@@ -115,6 +120,127 @@ class TestSubspace:
         sub = Subspace([])
         assert sub.dim == 0
         assert sub.contains([]) and sub.coords([]) == []
+
+
+def dense_rref(m):
+    """Gaussian elimination as it was written over whole rows: the reference."""
+    m = [list(row) for row in m]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = inverse(m[r][c])
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_reduce(sub, v):
+    """Subspace.reduce as it was written over whole rows: the reference."""
+    v = list(v)
+    for row, p in zip(sub.rows, sub.pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def typed(rows):
+    """Rows as (type, value) pairs, so equal values of unequal kinds differ."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+class TestSparseElimination:
+    """rref and Subspace.reduce skip zero entries; the dense loops they
+    replaced are the reference, element for element and type for type."""
+
+    def test_matches_dense_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        field = CycField(5)
+        z = field.zeta(1)
+
+        @st.composite
+        def matrices(draw):
+            kind = draw(st.sampled_from(["int", "Fraction", "CycNum"]))
+
+            def entry():
+                if draw(st.integers(0, 3)):  # about three in four entries are zero
+                    return {"int": 0, "Fraction": Fraction(0), "CycNum": field.zero()}[kind]
+                a = draw(st.integers(-3, 3))
+                if kind == "int":
+                    return a
+                q = Fraction(a, draw(st.integers(1, 4)))
+                return q if kind == "Fraction" else q + draw(st.integers(-2, 2)) * z ** draw(st.integers(0, 4))
+
+            rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 6))  # rows > cols too
+            m = [[entry() for _ in range(cols)] for _ in range(rows)]
+            if m and draw(st.booleans()):
+                m.insert(draw(st.integers(0, rows)), list(m[draw(st.integers(0, rows - 1))]))
+            if m and draw(st.booleans()):
+                m[draw(st.integers(0, len(m) - 1))] = [m[0][0] * 0] * cols
+            if m and draw(st.booleans()):
+                c = draw(st.integers(0, cols - 1))
+                m = [row[:c] + [row[c] * 0] + row[c + 1:] for row in m]
+            v = [entry() for _ in range(cols)]
+            if m and draw(st.booleans()):  # a vector in the span
+                k = draw(st.integers(-2, 2))
+                v = [a + k * b for a, b in zip(m[0], m[-1])]
+            return m, v
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(matrices())
+        def check(mv):
+            m, v = mv
+            copy = [list(row) for row in m]
+            got_null, got_rank = nullspace(m), rank(m)
+            with mock.patch.object(_linalg, "rref", dense_rref):
+                assert typed(nullspace(m)) == typed(got_null)
+                assert rank(m) == got_rank
+            # rref and Subspace take rows of one kind; nullspace and rank lift
+            # ints to Fractions before they eliminate
+            if m and type(m[0][0]) is int:
+                m = [lift(row)[1] for row in m]
+                v = lift(v)[1]
+            red, pivots = _linalg.rref(m)
+            want_red, want_pivots = dense_rref(m)
+            assert pivots == want_pivots and typed(red) == typed(want_red)
+            sub = Subspace(m)
+            assert sub.pivots == want_pivots and typed(sub.rows) == typed(want_red[:len(pivots)])
+            assert typed([sub.reduce(v)]) == typed([dense_reduce(sub, v)])
+            assert sub.contains(v) == (not any(dense_reduce(sub, v)))
+            assert [list(row) for row in mv[0]] == copy  # the input is left as it was
+
+        check()
+
+    def test_taft_eigenspace_multiplication_count(self):
+        """The Taft n=9 eigenspace matrix is 81 x 9 with 144 nonzero entries:
+        elimination over zeros would make 2,452 products of CycNums."""
+        fusion, module, _ = taft_family(9)
+        calls = []
+        mul_vec = CycField._mul_vec
+
+        def counted(self, a, b):
+            calls.append(1)
+            return mul_vec(self, a, b)
+
+        with mock.patch.object(CycField, "_mul_vec", counted):
+            basis, dim = dimension_eigenspace(fusion, module)
+        assert dim == 1
+        assert len(calls) <= 600
 
 
 def test_elimination_lives_in_linalg():

@@ -460,6 +460,24 @@ class TestSweepOrder:
             assert spec.values.tobytes() == reps.tobytes(), case
             assert spec.mults.tolist() == totals.tolist(), case
 
+    def test_ties_in_one_chain_keep_index_order(self):
+        """Values of one chain share their imaginary parts exactly while their
+        real parts (0.6 tol apart) run against index order.  A cluster is
+        listed as its first member, so the least index must come first in
+        each tie, as np.lexsort leaves ties; the real-sorted order would put
+        the least real part first."""
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            n = int(rng.integers(2, 60))
+            values = np.empty(n, dtype=complex)
+            values.real = rng.permutation(n) * 6e-10 + rng.choice([-3.0, 0.0, 3.0])
+            values.imag = rng.choice([-0.0, 0.0, 5e-10, 1.0], n)
+            mults = rng.integers(1, 5, n)
+            spec = spectrum._sweep_numeric(values, mults, 1e-9)
+            reps, totals = lexsort_sweep(values, mults, 1e-9)
+            assert spec.values.tobytes() == reps.tobytes(), case
+            assert spec.mults.tolist() == totals.tolist(), case
+
 
 class TestGaloisEquivariance:
     """The eigenvalues lie in the field of the data, and sigma_k permutes
