@@ -24,7 +24,7 @@ from .grothendieck import FusionData
 from .modcat import ModuleActionData
 from .scalar import DEFAULT_TOLERANCE, inverse, is_zero, lift
 from .spectrum import SpectrumFactorization, dimension_eigenspace, pair_class_spectrum
-from .symbolic import FactoredContext, FactoredValue, exponent_keys
+from .symbolic import FactoredContext, FactoredValue
 
 
 # -- Chebyshev polynomials of the second kind ------------------------------------
@@ -41,8 +41,8 @@ def _chebyshev(x, one, mul, count):
 # -- torus characters -------------------------------------------------------------
 
 def _torus_characters(ell, s, roots, pairings, lam, tol):
-    """(backend, y) with y_i = prod_a (L^roots[a] q^p - q^-p), p = pairings[a][i]
-    and q = zeta_ell^s, at the torus point lam: "symbolic" (or None) gives
+    """y_i = prod_a (L^roots[a] q^p - q^-p), p = pairings[a][i] and
+    q = zeta_ell^s, at the torus point lam: "symbolic" (or None) gives
     factored values; exact coordinates give CycNum values; numeric ones give
     complex values.  lam is one coordinate per torus variable, a scalar when
     there is one.  ZeroEntry when some Lambda^alpha is an ell-th root of
@@ -57,7 +57,7 @@ def _torus_characters(ell, s, roots, pairings, lam, tol):
         ys = [FactoredValue.one(ctx)] * count
         for alpha, row in zip(roots, pairings):
             ys = [y * FactoredValue.atom(ctx, alpha, s * p) for y, p in zip(ys, row)]
-        return "symbolic", ys
+        return ys
     coords = lam if isinstance(lam, (list, tuple)) else [lam]
     if len(coords) != rank:
         raise BadParameters(f"torus point needs {rank} coordinate(s), got {len(coords)}")
@@ -78,7 +78,7 @@ def _torus_characters(ell, s, roots, pairings, lam, tol):
             ys = ys * (la * q**p - q ** (-p.astype(float)))
         else:
             ys = [y * (la * field.zeta(s * p) - field.zeta(-s * p)) for y, p in zip(ys, row)]
-    return backend, (ys.tolist() if backend == "numeric" else ys)
+    return ys.tolist() if backend == "numeric" else ys
 
 
 # -- Taft family ------------------------------------------------------------------
@@ -167,7 +167,7 @@ def uqsl2_family(ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) ->
     module and m_j = Lambda q^j - q^-j, the rank-one torus characters.  Its
     spectrum is the closed product formula, every exponent ell:
     uqg_family("A1", ell, s, [Lambda])."""
-    _, m = _torus_characters(ell, s, [(1,)], [range(ell)], lam, tol)
+    m = _torus_characters(ell, s, [(1,)], [range(ell)], lam, tol)
     return DynamicalFamily(_uqsl2_fusion(ell, s), _uqsl2_module(ell), m)
 
 
@@ -222,15 +222,14 @@ def uqg_family(rs, ell: int, s: int = 1, lam="symbolic", tol=DEFAULT_TOLERANCE) 
         [int(np.dot(lamv, rs.cartan @ np.array(alpha))) % ell for lamv in chars]
         for alpha in rs.positive_roots
     ]
-    backend, ys = _torus_characters(ell, s, rs.positive_roots, pairings, lam, tol)
+    ys = _torus_characters(ell, s, rs.positive_roots, pairings, lam, tol)
     det = int(round(np.linalg.det(rs.cartan)))
     if math.gcd(ell, det) != 1:
         raise BadParameters(
             f"ell = {ell} shares a factor with det(Cartan) = {det} for {rs.name}"
         )
-    _, factored = _torus_characters(ell, s, rs.positive_roots, pairings, "symbolic", tol)
-    return pair_class_spectrum(ys, ell ** (rs.dim_g - 2 * rs.rank), backend, tol,
-                               exponent_keys(factored))
+    factored = _torus_characters(ell, s, rs.positive_roots, pairings, "symbolic", tol)
+    return pair_class_spectrum(ys, ell ** (rs.dim_g - 2 * rs.rank), tol, factored)
 
 
 # -- pointed categories Vec_G -------------------------------------------------------

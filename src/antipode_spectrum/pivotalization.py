@@ -12,7 +12,7 @@ import numpy as np
 from .errors import NonRealSigns, SignSplitMismatch
 from .grothendieck import FusionData
 from .modcat import ModuleActionData
-from .scalar import DEFAULT_TOLERANCE, SignedEigenvalue, lift, sign
+from .scalar import DEFAULT_TOLERANCE, SignedEigenvalue, sign
 from .spectrum import SpectrumFactorization, m_bar, pair_class_spectrum
 
 
@@ -53,10 +53,9 @@ def char_poly_pivotalized(p: PivotalizationData, tol=DEFAULT_TOLERANCE) -> Spect
     M = np.stack([p.n_minus[r] for r in p.ring_labels])
     n_plus = np.einsum("rji,rkl->ijkl", P, P) + np.einsum("rji,rkl->ijkl", M, M)
     n_minus = np.einsum("rji,rkl->ijkl", M, P) + np.einsum("rji,rkl->ijkl", P, M)
-    backend, nu = lift(p.nu)
     signed = []
     for s, n in ((1, n_plus), (-1, n_minus)):
-        spec = pair_class_spectrum(nu, n.transpose(1, 2, 0, 3), backend, tol)
+        spec = pair_class_spectrum(p.nu, n.transpose(1, 2, 0, 3), tol)
         signed += [(SignedEigenvalue(s, v), m) for v, m in spec.entries]
     return SpectrumFactorization.merge_pairs(signed, "signed", tol)
 

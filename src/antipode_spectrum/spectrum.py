@@ -15,6 +15,7 @@ On examples with real self-conjugate data both index orders coincide.
 from __future__ import annotations
 
 import functools
+import itertools
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -345,19 +346,7 @@ def char_poly_s2(f: FusionData, mod: ModuleActionData, m,
     (C, M): eigenvalue m_j m_l / (m_i m_k) with multiplicity n_{ijkl},
     merged under canonical equality."""
     n = block_multiplicities(f, mod)
-    backend, m = lift(m)
-    return pair_class_spectrum(m, n.transpose(1, 3, 0, 2), backend, tol)
-
-
-def _exact_classes(values, tol):
-    """One representative per canonical key, and the class of each value."""
-    index, reps, classes = {}, [], []
-    for v in values:
-        c = index.setdefault(canonical_key(v, tol), len(reps))
-        if c == len(reps):
-            reps.append(v)
-        classes.append(c)
-    return reps, np.array(classes, dtype=np.intp)
+    return pair_class_spectrum(m, n.transpose(1, 3, 0, 2), tol)
 
 
 def _fuse(words, radices):
@@ -388,46 +377,49 @@ def _merge_class_pairs(pair_keys, radices, p, q, mults):
     return p[first], q[first], np.add.reduceat(mults[order], starts)
 
 
-def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE, keys=None):
+def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     """The spectrum kernel: eigenvalue values[a] values[b] / (values[c] values[d])
     with multiplicity weights[a, b, c, d], where weights is an integer tensor
-    of shape (k, k, k, k) or one integer shared by every quadruple.
+    of shape (k, k, k, k) or one integer shared by every quadruple.  The
+    values are lifted into one backend here.
 
-    keys, the symbolic.exponent_keys of the factored values of which values
-    are a specialization (made here when values are factored), give the
-    integer route: pair classes are the distinct sums keys[a] + keys[b],
-    class pairs of nonzero total weight are merged by the difference of
-    their sums in int64, and one representative class pair per distinct
-    difference is evaluated in the values' own backend.  Factored values of
+    Each of the k^2 pair products values[a] values[b] gets an id, and the
+    pair classes are the distinct ids, each with its first pair (a, b).
+    The id is the sum keys[a] + keys[b] of the symbolic.exponent_keys of
+    the values when they are factored, or else of factored, the factored
+    values of which values are a specialization; without keys it is the
+    complex product when numeric (bitwise-equal floats, so rounding never
+    joins two values here), else the index of the first product of the
+    same canonical key.  With keys, class pairs of nonzero total weight are
+    merged by the difference of their sums in int64.  Factored values of
     one constant are not evaluated at all: every quotient has constant 1,
     and its exponent row, the difference of two pair sums of rows, is its
     canonical form, so distinct differences are distinct eigenvalues (the
     atoms are pairwise coprime irreducibles of a unique factorization
-    domain), listed in canonical order as a row-backed spectrum.  Without
-    keys the k^2 pair products are formed and classed (bitwise-equal floats
-    when numeric, so rounding never joins two values here, else by canonical
-    key) and one quotient is formed per class pair.  The quotients then
-    merge by canonical key, or by sort and sweep at tol when numeric (see
-    _sweep_numeric), which joins values that coincide although their keys
-    differ."""
+    domain), listed in canonical order as a row-backed spectrum.  Otherwise
+    one representative product per class and one quotient per class pair
+    are formed in the values' backend, and the quotients merge by canonical
+    key, or by sort and sweep at tol when numeric (see _sweep_numeric),
+    which joins values that coincide although their ids differ."""
+    backend, values = lift(values)
     k = len(values)
-    if keys is None and backend == "symbolic":
-        keys = exponent_keys(values)
+    source = values if backend == "symbolic" else factored
+    keys = None if source is None else exponent_keys(source)
+    if backend == "numeric":
+        values = np.asarray(values, dtype=complex)
     if keys is not None:
         sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, len(keys.radices))
-        _, first, cls = np.unique(_fuse(sums, keys.radices), return_index=True,
-                                  return_inverse=True)
-        left, right = np.divmod(first, k)
-        classes = len(first)
+        ids = _fuse(sums, keys.radices)
     elif backend == "numeric":
-        v = np.asarray(values, dtype=complex)
         with np.errstate(all="ignore"):
-            products = np.multiply.outer(v, v).ravel()
-        reps, cls = np.unique(products, return_inverse=True)
-        classes = len(reps)
+            ids = np.multiply.outer(values, values).ravel()
     else:
-        reps, cls = _exact_classes([a * b for a in values for b in values], tol)
-        classes = len(reps)
+        first_of = {}
+        ids = [first_of.setdefault(canonical_key(a * b, tol), i)
+               for i, (a, b) in enumerate(itertools.product(values, repeat=2))]
+    _, first, cls = np.unique(ids, return_index=True, return_inverse=True)
+    left, right = np.divmod(first, k)
+    classes = len(first)
     if np.ndim(weights) == 0:
         hist = np.bincount(cls, minlength=classes)
         totals = int(weights) * np.outer(hist, hist)
@@ -438,25 +430,18 @@ def pair_class_spectrum(values, weights, backend, tol=DEFAULT_TOLERANCE, keys=No
     mults = totals[p, q]
     if keys is not None:
         p, q, mults = _merge_class_pairs(sums[first], keys.radices, p, q, mults)
-        if backend == "symbolic":
+        if backend == "symbolic" and not keys.constants:
             rows = keys.exponents[left] + keys.exponents[right]
             quotients = rows[p] - rows[q]
             order = canonical_order(quotients, values[0].ctx.nvars)
-            if not keys.constants:
-                return SpectrumFactorization.from_rows(quotients[order], mults[order],
-                                                       keys.atoms, values[0].ctx, tol)
-            # nearly in the order merge_pairs sorts into
-            p, q, mults = p[order], q[order], mults[order]
-        if backend == "numeric":
-            v = np.asarray(values, dtype=complex)
-            with np.errstate(all="ignore"):
-                reps = v[left] * v[right]
-        else:
-            reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
+            return SpectrumFactorization.from_rows(quotients[order], mults[order],
+                                                   keys.atoms, values[0].ctx, tol)
     if backend == "numeric":
         with np.errstate(all="ignore"):
+            reps = values[left] * values[right]
             quotients = reps[p] / reps[q]
         return _sweep_numeric(quotients, mults, tol)
+    reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
     inv = {b: inverse(reps[b]) for b in set(q.tolist())}
     return SpectrumFactorization.merge_pairs(
         [(reps[a] * inv[b], m) for a, b, m in zip(p.tolist(), q.tolist(), mults.tolist())],

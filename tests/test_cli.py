@@ -707,7 +707,7 @@ class TestRowBackedSpectra:
             expect = SpectrumFactorization.merge_pairs(
                 [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
                  for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "symbolic")
-            got = pair_class_spectrum(values, weights, "symbolic")
+            got = pair_class_spectrum(values, weights)
             assert (got.rows is not None) == shared
             text = render(got)
             assert got.rows is None or got._entries is None  # rendered from the rows

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from antipode_spectrum.families import (
     matched_builtins,
     regular_module,
     taft_family,
+    uqg_family,
     uqsl2_family,
     vecg_family,
 )
@@ -257,8 +259,8 @@ class TestPairClassSpectrum:
     def test_weight_matrix_and_uniform_weight_agree(self):
         F = CycField(5)
         values = [F.zeta(t) for t in range(5)] + [F.zeta(2)]
-        uniform = pair_class_spectrum(values, 3, "cyclotomic")
-        full = pair_class_spectrum(values, np.full((6, 6, 6, 6), 3), "cyclotomic")
+        uniform = pair_class_spectrum(values, 3)
+        full = pair_class_spectrum(values, np.full((6, 6, 6, 6), 3))
         assert uniform.entries == full.entries
         assert uniform.total_degree == 3 * 6**4
         # the 36 exponent sums t_a + t_b mod 5 fall 7, 7, 7, 7, 8 times on
@@ -269,8 +271,26 @@ class TestPairClassSpectrum:
         F = CycField(3)
         weights = np.zeros((2, 2, 2, 2), dtype=np.int64)
         weights[0, 0, 1, 1] = 2
-        spec = pair_class_spectrum([F.one(), F.zeta(1)], weights, "cyclotomic")
+        spec = pair_class_spectrum([F.one(), F.zeta(1)], weights)
         assert spec.entries == [(F.zeta(1), 2)]  # 1 / z^2 = z
+
+    def test_kernel_lifts_its_values(self):
+        """Mixed kinds give what their lift gives, on every unkeyed route;
+        all-zero weights give the empty spectrum."""
+        F = CycField(3)
+        zero = np.zeros((2,) * 4, dtype=np.int64)
+        for values, backend in (([1, F.zeta(1)], "cyclotomic"), ([1, 2], "cyclotomic"),
+                                ([1, 0.5 + 1j], "numeric")):
+            lifted_backend, lifted = lift(values)
+            spec, expect = pair_class_spectrum(values, 1), pair_class_spectrum(lifted, 1)
+            assert spec.backend == expect.backend == lifted_backend == backend
+            assert spec.entries == expect.entries and spec.total_degree == 16
+            empty = pair_class_spectrum(values, zero)
+            assert (empty.backend, empty.entries, empty.total_degree) == (backend, [], 0)
+        rational = pair_class_spectrum([1, 2], 1)
+        assert all(type(v) is Fraction for v, _ in rational.entries)
+        assert rational.multiset() == {canonical_key(Fraction(2) ** e): m
+                                       for e, m in zip(range(-2, 3), (1, 4, 6, 4, 1))}
 
     def test_kernel_equals_quadruple_loop(self):
         """Against merge_pairs over every quadruple, on values whose pair
@@ -300,7 +320,7 @@ class TestPairClassSpectrum:
                 expect = SpectrumFactorization.merge_pairs(
                     [(vals[a] * vals[b] / (vals[c] * vals[d]), int(w[a, b, c, d]))
                      for a, b, c, d in quads], backend)
-                got = pair_class_spectrum(vals, weights, backend)
+                got = pair_class_spectrum(vals, weights)
                 assert got.total_degree == int(w.sum())
                 if backend == "numeric":
                     assert got.close_to(expect, 1e-9)
@@ -332,16 +352,14 @@ class TestExponentKeys:
     def check(self, values, weights, k, point=(0.8 + 0.3j, 1.2 - 0.5j)):
         w = np.broadcast_to(weights, (k,) * 4)
         expect = quadruple_loop(values, w)
-        got = pair_class_spectrum(values, weights, "symbolic")
+        got = pair_class_spectrum(values, weights)
         assert got.entries == expect.entries
         assert got.total_degree == int(w.sum())
-        keys = exponent_keys(values)
         numeric = pair_class_spectrum([v.complex_value(point) for v in values],
-                                      weights, "numeric", keys=keys)
+                                      weights, factored=values)
         evaluated = SpectrumFactorization(
             [(v.complex_value(point), m) for v, m in expect.entries], "numeric")
         assert numeric.close_to(evaluated, 1e-7)
-        return keys
 
     def test_keyed_kernel_equals_quadruple_loop(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -375,7 +393,7 @@ class TestExponentKeys:
         # 2 * 2 / (4 * 1) = 1 = 1 * 1 / (1 * 1): unequal keys, one eigenvalue
         F = self.CTX.field
         values = [FactoredValue(self.CTX, F.from_rational(c)) for c in (1, 2, 4)]
-        spec = pair_class_spectrum(values, 1, "symbolic")
+        spec = pair_class_spectrum(values, 1)
         assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
         assert dict((str(v), m) for v, m in spec.entries)["(1)"] == 19
 
@@ -387,7 +405,8 @@ class TestExponentKeys:
                                                          (2, 1), (1, -1)] for a in range(7)]
         rng = random.Random(5)
         values = [math.prod(rng.sample(atoms, 8), start=FactoredValue.one(ctx)) for _ in range(7)]
-        keys = self.check(values, 1, 7, point=(0.9 - 0.2j, 1.1 + 0.4j))
+        self.check(values, 1, 7, point=(0.9 - 0.2j, 1.1 + 0.4j))
+        keys = exponent_keys(values)
         assert len(keys.radices) > 1
         assert all(1 < r <= KEY_RADIX_LIMIT for r in keys.radices)
         assert math.prod(keys.radices) > 2**63
@@ -411,7 +430,7 @@ class TestExponentKeys:
         big = FactoredValue.atom(self.CTX, (1, 0), 1, 2**61)
         values = [big, FactoredValue.atom(self.CTX, (1, 0), 1, -2**61), big * big]
         assert exponent_keys(values) is None
-        spec = pair_class_spectrum(values, 1, "symbolic")
+        spec = pair_class_spectrum(values, 1)
         assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
 
 
@@ -503,6 +522,35 @@ class TestGaloisEquivariance:
             checked += 1
         assert checked == 5  # taft-2, taft-3, taft-5, vecg-z3-omega, fibonacci
 
+    def test_random_matched_cosets(self):
+        """Vec_{Z/n} on Z/n / <idx> with kappa(a) = zeta_n^(t a), matched since
+        t idx = 0 mod n: sigma_k(kappa) gives the sigma_k-image spectrum."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cosets(draw):
+            n = draw(st.integers(min_value=2, max_value=8))
+            idx = draw(st.integers(min_value=0, max_value=n - 1))
+            t = draw(st.sampled_from([t for t in range(n) if t * idx % n == 0]))
+            return n, idx, t
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(cosets())
+        def check(case):
+            n, idx, t = case
+            F, G = CycField(n), Group.cyclic(n)
+            H = [str(h) for h in sorted({j * idx % n for j in range(n)})]
+            kappa = {str(a): F.zeta(t * a) for a in range(n)}
+            spec = char_poly_s2(*vecg_family(G, kappa, H))
+            for k in (k for k in range(1, n) if math.gcd(k, n) == 1):
+                image = vecg_family(G, {g: x.galois(k) for g, x in kappa.items()}, H)
+                expect = SpectrumFactorization.merge_pairs(
+                    [(v.galois(k), mult) for v, mult in spec.entries], "cyclotomic")
+                assert char_poly_s2(*image).entries == expect.entries, (case, k)
+
+        check()
+
     def test_spectrum_is_the_same_at_every_generator(self):
         for n in (7, 9):
             base = char_poly_s2(*taft_family(n))
@@ -514,6 +562,26 @@ class TestGaloisEquivariance:
             spectra.append(char_poly_s2(fam.fusion, fam.module, fam.m))
         assert spectra[0].total_degree == 7**5
         assert all(spec.entries == spectra[0].entries for spec in spectra[1:])
+
+    def test_exact_uqg_rank_one_is_the_same_at_every_generator(self):
+        for ell in (5, 7):
+            spectra = [uqg_family("A1", ell, s, Fraction(2, 3))
+                       for s in range(1, ell) if math.gcd(s, ell) == 1]
+            assert spectra[0].total_degree == ell**5
+            assert all(spec.entries == spectra[0].entries for spec in spectra[1:]), ell
+
+    def test_exact_uqg_rank_two_is_the_same_at_two_generators(self):
+        lam = (Fraction(2, 3), Fraction(5, 7))
+        # the two calls allocate ~1.6M tracked objects and set off 12 full
+        # collections; with the collector off they take 2.5 s, not 3.7 s
+        # (2-core x86-64, plain process)
+        gc.disable()
+        try:
+            one, two = (uqg_family("A2", 5, s, lam) for s in (1, 2))
+        finally:
+            gc.enable()
+        assert (len(one), one.total_degree) == (72541, 5**12)
+        assert one.entries == two.entries
 
 
 class TestUniformRootPower:
@@ -620,10 +688,10 @@ class TestRowBackedSpectrum:
     def test_no_atoms_and_no_entries(self):
         ctx = FactoredContext(3, 1)
         values = [FactoredValue(ctx, ctx.field.from_rational(2), (e,)) for e in (0, 1)]
-        spec = pair_class_spectrum(values, 1, "symbolic")
+        spec = pair_class_spectrum(values, 1)
         assert spec.rows.shape == (5, 1) and spec.atoms == []
         assert spec.entries == quadruple_loop(values, np.ones((2,) * 4, dtype=np.int64)).entries
-        empty = pair_class_spectrum(values, np.zeros((2,) * 4, dtype=np.int64), "symbolic")
+        empty = pair_class_spectrum(values, np.zeros((2,) * 4, dtype=np.int64))
         assert (len(empty), empty.total_degree, empty.entries) == (0, 0, [])
 
 
