@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import families, oracle, specfile
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, key_text
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
@@ -78,10 +78,10 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _coeff_texts(c: CycNum) -> list:
-    """The "coeffs" items of to_json(c): each coefficient in lowest terms, as
-    str(Fraction) writes it, from the one gcd per coefficient of sort_key."""
-    return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in c.sort_key()]
+def _coeff_texts(key) -> list:
+    """The "coeffs" items of to_json(c) from key = c.sort_key(): each
+    coefficient in lowest terms, as str(Fraction) writes it."""
+    return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in key]
 
 
 # The direct writers below write to_json(v) of a CycNum or a factored value
@@ -89,12 +89,12 @@ def _coeff_texts(c: CycNum) -> list:
 # building the payload's dicts.
 
 def _cyclotomic_text(v: CycNum) -> str:
-    a = v.complex_value()
+    a, key = v.complex_value(), v.sort_key()
     return (f'{{\n        "approx": [\n          {_float_text(a.real)},\n'
             f'          {_float_text(a.imag)}\n        ],\n'
-            f'        "coeffs": {_list_text(_coeff_texts(v), "        ")},\n'
+            f'        "coeffs": {_list_text(_coeff_texts(key), "        ")},\n'
             f'        "kind": "cyclotomic",\n        "order": {v.field.order},\n'
-            f'        "str": {encode_basestring_ascii(str(v))}\n      }}')
+            f'        "str": {encode_basestring_ascii(key_text(key))}\n      }}')
 
 
 # The parts of a factored value, each cached by value over one print call
@@ -109,7 +109,7 @@ def _constant_part(c: CycNum, blocks: dict):
     part = blocks.get(key)
     if part is None:
         part = blocks[key] = (
-            f'{{\n          "coeffs": {_list_text(_coeff_texts(c), "          ")},\n'
+            f'{{\n          "coeffs": {_list_text(_coeff_texts(c.sort_key()), "          ")},\n'
             f'          "order": {c.field.order}\n        }}', constant_text(c))
     return part
 
@@ -164,116 +164,189 @@ def _item_text(m, value: str) -> str:
     return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
 
 
+def _distinct_rows(a):
+    """The distinct rows of the int matrix a, in some order, and the index
+    of each row of a among them; sorted by np.lexsort, which is much faster
+    on a few int columns than np.unique(a, axis=0), and which the kernel's
+    canonical_order has already paged in (np.unique's first int64 sort adds
+    ~0.5 MB of RSS)."""
+    order = np.lexsort(a.T) if a.shape[1] else np.arange(len(a))
+    a = a[order]
+    new = np.ones(len(a), bool)
+    new[1:] = (a[1:] != a[:-1]).any(axis=1)
+    ids = np.empty(len(a), np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return a[new], ids
+
+
 def _rows_chunk_text(spec, chunk, blocks: dict) -> str:
     """The entries rows[chunk] of a row-backed symbolic spectrum as
-    _entry_text writes them, joined by ",\n".  The chunk's nonzero powers
-    are found by numpy, in row order, and the parts of each distinct
-    (atom column, power) are looked up once."""
-    ctx, rows = spec.ctx, spec.rows[chunk]
+    _entry_text writes them, joined by ",\n", as one join over a table of
+    pieces: an entry is its head up to "factors" (one piece per
+    multiplicity), each factor's block, its middle up to "str" (per monomial
+    and whether there are factors), each factor's text and its tail.  numpy
+    finds the nonzero powers, in row order, the distinct ones and each
+    piece's place; the parts of each distinct monomial and (atom column,
+    power) are looked up once."""
+    ctx, rows, mults = spec.ctx, spec.rows[chunk], spec.mults[chunk]
     nvars = ctx.nvars
-    constant = _constant_part(ctx.field.one(), blocks)
-    monomials = [_monomial_part(m, blocks) for m in map(tuple, rows[:, :nvars].tolist())]
+    constant = _constant_part(ctx.field.one(), blocks)[0]
+    counts, mult_ids = _distinct_rows(mults[:, None])
+    monos, mono_ids = _distinct_rows(rows[:, :nvars])
     powers = rows[:, nvars:]
     r, c = np.nonzero(powers)
-    items = list(zip(c.tolist(), powers[r, c].tolist()))
-    parts = {item: _factor_part(ctx, (spec.atoms[item[0]], item[1]), blocks)
-             for item in set(items)}
-    factor_blocks = [parts[item][0] for item in items]
-    factor_texts = [parts[item][1] for item in items]
-    ends = np.cumsum(np.bincount(r, minlength=len(rows))).tolist()
-    texts, start = [], 0
-    for m, monomial, end in zip(spec.mults[chunk].tolist(), monomials, ends):
-        texts.append(_item_text(m, _factored_text(
-            constant, monomial, factor_blocks[start:end], factor_texts[start:end])))
-        start = end
-    return ",\n".join(texts)
+    items, item_ids = _distinct_rows(np.stack([c, powers[r, c]], axis=1))
+    factors = [_factor_part(ctx, (spec.atoms[a], p), blocks) for a, p in items.tolist()]
+    middle = ',\n        "kind": "factored",\n        "monomial": '
+    pieces = [f'    {{\n      "multiplicity": {m},\n      "value": {{\n'
+              f'        "constant": {constant},\n        "factors": '
+              for m in counts[:, 0].tolist()]
+    first = len(pieces)
+    pieces += [f"[\n          {block}" for block, _ in factors]
+    pieces += [f",\n          {block}" for block, _ in factors]
+    pieces += [encode_basestring_ascii(text)[1:-1] for _, text in factors]
+    pieces += [encode_basestring_ascii("*" + text)[1:-1] for _, text in factors]
+    mid = len(pieces)
+    monomials = [_monomial_part(m, blocks) for m in map(tuple, monos.tolist())]
+    for close in ("[]", "\n        ]"):
+        for block, text in monomials:
+            if close == "[]":
+                text = text or "(1)"  # no factor and no monomial
+            pieces.append(f'{close}{middle}{block},\n        "str": "'
+                          f'{encode_basestring_ascii(text)[1:-1]}')
+    tail = len(pieces)
+    pieces += ['"\n      }\n    },\n', '"\n      }\n    }']
+    # entry e: head, its f factor blocks, middle, its f factor texts, tail
+    u, f = len(items), np.bincount(r, minlength=len(rows))
+    start = np.cumsum(3 + 2 * f) - (3 + 2 * f)
+    ids = np.empty(int(start[-1] + 3 + 2 * f[-1]), np.intp)
+    ids[start] = mult_ids
+    ids[start + 1 + f] = mid + mono_ids + len(monos) * (f > 0)
+    ids[start + 2 + 2 * f] = tail
+    ids[-1] = tail + 1
+    j = np.arange(len(r)) - (np.cumsum(f) - f)[r]  # the place of a power in its row
+    ids[start[r] + 1 + j] = first + item_ids + u * (j > 0)
+    starred = (j > 0) | monos.any(axis=1)[mono_ids[r]]
+    ids[start[r] + 2 + f[r] + j] = first + item_ids + u * (2 + starred)
+    return "".join(np.array(pieces, object)[ids].tolist())
 
 
 # the text of a numeric entry with NUL fields for its multiplicity (room for
-# the largest int64), imaginary part and real part (room for the longest repr
-# of a double, "-2.2250738585072014e-308", or for a sign, 6 integer digits,
-# "." and 12 fraction digits); the row ends with the separator to the next entry
-_NUMERIC_TEXT = ('    {\n      "multiplicity": ' + "\0" * 19
+# the 19 digits of the largest int64), imaginary part and real part (room for
+# the longest repr of a double, "-2.2250738585072014e-308", or for a sign, 6
+# integer digits, "." and 12 fraction digits), 24 bytes each, so that a field
+# is three uint64 words; the row ends with the separator to the next entry
+_NUMERIC_TEXT = ('    {\n      "multiplicity": ' + "\0" * 24
                  + ',\n      "value": {\n        "im": ' + "\0" * 24
                  + ',\n        "kind": "numeric",\n        "re": ' + "\0" * 24
                  + '\n      }\n    },\n')
 _NUMERIC_ROW = np.frombuffer(_NUMERIC_TEXT.encode(), np.uint8)
 _NUMERIC_FIELDS = [slice(*m.span()) for m in re.finditer("\0+", _NUMERIC_TEXT)]
-_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+
+# A digit word holds 8 decimal digits as the bytes 0-9, the most significant
+# in the lowest byte, so that it reads left to right when stored little-endian
+# (_WORDS); the text of a field is each word's digits or'ed with "0", NUL
+# where a digit is not kept.
+_U = np.uint64
+_WORDS = np.dtype("<u8")
+_BYTES = _U(0x0101010101010101)  # 1 in each byte
+_ZEROS = _U(0x30)  # times a 0/1 byte mask: "0" in each byte that is 1
+_WHOLE = _U(0x2E3030303030302D)  # "-000000." read in memory order
 
 
-@functools.cache
-def _tables():
-    """The ASCII texts "000" to "999" as 3-byte items; the masks whose row c
-    keeps the last c bytes of a multiplicity field and whose row (i, f)
-    keeps i integer digits, the point and f fraction digits of a float
-    field.  Built on first use, as the numpy loops that build them page in
-    about 0.5 MB that a process printing no numeric spectrum never needs."""
-    groups = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    return (groups.astype(np.uint8).view("S3").ravel(),
-            np.arange(19) >= 19 - np.arange(20)[:, None],
-            (np.arange(24) >= 7 - np.arange(7)[:, None, None])
-            & (np.arange(24) < 8 + np.arange(13)[:, None]))
+def _digit_words(v):
+    """Each v < 10^8 of the uint64 array v as a digit word: v is split into
+    two 4-digit lanes, each lane into two 2-digit lanes, each of those into
+    two digits, all lanes of a word at once (x * 5243 >> 19 is x // 100 for
+    x < 10^4 and x * 103 >> 10 is x // 10 for x < 100)."""
+    hi = v // _U(10000)
+    x = hi | (v - hi * _U(10000)) << _U(32)
+    q = x * _U(5243) >> _U(19) & _U(0x0000007F0000007F)
+    x = q | (x - q * _U(100)) << _U(16)
+    q = x * _U(103) >> _U(10) & _U(0x000F000F000F000F)
+    return q | (x - q * _U(10)) << _U(8)
 
 
-def _digit_counts(n):
-    """The number of decimal digits of each nonnegative int64 in n."""
-    return 1 + np.searchsorted(_POWERS_OF_TEN, n, side="right")
+def _nonzero_bytes(w):
+    """1 in each byte of w that is not 0, for bytes of at most 0x80."""
+    return (w + _U(0x7F7F7F7F7F7F7F7F)) >> _U(7) & _BYTES
 
 
-def _digit_rows(n, groups):
-    """The nonnegative int64 array n in decimal, zero padded to 3 * groups
-    ASCII digits a row."""
-    index = np.empty((groups, len(n)), np.int64)
-    for i in range(groups - 1, 0, -1):
-        q = n // 1000  # faster than np.divmod
-        index[i], n = n - 1000 * q, q
-    index[0] = n
-    return _tables()[0].take(index.T).view(np.uint8).reshape(len(n), -1)
+def _kept_from_first(d):
+    """1 in each byte of the digit word d from its first nonzero digit on
+    (d * _BYTES sums each byte with those before it: at most 8 * 9 + 1)."""
+    return _nonzero_bytes(d * _BYTES)
 
 
-def _write_floats(x, digits, text, keep):
-    """The JSON text of each float of x in its field of text; keep marks it.
-    Where x = n / 10^digits and 10^-4 <= |x| < U = min(10^6, 2^e), e the
-    largest with 2^e 10^digits < 2^53, doubles near x lie under 10^-digits
-    apart and n < 2^53, so repr(x), the shortest decimal that reads back as
-    x, is n 10^-digits in fixed notation with trailing zeros stripped to one
-    fraction digit: those values and +-0.0 are written from the digits of n,
-    every other value by _float_text."""
+def _kept_to_last(d):
+    """1 in each byte of the digit word d up to its last nonzero digit."""
+    return _nonzero_bytes(d.byteswap() * _BYTES).byteswap()
+
+
+def _write_ints(n, field):
+    """Each nonnegative int64 of n in decimal, right-aligned in its field of
+    three digit words; the words above the largest value stay NUL."""
+    n, words = n.astype(_U), field.view(_WORDS)
+    parts = [n]
+    while len(parts) < 3 and int(n.max()) >= 10**8:
+        n = n // _U(10**8)
+        parts[-1] = parts[-1] - n * _U(10**8)
+        parts.append(n)
+    carry = _U(0)  # 1 in the first byte once a higher word holds a digit
+    for j, part in zip(range(3 - len(parts), 3), reversed(parts)):
+        d = _digit_words(part)
+        units = _U(1) << _U(56) if j == 2 else _U(0)  # the last digit is always kept
+        keep = _kept_from_first(d | carry | units)
+        words[:, j] = d | keep * _ZEROS
+        carry = keep >> _U(56)
+
+
+def _write_floats(x, digits, field):
+    """The JSON text of each float of x in its field: where x = n / 10^digits
+    and 10^-4 <= |x| < U = min(10^6, 2^e), e the largest with 2^e 10^digits
+    < 2^53, doubles near x lie under 10^-digits apart and n < 2^53, so
+    repr(x), the shortest decimal that reads back as x, is n 10^-digits in
+    fixed notation with trailing zeros stripped to one fraction digit: those
+    values and +-0.0 are written as three digit words (sign, 6 integer digits
+    and the point; fraction digits 1-8; fraction digits 9-12), every other
+    value by _float_text."""
     scale = float(10**digits)
     upper = min(1e6, 2.0 ** ((2**53 // 10**digits).bit_length() - 1))
     a = np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.rint(a * scale)
         fast = ((n / scale == a) & (a >= 1e-4) & (a < upper)) | (a == 0)
-    n = np.where(fast, n, 0).astype(np.int64) * 10 ** (12 - digits)
-    d = _digit_rows(n, 6)
-    text[:, 0], text[:, 1:7], text[:, 7], text[:, 8:20] = ord("-"), d[:, :6], ord("."), d[:, 6:]
-    fraction = np.where(n % 10**12 > 0, 12 - np.argmax(d[:, :5:-1] != ord("0"), axis=1), 1)
-    keep[:] = _tables()[2][_digit_counts(n // 10**12), fraction]
-    keep[:, 0] = np.signbit(x)
+    n = np.where(fast, n, 0).astype(_U)
+    whole = n // _U(10**digits)
+    fraction = (n - whole * _U(10**digits)) * _U(10 ** (12 - digits))
+    high = fraction // _U(10**4)
+    d0 = _digit_words(whole) >> _U(8)
+    d1 = _digit_words(high)
+    d2 = _digit_words((fraction - high * _U(10**4)) * _U(10**4))
+    k2 = _kept_to_last(d2)
+    k1 = _kept_to_last(d1 | k2 << _U(56)) | _U(1)
+    k0 = _kept_from_first(d0 | _U(1) << _U(48)) | np.signbit(x)
+    words = field.view(_WORDS)
+    words[:, 0] = (d0 | _WHOLE) & k0 * _U(0xFF)
+    words[:, 1] = d1 | k1 * _ZEROS
+    words[:, 2] = d2 | k2 * _ZEROS
     slow = np.flatnonzero(~fast)
     if len(slow):
         texts = [_float_text(v) for v in x[slow].tolist()]
-        text[slow] = np.array(texts, f"S{text.shape[1]}").view(np.uint8).reshape(len(slow), -1)
-        keep[slow] = text[slow] != 0
+        field[slow] = np.array(texts, f"S{field.shape[1]}").view(np.uint8).reshape(len(slow), -1)
 
 
 def _numeric_chunk_text(values, mults, digits) -> str:
     """The entries of the arrays values (complex) and mults (int64) as
     _entry_text writes them, joined by ",\n": one uint8 row per entry from
-    the template, its fields written by column, and one gather of the kept
-    bytes.  digits are the rounding digits of the spectrum's tolerance."""
+    the template, its fields written by column as digit words with the bytes
+    not kept set to NUL, and one gather of the bytes that are not NUL.
+    digits are the rounding digits of the spectrum's tolerance."""
     text = np.tile(_NUMERIC_ROW, (len(values), 1))
-    keep = text != 0
-    field, counts = _NUMERIC_FIELDS[0], _digit_counts(mults)
-    rows = _digit_rows(mults, -(-counts.max() // 3))[:, -19:]
-    text[:, field.stop - rows.shape[1]:field.stop] = rows
-    keep[:, field] = _tables()[1][counts]
+    _write_ints(mults, text[:, _NUMERIC_FIELDS[0]])
     for column, field in zip((values.imag, values.real), _NUMERIC_FIELDS[1:]):
-        _write_floats(column, digits, text[:, field], keep[:, field])
-    keep[-1, -2:] = False  # no separator after the last entry
-    text = text[keep]  # the matrix is freed before the text is decoded
+        _write_floats(column, digits, text[:, field])
+    text = text[text != 0][:-2]  # no separator after the last entry
     return str(text, "ascii")
 
 

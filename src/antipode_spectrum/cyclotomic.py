@@ -99,6 +99,8 @@ class CycField:
         self._zetas = tuple(CycNum(self, row, 1) for row in rows[:order])
         self._zero = CycNum(self, (0,) * d, 1)
         self._one = self._zetas[0]
+        z = cmath.exp(2j * cmath.pi / order)
+        self._powers = tuple(z**k for k in range(d))  # of zeta in the standard embedding
 
     def __repr__(self):
         return f"CycField({self.order})"
@@ -354,14 +356,13 @@ class CycNum:
         is +-inf (or nan where infinities of both signs meet)."""
         if not self:
             return 0j
-        z = cmath.exp(2j * cmath.pi / self.field.order)
         den = self.den
         try:
             # int / int is correctly rounded, so c / den is float(Fraction(c, den))
-            return sum(c / den * z**k for k, c in enumerate(self.num) if c)
+            return sum(c / den * w for c, w in zip(self.num, self.field._powers) if c)
         except OverflowError:
             pass
-        terms = [(_float_or_inf(c, den), z**k) for k, c in enumerate(self.num) if c]
+        terms = [(_float_or_inf(c, den), w) for c, w in zip(self.num, self.field._powers) if c]
         # a zero component of z^k adds nothing, not inf * 0
         return complex(sum(x * w.real for x, w in terms if w.real),
                        sum(x * w.imag for x, w in terms if w.imag))
@@ -381,20 +382,20 @@ class CycNum:
         return f"CycNum({self.field.order}; {self})"
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for k, (p, q) in enumerate(self.sort_key()):
-            if not p:
-                continue
-            text = str(p) if q == 1 else f"{p}/{q}"  # as str(Fraction(p, q))
-            if k == 0:
-                parts.append(text)
-            else:
-                mag = "" if text in ("1", "-1") else f"{text.lstrip('-')}*"
-                term = f"{mag}z^{k}" if k > 1 else f"{mag}z"
-                parts.append(term if p > 0 else f"-{term}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return s
+        return key_text(self.sort_key())
+
+
+def key_text(key) -> str:
+    """The text str writes for the element whose sort_key is key."""
+    s = ""
+    for k, (p, q) in enumerate(key):
+        if not p:
+            continue
+        term = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"  # as str(Fraction(p, q))
+        if k:
+            term = f"{'' if term == '1' else term + '*'}z" + (f"^{k}" if k > 1 else "")
+        if s:
+            s += f" - {term}" if p < 0 else f" + {term}"
+        else:
+            s = f"-{term}" if p < 0 else term
+    return s or "0"

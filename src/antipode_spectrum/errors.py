@@ -96,7 +96,8 @@ class NonRealSigns(DataError):
 
 
 class NumericOverflow(DataError):
-    """A numeric eigenvalue left the float range (inf or nan)."""
+    """A numeric eigenvalue left the float range (inf or nan), or a total
+    degree could leave int64."""
 
 
 # -- families ----------------------------------------------------------------

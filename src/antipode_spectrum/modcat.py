@@ -61,17 +61,12 @@ def verify_module(f: FusionData, mod: ModuleActionData) -> VerificationReport:
         rep.fail("unit-action", (f.unit,), "N_unit != identity")
 
     rep.record("module-associativity")
-    t = f.tensor()
-    for qi, q in enumerate(f.labels):
-        for ri, r in enumerate(f.labels):
-            lhs = mod.matrix(q) @ mod.matrix(r)
-            rhs = np.zeros_like(lhs)
-            for si, s in enumerate(f.labels):
-                c = t[qi, ri, si]
-                if c:
-                    rhs = rhs + c * mod.matrix(s)
-            if not (lhs == rhs).all():
-                rep.fail("module-associativity", (q, r), "N_q N_r != sum c_{qr}^s N_s")
+    n = np.array(mod.matrices(f))
+    lhs = np.einsum("qij,rjk->qrik", n, n)
+    rhs = np.einsum("qrs,sik->qrik", f.tensor(), n)
+    for qi, ri in np.argwhere((lhs != rhs).any(axis=(2, 3))):
+        rep.fail("module-associativity", (f.labels[qi], f.labels[ri]),
+                 "N_q N_r != sum c_{qr}^s N_s")
 
     rep.record("transpose-duality")
     for r in f.labels:

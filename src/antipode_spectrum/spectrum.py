@@ -74,11 +74,17 @@ class SpectrumFactorization:
     @classmethod
     def _from_mults(cls, backend, mults, tol, make_values):
         """A spectrum with multiplicities mults whose eigenvalues, in the same
-        order, make_values() lists on first use of entries."""
+        order, make_values() lists on first use of entries.  The total
+        degree is summed in int64 over the high and the low 32 bits of each
+        multiplicity apart, exact for any int64 mults; NumericOverflow when
+        there are so many that a half could wrap."""
+        if len(mults) >= 2**31:
+            raise NumericOverflow(
+                f"the total degree of {len(mults)} multiplicities may leave int64")
         spec = cls.__new__(cls)
         spec.backend, spec.tol, spec.mults = backend, tol, mults
         spec._entries, spec._make_values = None, make_values
-        spec.total_degree = sum(mults.tolist())
+        spec.total_degree = (int((mults >> 32).sum()) << 32) + int((mults & 0xFFFFFFFF).sum())
         return spec
 
     @classmethod
@@ -485,8 +491,9 @@ def _sweep_numeric(values, mults, tol):
     """Merge numeric eigenvalues into clusters: sorted by real part, neighbours
     at most tol apart chain together; each chain, sorted by imaginary part,
     splits where neighbours are more than tol apart.  A cluster is listed as
-    its member of least imaginary part, rounded to the digits of tol.
-    NumericOverflow when a value, or its rounding, is not finite."""
+    its member of least imaginary part, rounded to the digits of tol, with
+    a zero part as +0.0 (as in canonical_key).  NumericOverflow when a
+    value, or its rounding, is not finite."""
     values = _finite(values)
     by_real = np.argsort(values.real)
     chain = np.cumsum(np.diff(values.real[by_real], prepend=-np.inf) > tol)
@@ -501,7 +508,8 @@ def _sweep_numeric(values, mults, tol):
     first = values[new]
     digits = _round_digits(tol)
     with np.errstate(over="ignore"):
-        reps = _finite(np.round(first.real, digits) + 1j * np.round(first.imag, digits))
+        reps = _finite((np.round(first.real, digits) + 0.0)
+                       + 1j * (np.round(first.imag, digits) + 0.0))
     totals = np.add.reduceat(mults, np.flatnonzero(new))
     order = _lex_order(reps.real, reps.imag)
     return SpectrumFactorization.from_arrays(reps[order], totals[order], tol)

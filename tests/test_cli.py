@@ -601,6 +601,33 @@ class TestJsonRenderer:
 
         check_drawn()
 
+    @pytest.mark.parametrize("d", [9, 12])
+    def test_numeric_words_at_their_boundaries(self, monkeypatch, d):
+        """The column writer's digit words at d = 9 and 12: integer parts of
+        1-6 digits, a last nonzero fraction digit at each place 1..d, on
+        both sides of the split of the fraction into words of 8 and 4
+        digits, both signs, and multiplicities of every length 1-19.  Only
+        the parts at or above U (8192 at d = 12) are written by repr."""
+        from antipode_spectrum import cli
+
+        upper = min(1e6, 2.0 ** ((2**53 // 10**d).bit_length() - 1))
+        parts = [float(f"{'123456'[:i]}.{fraction}") for i in range(1, 7)
+                 for fraction in ["0"] + [f"{'0' * (k - 1)}7" for k in range(1, d + 1)]
+                 + ["123456789012"[:k] for k in range(1, d + 1)]]
+        parts += [-x for x in parts]
+        counts = [m for k in range(1, 20)
+                  for m in (10 ** (k - 1), int("9123456789012345678"[:k]), 10**k - 1)]
+        counts[-1] = 2**63 - 1
+        values = np.array([complex(re, im) for re, im in zip(parts, parts[::-1])])
+        mults = np.array(list(itertools.islice(itertools.cycle(counts), len(values))),
+                         dtype=np.int64)
+        assert len(values) > len(counts)
+        calls = []
+        monkeypatch.setattr(cli, "_float_text", lambda x: calls.append(x) or float.__repr__(x))
+        spec = SpectrumFactorization.from_arrays(values, mults, 10.0**-d)
+        assert_same_text(render(spec), stdlib_render(spec))
+        assert sorted(calls) == sorted(2 * [x for x in parts if abs(x) >= upper])
+
     @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
     def test_numeric_document_matches_stdlib(self, capsys, tmp_path, tolerance):
         """charpoly --json of a numeric Taft document: the eighth roots of

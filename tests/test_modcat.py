@@ -44,6 +44,23 @@ class TestVerifyModule:
         assert not rep.ok
         assert any(v.check == "unit-action" for v in rep.violations)
 
+    def test_broken_action_keeps_its_witnesses(self):
+        """Every (q, r) with N_q N_r != sum_s c_qr^s N_s, in label order, as
+        the pairwise definition lists them."""
+        f, mod, _ = taft_family(4)
+        action = {r: mod.matrix(r).copy() for r in f.labels}
+        action["1"], action["3"] = action["3"], action["1"]
+        action["2"] = action["2"].T @ action["2"]
+        bad = ModuleActionData(mod.labels, action)
+        t = f.tensor()
+        want = [(q, r) for qi, q in enumerate(f.labels) for ri, r in enumerate(f.labels)
+                if not (action[q] @ action[r] == sum(t[qi, ri, si] * action[s]
+                                                     for si, s in enumerate(f.labels))).all()]
+        assert 0 < len(want) < len(f.labels) ** 2
+        got = [v.witness for v in verify_module(f, bad).violations
+               if v.check == "module-associativity"]
+        assert got == want
+
     def test_disconnected_support_fails(self):
         f = fibonacci_fusion()
         # block-diagonal fake action: two copies of the trivial module

@@ -249,6 +249,17 @@ class TestPairClassSpectrum:
         spec = spectrum._sweep_numeric(values, np.ones(4, dtype=np.int64), 1e-9)
         assert spec.entries == [(0.5 + 0j, 2), (0.5 + 3e-9j, 1), (0.500000003 + 0j, 1)]
 
+    def test_zero_parts_are_unsigned(self):
+        """A zero part of a cluster's representative is +0.0, as in
+        canonical_key, whichever sign the member it comes from has: -4j as
+        (-1+0j)(0+1j) is (-0.0, -4.0), and -1e-13 rounds to -0.0."""
+        for values in ([complex(-0.0, -4), complex(0.0, -4)],
+                       [complex(0.0, -4), complex(-0.0, -4)],
+                       [complex(-1e-13, 2), complex(3, -1e-13)]):
+            spec = spectrum._sweep_numeric(np.array(values), np.ones(2, dtype=np.int64), 1e-9)
+            parts = np.concatenate([spec.values.real, spec.values.imag])
+            assert not np.signbit(parts[parts == 0]).any(), values
+
     def test_non_finite_values_are_refused(self):
         # a nan is not within tol of 1+1j and must not join its cluster
         for bad in (complex("nan+nanj"), complex(1e308 * 10, 1), complex(1, -1e308 * 10)):
@@ -443,7 +454,7 @@ def lexsort_sweep(values, mults, tol):
     values, mults, chain = values[order], mults[order], chain[order]
     new = (np.diff(chain, prepend=-1) != 0) | (np.diff(values.imag, prepend=-np.inf) > tol)
     first = values[new]
-    reps = np.round(first.real, 9) + 1j * np.round(first.imag, 9)
+    reps = (np.round(first.real, 9) + 0.0) + 1j * (np.round(first.imag, 9) + 0.0)  # +0.0 zeros
     totals = np.add.reduceat(mults, np.flatnonzero(new))
     order = np.lexsort((reps.imag, reps.real))
     return reps[order], totals[order]
@@ -658,6 +669,17 @@ class TestArrayBackedSpectrum:
         arrays, listed = self.pair(roots, [4, 4, 4])
         assert arrays.uniform_root_power() == listed.uniform_root_power() == (3, 4)
         assert str(arrays) == str(listed) == "(z^3 - 1)^4"
+
+    def test_total_degree_beyond_int64(self):
+        """The int64 total degree is exact where the sum leaves int64; so
+        many multiplicities that a half of the sum could wrap are refused."""
+        mults = [2**63 - 1, 2**62, 1, 2**62]
+        arrays, listed = self.pair([0j, 1j, 2j, 3j], mults)
+        assert arrays.total_degree == listed.total_degree == sum(mults)
+        assert type(arrays.total_degree) is int
+        many = np.broadcast_to(np.int64(1), (2**31,))  # no memory behind it
+        with pytest.raises(NumericOverflow, match="total degree"):
+            SpectrumFactorization.from_arrays(np.broadcast_to(0j, many.shape), many)
 
     def test_sweep_returns_the_arrays(self):
         values = np.array([0.5, 0.5 + 3e-9, 0.5 + 3e-9j, 0.5 + 1e-10j])
