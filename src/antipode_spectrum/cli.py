@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -17,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import families, oracle, specfile
-from .cyclotomic import CycNum, key_text
+from .cyclotomic import CycNum, coefficient_approx, coefficient_texts, fit, joined_text
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
@@ -84,17 +85,42 @@ def _coeff_texts(key) -> list:
     return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in key]
 
 
-# The direct writers below write to_json(v) of a CycNum or a factored value
+# The direct writers below write to_json(v) of an exact or a factored value
 # as _json_text does at the indent of an eigenvalue's "value", without
 # building the payload's dicts.
 
-def _cyclotomic_text(v: CycNum) -> str:
-    a, key = v.complex_value(), v.sort_key()
-    return (f'{{\n        "approx": [\n          {_float_text(a.real)},\n'
-            f'          {_float_text(a.imag)}\n        ],\n'
-            f'        "coeffs": {_list_text(_coeff_texts(key), "        ")},\n'
-            f'        "kind": "cyclotomic",\n        "order": {v.field.order},\n'
-            f'        "str": {encode_basestring_ascii(key_text(key))}\n      }}')
+_COEFF_SEP = '",\n          "'  # between the "coeffs" items of a cyclotomic value
+
+
+def _cyclotomic_texts(field, tops, bottoms, mults: list, as_json: bool) -> list:
+    """The entries of the eigenvalues with coefficient rows tops / bottoms
+    (as in SpectrumFactorization.coeffs; field None: Fractions) and
+    multiplicities mults, each as _item_text writes it or as its line of the
+    text output.  "coeffs" and "str" come from the rows column by column
+    through cyclotomic.coefficient_texts, which str uses too; neither
+    needs escapes, as they hold only digits, "/", "*", "z", "^", "+", "-"
+    and spaces.  "approx" comes from cyclotomic.coefficient_approx."""
+    columns = [coefficient_texts(k, ps, qs)
+               for k, (ps, qs) in enumerate(zip(tops.T.tolist(), bottoms.T.tolist()))]
+    texts = [joined_text("".join(pieces)) for pieces in zip(*[c[1] for c in columns])]
+    if field is None:
+        if not as_json:
+            return [f"multiplicity {m}: {text}" for m, text in zip(mults, texts)]
+        return [_item_text(m, f'{{\n        "kind": "rational",\n        "value": '
+                              f'"{text}"\n      }}') for m, text in zip(mults, texts)]
+    approx = coefficient_approx(field, tops, bottoms)
+    re, im = approx.tolist()
+    if not as_json:
+        return [f"multiplicity {m}: {text}  (~ {x:.6g}{y:+.6g}j)"
+                for m, text, x, y in zip(mults, texts, re, im)]
+    floats = float.__repr__ if np.isfinite(approx).all() else _float_text
+    return [f'    {{\n      "multiplicity": {m},\n      "value": {{\n'
+            f'        "approx": [\n          {x},\n          {y}\n'
+            f'        ],\n        "coeffs": [\n          "{_COEFF_SEP.join(row)}"\n'
+            f'        ],\n        "kind": "cyclotomic",\n        "order": {field.order},\n'
+            f'        "str": "{text}"\n      }}\n    }}'
+            for m, row, text, x, y in zip(mults, zip(*[c[0] for c in columns]), texts,
+                                          map(floats, re), map(floats, im))]
 
 
 # The parts of a factored value, each cached by value over one print call
@@ -147,17 +173,38 @@ def _factored_text(constant, monomial, factor_blocks, factor_texts) -> str:
 
 def _entry_text(v, m, blocks: dict) -> str:
     """One item of the "eigenvalues" list, indented as the list's members."""
-    kind = type(v)
-    if kind is FactoredValue:
+    if type(v) is FactoredValue:
         factors = [_factor_part(v.ctx, item, blocks) for item in sorted(v.factors.items())]
         value = _factored_text(_constant_part(v.constant, blocks),
                                _monomial_part(v.monomial, blocks),
                                [f[0] for f in factors], [f[1] for f in factors])
-    elif kind is CycNum:
-        value = _cyclotomic_text(v)
     else:
         value = _json_text(to_json(v), "      ")
     return _item_text(m, value)
+
+
+def _entry_texts(spec, chunk: slice, blocks: dict, as_json: bool) -> list:
+    """The entries spec.entries[chunk] as _entry_text writes them, or as their
+    lines of the text output (without newlines): a spectrum held as
+    coefficient rows, and every run of CycNum of one field, through
+    _cyclotomic_texts."""
+    if spec.coeffs is not None:
+        tops, bottoms = spec.coeffs
+        return _cyclotomic_texts(spec.field, tops[chunk], bottoms[chunk],
+                                 spec.mults[chunk].tolist(), as_json)
+    out = []
+    runs = itertools.groupby(spec.entries[chunk],
+                             key=lambda e: e[0].field if type(e[0]) is CycNum else None)
+    for field, run in runs:
+        run = list(run)
+        if field is None:
+            out += [_entry_text(v, m, blocks) if as_json else f"multiplicity {m}: {to_text(v)}"
+                    for v, m in run]
+        else:
+            keys = np.array([v.sort_key() for v, _ in run], dtype=object)
+            out += _cyclotomic_texts(field, fit(keys[..., 0]), fit(keys[..., 1]),
+                                     [m for _, m in run], as_json)
+    return out
 
 
 def _item_text(m, value: str) -> str:
@@ -369,8 +416,7 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
             elif spec.rows is not None:
                 text = _rows_chunk_text(spec, chunk, blocks)
             else:
-                text = ",\n".join([_entry_text(v, m, blocks)
-                                   for v, m in spec.entries[chunk]])
+                text = ",\n".join(_entry_texts(spec, chunk, blocks, True))
             out.write(sep)
             out.write(text)
             sep = ",\n"
@@ -381,8 +427,9 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     out.write(f"total degree {spec.total_degree}, {len(spec)} distinct eigenvalue(s)\n")
     if rp:
         out.write(f"chi(z) = (z^{rp[0]} - 1)^{rp[1]}\n")
-    for v, m in spec.entries:
-        out.write(f"multiplicity {m}: {to_text(v)}\n")
+    for start in range(0, len(spec), JSON_CHUNK):
+        out.write("\n".join(_entry_texts(spec, slice(start, start + JSON_CHUNK), {}, False)))
+        out.write("\n")
 
 
 def _trace_vector(doc: specfile.SpecDocument, override_m=None):

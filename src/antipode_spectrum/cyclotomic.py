@@ -16,14 +16,24 @@ table, then one gcd; a Galois conjugate or an embedding reads its rows from
 the same table; the inverse is the product of the other Galois conjugates
 over the norm.  Fraction appears only where a rational enters or leaves:
 ``from_rational``, ``reduce``, ``rational_value`` and ``coeffs``.
+
+Many elements at once are integer coefficient rows: an (n, phi(n)) numpy
+array of numerators, with their denominators alongside.  A row array is
+int64 when a bound shows that no entry or partial sum passes ROW_LIMIT, and
+object (Python ints, the same code) otherwise.  ``CycField.mul_rows`` forms
+many products in one pass, ``coefficient_pairs`` brings each coefficient to
+lowest terms, and ``coefficient_approx`` evaluates rows in the standard
+embedding as ``complex_value`` does, bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, inf, lcm
+from functools import cached_property, lru_cache
+from math import gcd, inf, lcm, nan
+
+import numpy as np
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -50,6 +60,94 @@ def _float_or_inf(c: int, den: int) -> float:
         return c / den
     except OverflowError:
         return inf if c > 0 else -inf
+
+
+# an int64 coefficient row keeps every entry, and every partial sum of the
+# products that form it, below this in absolute value
+ROW_LIMIT = 2**62
+
+
+def max_abs(a) -> int:
+    """The largest absolute value in the integer array a; 0 when it is empty."""
+    return int(np.abs(a).max(initial=0))
+
+
+def fit(a, bound=None):
+    """The integer array a as int64 when bound is below ROW_LIMIT, else as
+    object.  Without a bound an int64 a is kept as it is (every int64 row
+    array is made below ROW_LIMIT), and an object a is made int64 when its
+    largest absolute value is below ROW_LIMIT."""
+    if bound is None:
+        if a.dtype != object:
+            return a
+        bound = max_abs(a)
+    return a.astype(np.int64 if bound < ROW_LIMIT else object, copy=False)
+
+
+def matmul(a, b):
+    """a @ b for integer arrays, in int64 when no sum can pass ROW_LIMIT,
+    else in object."""
+    x, y = max_abs(a), max_abs(b)
+    dtype = np.int64 if max(x, y, a.shape[-1] * x * y) < ROW_LIMIT else object
+    return a.astype(dtype) @ b.astype(dtype)
+
+
+def coefficient_pairs(num, den):
+    """Each coefficient num[i, j] / den[i] (den > 0) in lowest terms, as the
+    array of numerators and the array of denominators: row i is the
+    sort_key of the element num[i] / den[i]."""
+    den = den[:, None]
+    g = np.gcd(num, den)
+    return fit(num // g), fit(den // g)
+
+
+def coefficient_values(field, tops, bottoms) -> list:
+    """The elements of field whose coefficients are tops / bottoms (rows of
+    coefficient_pairs); Fractions, from the first column, when field is
+    None."""
+    if field is None:
+        return [Fraction(p, q) for p, q in zip(tops[:, 0].tolist(), bottoms[:, 0].tolist())]
+    out = []
+    for ps, qs in zip(tops.tolist(), bottoms.tolist()):
+        den = lcm(*qs)  # lowest terms: a prime power of den is all of some q
+        out.append(CycNum(field, tuple(p * (den // q) for p, q in zip(ps, qs)), den))
+    return out
+
+
+def _quotient(p: int, q: int) -> float:
+    """p / q correctly rounded, nan when it is beyond the float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return nan
+
+
+def coefficient_approx(field, tops, bottoms):
+    """The real parts and the imaginary parts, as the two rows of a float
+    array, of the elements tops / bottoms of field (rows of
+    coefficient_pairs) as complex_value computes them, bit for bit.  A
+    coefficient x is the correctly rounded p / q, which is c / den of the
+    element's own vector; each term is x * w = (x w.real - 0.0 w.imag,
+    x w.imag + 0.0 w.real), -0.0 (which adds nothing) for a zero
+    coefficient, and the terms are summed in order from 0.0
+    (np.add.accumulate adds left to right).  A row with a coefficient
+    beyond the float range goes through complex_value."""
+    slow = ()
+    if tops.dtype != object and bottoms.dtype != object and max_abs(tops) < 2**53 \
+            and bottoms.max(initial=1) < 2**53:  # exact as doubles
+        x = tops / bottoms
+    else:
+        x = np.frompyfunc(_quotient, 2, 1)(tops, bottoms).astype(float)
+        slow = np.flatnonzero(np.isnan(x).any(axis=1))
+    scale, shift = field._embedding
+    with np.errstate(all="ignore"):
+        terms = np.where(tops == 0, -0.0, x * scale + shift)
+    terms[:, :, 0] += 0.0
+    parts = np.add.accumulate(terms, axis=2)[:, :, -1]
+    for i in slow:
+        z = coefficient_values(field, tops[i:i + 1], bottoms[i:i + 1])[0].complex_value()
+        parts[:, i] = z.real, z.imag
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +192,7 @@ class CycField:
         rows += [rows[e % order] for e in range(order, 2 * d - 1)]  # x^n = 1 mod Phi_n
         # row e of x^e mod Phi_n as its nonzero (index, coefficient) pairs
         self._rows = tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
+        self._power_rows = fit(np.array(rows, dtype=object))  # row e: x^e mod Phi_n
         self._units = tuple(k for k in range(2, order) if gcd(k, order) == 1)
         self._zero_tail = (0,) * (d - 1)
         self._zetas = tuple(CycNum(self, row, 1) for row in rows[:order])
@@ -101,6 +200,10 @@ class CycField:
         self._one = self._zetas[0]
         z = cmath.exp(2j * cmath.pi / order)
         self._powers = tuple(z**k for k in range(d))  # of zeta in the standard embedding
+        # (w.real, w.imag) and (-(0.0 w.imag), 0.0 w.real) for each power w,
+        # shaped to broadcast over (rows, d) in coefficient_approx
+        w = np.array([[z.real for z in self._powers], [z.imag for z in self._powers]])
+        self._embedding = w[:, None], (0.0 * w[::-1] * [[-1], [1]])[:, None]
 
     def __repr__(self):
         return f"CycField({self.order})"
@@ -158,6 +261,27 @@ class CycField:
                 for i, r in rows[e]:
                     out[i] += c * r
         return out
+
+    def mul_rows(self, a, b, index):
+        """Row i is the vector of a[i](x) b[index[i]](x) mod Phi_n, for integer
+        row arrays a and b: the rows x^i v of the multiplication matrix of
+        each row v of b come from one product with _product_table, and row
+        i is a[i] times the matrix of b[index[i]]; in int64 when no sum can
+        pass ROW_LIMIT (d^2 max|a| max|b| max|table|), else in object."""
+        d, (table, top) = self.degree, self._product_table
+        x, y = max_abs(a), max_abs(b)
+        dtype = np.int64 if max(x, y, d * d * x * y * top) < ROW_LIMIT else object
+        mats = (b.astype(dtype) @ table.astype(dtype, copy=False)).reshape(len(b), d, d)
+        return (a.astype(dtype)[:, None] @ mats[index])[:, 0]
+
+    @cached_property
+    def _product_table(self):
+        """Row j holds the rows x^(i + j) mod Phi_n, i = 0, ..., d - 1, side
+        by side, so that v @ table lists x^i v for every i; and the largest
+        absolute value in it."""
+        d = self.degree
+        table = self._power_rows[np.add.outer(np.arange(d), np.arange(d))].reshape(d, d * d)
+        return table, max_abs(table)
 
     def _galois(self, num, k):
         """Integer vector of sigma_k(num), where sigma_k maps zeta to zeta^k."""
@@ -259,13 +383,14 @@ class CycNum:
         return other - self
 
     def __mul__(self, other):
+        # a CycNum operand is tested first: isinstance(x, Fraction) goes
+        # through the ABC machinery of numbers.Rational
+        if type(other) is CycNum:
+            field = self._coerce(other).field
+            return _canonical(field, field._mul_vec(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self._scale(other.numerator, other.denominator)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        field = self.field
-        return _canonical(field, field._mul_vec(self.num, other.num), self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -287,14 +412,13 @@ class CycNum:
         return _canonical(field, [c * self.den for c in p], norm)
 
     def __truediv__(self, other):
+        if type(other) is CycNum:
+            return self * self._coerce(other).inverse()
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZero("inverse of zero cyclotomic number")
             return self._scale(other.denominator, other.numerator)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
@@ -385,17 +509,32 @@ class CycNum:
         return key_text(self.sort_key())
 
 
+def coefficient_texts(k: int, tops, bottoms):
+    """For the coefficients p / q (in lowest terms) of zeta^k in the lists
+    tops and bottoms, two lists: each coefficient as str(Fraction(p, q))
+    writes it, and its term in str as written after another term, " + t"
+    or " - t" with t = |p|/q z^k ("1*" and "^1" left out), or "" when
+    p = 0."""
+    z = "" if not k else "*z" if k == 1 else f"*z^{k}"
+    coeffs, pieces = [], []
+    for p, q in zip(tops, bottoms):
+        a = -p if p < 0 else p
+        mag = f"{a}/{q}" if q != 1 else f"{a}"
+        coeffs.append("-" + mag if p < 0 else mag)
+        sign = " - " if p < 0 else " + "
+        pieces.append("" if not p else sign + z[1:] if k and mag == "1" else sign + mag + z)
+    return coeffs, pieces
+
+
+def joined_text(pieces: str) -> str:
+    """The text str writes for an element, from the join of the pieces that
+    coefficient_texts gives for its coefficients."""
+    if not pieces:
+        return "0"
+    return "-" + pieces[3:] if pieces[1] == "-" else pieces[3:]
+
+
 def key_text(key) -> str:
     """The text str writes for the element whose sort_key is key."""
-    s = ""
-    for k, (p, q) in enumerate(key):
-        if not p:
-            continue
-        term = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"  # as str(Fraction(p, q))
-        if k:
-            term = f"{'' if term == '1' else term + '*'}z" + (f"^{k}" if k > 1 else "")
-        if s:
-            s += f" - {term}" if p < 0 else f" + {term}"
-        else:
-            s = f"-{term}" if p < 0 else term
-    return s or "0"
+    return joined_text("".join([coefficient_texts(k, (p,), (q,))[1][0]
+                                for k, (p, q) in enumerate(key)]))

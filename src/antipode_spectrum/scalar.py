@@ -242,10 +242,8 @@ def to_json(v):
 
 
 def to_text(v) -> str:
-    """An eigenvalue as the text output prints it."""
-    if isinstance(v, CycNum):
-        a = v.complex_value()
-        return f"{v}  (~ {a.real:.6g}{a.imag:+.6g}j)"
+    """An eigenvalue other than a CycNum (see cli._cyclotomic_texts) as the
+    text output prints it."""
     if isinstance(v, (SignedEigenvalue, FactoredValue, int, Fraction)):
         return str(v)
     z = complex(v)

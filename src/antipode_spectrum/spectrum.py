@@ -16,11 +16,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from . import _linalg
+from .cyclotomic import (
+    ROW_LIMIT,
+    CycField,
+    CycNum,
+    coefficient_pairs,
+    coefficient_values,
+    fit,
+    matmul,
+    max_abs,
+)
 from .errors import (
     AmbiguousM,
     BadParameters,
@@ -55,15 +66,21 @@ class SpectrumFactorization:
     """Multiset of (eigenvalue, multiplicity) pairs; eigenvalues pairwise
     distinct under canonical equality, entries sorted by canonical key.
 
-    Two spectra from the kernel are held as arrays instead, with their
+    The kernel's spectra are held as arrays instead, with their
     multiplicities ``mults`` (int64): a numeric one as its eigenvalues
-    ``values`` (complex128), and a symbolic one whose eigenvalues have
-    constant 1 as their exponent ``rows`` (int64, columns as in
+    ``values`` (complex128); a symbolic one whose eigenvalues have constant
+    1 as their exponent ``rows`` (int64, columns as in
     symbolic.exponent_keys: the monomial, then the powers of ``atoms``) in
-    the context ``ctx``.  ``entries`` is then built from the arrays on first
-    use.  Every other spectrum keeps its entries list, and ``mults`` is None."""
+    the context ``ctx``; and an exact one as its coefficient rows
+    ``coeffs`` = (tops, bottoms), each coefficient tops[i, j] / bottoms[i, j]
+    of eigenvalue i in the power basis of ``field`` in lowest terms (row i
+    is the sort_key of the eigenvalue), int64 or, where a value passes
+    cyclotomic.ROW_LIMIT, object; ``field`` is None when the eigenvalues
+    are Fractions, of one coefficient each.  ``entries`` is then built from
+    the arrays on first use.  Every other spectrum keeps its entries list,
+    and ``mults`` is None."""
 
-    values = mults = rows = None
+    values = mults = rows = coeffs = field = None
 
     def __init__(self, entries, backend, tol=DEFAULT_TOLERANCE):
         self._entries = list(entries)
@@ -103,6 +120,16 @@ class SpectrumFactorization:
         spec = cls._from_mults("symbolic", mults, tol,
                                functools.partial(row_values, ctx, atoms, rows))
         spec.rows, spec.atoms, spec.ctx = rows, atoms, ctx
+        return spec
+
+    @classmethod
+    def from_coefficients(cls, field, tops, bottoms, mults, tol=DEFAULT_TOLERANCE):
+        """The cyclotomic spectrum of the distinct eigenvalues with coefficients
+        tops / bottoms in field (None: Fractions), sorted by canonical key,
+        and multiplicities mults, held as the arrays themselves."""
+        spec = cls._from_mults("cyclotomic", mults, tol,
+                               functools.partial(coefficient_values, field, tops, bottoms))
+        spec.coeffs, spec.field = (tops, bottoms), field
         return spec
 
     @property
@@ -160,6 +187,8 @@ class SpectrumFactorization:
         n = len(self)
         if n == 0 or self.backend not in ("cyclotomic", "numeric"):
             return None
+        if self.mults is not None and (self.mults != self.mults[0]).any():
+            return None  # decided without building the entries
         mults = {m for _, m in self.entries}
         if len(mults) != 1 or not roots_of_unity([v for v, _ in self.entries]):
             return None
@@ -196,20 +225,46 @@ def dimension_eigenspace(f: FusionData, mod: ModuleActionData, tol=DEFAULT_TOLER
 
 def _verify_eigenvector(f, mod, m, tol, dims=None):
     """Check N_r m = d_r m for every r, where d is the dimension vector unless
-    given; exact for symbolic entries."""
+    given; exact for exact and symbolic entries.  NotInEigenspace names the
+    first label, and in it the first row, where the check fails."""
     size = mod.size
+    dims = f.dims_vector() if dims is None else list(dims)
     backend, m = lift(m)
+    if backend == "cyclotomic":
+        joint, values = lift(m + dims)
+        if joint == "cyclotomic":
+            return _verify_exact(f, mod, values[:size], values[size:])
     if backend == "symbolic":
         try:  # factored values have no sum
             m = [x.expand(MAX_TERM_PAIRS) for x in m]
         except ParseError as e:
             raise BadParameters(f"the m-vector is too large to check: {e}") from None
-    for lab, d in zip(f.labels, f.dims_vector() if dims is None else dims):
+    for lab, d in zip(f.labels, dims):
         N = mod.matrix(lab)
         for j in range(size):
             lhs = sum((int(N[j, i]) * m[i] for i in range(size)), start=0 * m[0])
             if not close(lhs, d * m[j], tol):
                 raise NotInEigenspace(f"N_{lab} m != d_{lab} m at row {mod.labels[j]}")
+
+
+def _verify_exact(f, mod, m, dims):
+    """_verify_eigenvector for exact m and dims (CycNum of one field, or
+    Fractions), all labels in one batch: m is the integer rows M over their
+    common denominator, and N_r m = d_r m reads den(d_r) N_r M ==
+    num(d_r) M, the right side one batch of mul_rows."""
+    field = m[0].field if type(m[0]) is CycNum else CycField(1)
+    size, count = len(m), len(dims)
+    num, den, top = _coefficient_rows(m + dims, field.degree)
+    common = math.lcm(*den[:size].tolist())
+    M = fit(num[:size].astype(object) * (common // den[:size])[:, None])
+    lhs = matmul(np.stack([mod.matrix(lab) for lab in f.labels]), M)
+    bound = (max_abs(lhs) + 1) * top  # also bounds the denominators
+    lhs = fit(lhs, bound) * fit(den[size:], bound)[:, None, None]
+    rhs = field.mul_rows(np.tile(M, (count, 1)), num[size:], np.repeat(np.arange(count), size))
+    bad = np.flatnonzero((lhs.reshape(count * size, -1) != rhs).any(axis=1))
+    if len(bad):
+        lab, j = f.labels[bad[0] // size], mod.labels[bad[0] % size]
+        raise NotInEigenspace(f"N_{lab} m != d_{lab} m at row {j}")
 
 
 def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=None,
@@ -395,37 +450,43 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     the values when they are factored, or else of factored, the factored
     values of which values are a specialization; without keys it is the
     complex product when numeric (bitwise-equal floats, so rounding never
-    joins two values here), else the index of the first product of the
-    same canonical key.  With keys, class pairs of nonzero total weight are
-    merged by the difference of their sums in int64.  Factored values of
-    one constant are not evaluated at all: every quotient has constant 1,
-    and its exponent row, the difference of two pair sums of rows, is its
+    joins two values here), else the product itself, as exact values are
+    canonical.  With keys, class pairs of nonzero total weight are merged
+    by the difference of their sums in int64.  Factored values of one
+    constant are not evaluated at all: every quotient has constant 1, and
+    its exponent row, the difference of two pair sums of rows, is its
     canonical form, so distinct differences are distinct eigenvalues (the
     atoms are pairwise coprime irreducibles of a unique factorization
     domain), listed in canonical order as a row-backed spectrum.  Otherwise
-    one representative product per class and one quotient per class pair
-    are formed in the values' backend, and the quotients merge by canonical
-    key, or by sort and sweep at tol when numeric (see _sweep_numeric),
-    which joins values that coincide although their ids differ."""
+    one representative product per class is formed, and one quotient per
+    class pair: numeric ones merge by sort and sweep at tol (see
+    _sweep_numeric), exact ones as coefficient rows (_quotient_spectrum),
+    factored ones by merge_pairs; these join values that coincide
+    although their ids differ."""
     backend, values = lift(values)
     k = len(values)
     source = values if backend == "symbolic" else factored
     keys = None if source is None else exponent_keys(source)
     if backend == "numeric":
         values = np.asarray(values, dtype=complex)
-    if keys is not None:
-        sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, len(keys.radices))
-        ids = _fuse(sums, keys.radices)
-    elif backend == "numeric":
-        with np.errstate(all="ignore"):
-            ids = np.multiply.outer(values, values).ravel()
-    else:
+    if keys is None and backend != "numeric":
+        # exact values are canonical, so equal ones hash and compare equal;
+        # a class is numbered, and represented, by its first product
         first_of = {}
-        ids = [first_of.setdefault(canonical_key(a * b, tol), i)
-               for i, (a, b) in enumerate(itertools.product(values, repeat=2))]
-    _, first, cls = np.unique(ids, return_index=True, return_inverse=True)
-    left, right = np.divmod(first, k)
-    classes = len(first)
+        cls = np.array([first_of.setdefault(a * b, len(first_of))
+                        for a, b in itertools.product(values, repeat=2)], dtype=np.intp)
+        reps = list(first_of)
+        classes = len(reps)
+    else:
+        if keys is not None:
+            sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, len(keys.radices))
+            ids = _fuse(sums, keys.radices)
+        else:
+            with np.errstate(all="ignore"):
+                ids = np.multiply.outer(values, values).ravel()
+        _, first, cls = np.unique(ids, return_index=True, return_inverse=True)
+        left, right = np.divmod(first, k)
+        classes = len(first)
     if np.ndim(weights) == 0:
         hist = np.bincount(cls, minlength=classes)
         totals = int(weights) * np.outer(hist, hist)
@@ -447,12 +508,69 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
             reps = values[left] * values[right]
             quotients = reps[p] / reps[q]
         return _sweep_numeric(quotients, mults, tol)
-    reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
-    inv = {b: inverse(reps[b]) for b in set(q.tolist())}
-    return SpectrumFactorization.merge_pairs(
-        [(reps[a] * inv[b], m) for a, b, m in zip(p.tolist(), q.tolist(), mults.tolist())],
-        backend, tol,
-    )
+    if keys is not None:
+        reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
+    if backend == "symbolic":
+        inv = {b: inverse(reps[b]) for b in set(q.tolist())}
+        return SpectrumFactorization.merge_pairs(
+            [(reps[a] * inv[b], m) for a, b, m in zip(p.tolist(), q.tolist(), mults.tolist())],
+            backend, tol,
+        )
+    return _quotient_spectrum(reps, p, q, mults, tol)
+
+
+def _coefficient_rows(values, degree):
+    """The numerator rows and the denominators of exact values (CycNum of a
+    field of this degree, or Fractions) as integer arrays, each int64 when
+    it fits, and the largest denominator."""
+    if values and type(values[0]) is CycNum:
+        num, den = [v.num for v in values], [v.den for v in values]
+    else:
+        num, den = [(v.numerator,) for v in values], [v.denominator for v in values]
+    return (fit(np.array(num, dtype=object).reshape(len(values), degree)),
+            np.array(den, dtype=object), max(den, default=1))
+
+
+def _quotient_spectrum(reps, p, q, mults, tol):
+    """The eigenvalues reps[p] / reps[q] of the exact class representatives
+    reps (CycNum of one field, or Fractions), with multiplicities mults,
+    merged and listed by canonical key as a coefficient-row spectrum.  Each
+    class is inverted once; the quotients are one batch of row products,
+    and their coefficients in lowest terms, their canonical form, are
+    sorted with the rational ones first, as canonical_key sorts them."""
+    field = reps[0].field if reps and type(reps[0]) is CycNum else None
+    ring, classes = field or CycField(1), len(reps)
+    num, den, top = _coefficient_rows(reps + [inverse(r) for r in reps], ring.degree)
+    den = fit(den, top * top)
+    tops, bottoms = coefficient_pairs(ring.mul_rows(num[p], num[classes:], q),
+                                      den[p] * den[classes + q])
+    pairs = np.stack([tops, bottoms], axis=2).reshape(len(tops), 2 * ring.degree)  # p0, q0, ...
+    if pairs.dtype == object:
+        pairs = np.column_stack([k for c in pairs.T for k in _int64_keys(c)])
+    keys = np.column_stack([(tops[:, 1:] != 0).any(axis=1), pairs])  # irrational last
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    totals = np.add.reduceat(mults[order], starts) if len(order) else mults
+    return SpectrumFactorization.from_coefficients(field, tops[first], bottoms[first], totals, tol)
+
+
+def _int64_keys(col):
+    """int64 columns, most significant first, whose lexicographic order and
+    equality are those of the integers col: col itself when it is int64,
+    else its 62-bit digits in two's complement (x = hi 2^62 + lo with
+    0 <= lo < 2^62)."""
+    if col.dtype != object:
+        return [col]
+    keys = []
+    while max_abs(col) >= ROW_LIMIT:
+        keys.append((col & (ROW_LIMIT - 1)).astype(np.int64))
+        col = col >> 62
+    keys.append(col.astype(np.int64))
+    return keys[::-1]
 
 
 def _lex_order(primary, secondary):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import antipode_spectrum
-from antipode_spectrum import errors, specfile
+from antipode_spectrum import cli, errors, specfile
 from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.cli import JSON_CHUNK, build_parser, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
@@ -60,6 +60,42 @@ def stdlib_render(spec):
         ],
     }
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def entry_key_text(key):
+    """str of a CycNum from its sort_key, as the entry writer wrote it."""
+    s = ""
+    for k, (p, q) in enumerate(key):
+        if not p:
+            continue
+        term = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+        if k:
+            term = f"{'' if term == '1' else term + '*'}z" + (f"^{k}" if k > 1 else "")
+        if s:
+            s += f" - {term}" if p < 0 else f" + {term}"
+        else:
+            s = f"-{term}" if p < 0 else term
+    return s or "0"
+
+
+def entry_cyclotomic_text(v):
+    """The "value" of a CycNum entry as the per-entry writer wrote it."""
+    a, key = v.complex_value(), v.sort_key()
+    coeffs = [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in key]
+    return (f'{{\n        "approx": [\n          {cli._float_text(a.real)},\n'
+            f'          {cli._float_text(a.imag)}\n        ],\n'
+            f'        "coeffs": {cli._list_text(coeffs, "        ")},\n'
+            f'        "kind": "cyclotomic",\n        "order": {v.field.order},\n'
+            f'        "str": {json.dumps(entry_key_text(key))}\n      }}')
+
+
+def entry_render(spec):
+    """The JSON of a spectrum of CycNum entries from entry_cyclotomic_text."""
+    items = [f'    {{\n      "multiplicity": {m},\n'
+             f'      "value": {entry_cyclotomic_text(v)}\n    }}' for v, m in spec.entries]
+    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return (f'{{\n  "backend": "{spec.backend}",\n  "eigenvalues": {body},\n'
+            f'  "total_degree": {spec.total_degree}\n}}\n')
 
 
 def assert_same_text(got, want):
@@ -500,6 +536,46 @@ class TestJsonRenderer:
         big = CycField(4).reduce([10**400, -(10**400)])
         assert "Infinity" in render(SpectrumFactorization([(big, 1)], "cyclotomic"))
 
+    def test_cyclotomic_rows_match_the_entry_writer(self):
+        """Spectra held as coefficient rows (and lists of CycNum) are written
+        with the bytes of the per-entry writer the rows replace
+        (entry_cyclotomic_text) in JSON, and as text lines, with
+        coefficients past 2^53 (approx from Python division) and past the
+        float range (approx through complex_value); the text lines, and
+        str of the values, as the per-entry writer wrote them."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def spectra(draw):
+            field = CycField(draw(st.sampled_from([1, 3, 4, 5, 7, 9, 12])))
+            scale = st.sampled_from([1, 1, 2**60 + 1, Fraction(3, 2**55), 10**400])
+            coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=8),
+                              min_size=field.degree, max_size=field.degree)
+            value = st.builds(lambda c, x: field.reduce(c) * x, coeffs, scale).filter(bool)
+            values = draw(st.lists(value, min_size=1, max_size=3))
+            return pair_class_spectrum(values, draw(st.integers(min_value=1, max_value=2)))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(spectra())
+        def check(spec):
+            text, lines = render(spec), io.StringIO()
+            assert spec._entries is None  # written from the rows
+            print_spectrum(spec, False, lines)
+            # only the header's test for (z^n - 1)^e, of equal multiplicities, builds entries
+            assert spec._entries is None or len(set(spec.mults.tolist())) == 1
+            assert_same_text(text, entry_render(spec))
+            assert lines.getvalue().splitlines()[-len(spec):] == [
+                f"multiplicity {m}: {entry_key_text(v.sort_key())}"
+                f"  (~ {z.real:.6g}{z.imag:+.6g}j)" for v, m in spec.entries
+                for z in [v.complex_value()]]
+            assert [str(v) for v, _ in spec.entries] == [entry_key_text(v.sort_key())
+                                                         for v, _ in spec.entries]
+            listed = SpectrumFactorization(spec.entries, "cyclotomic")
+            assert_same_text(render(listed), text)
+
+        check()
+
     def test_factored_values_match_stdlib(self):
         """1-3 torus variables, non-unit constants, nonzero monomials and
         negative powers."""
@@ -838,7 +914,7 @@ GOLDEN_JSON = {
 }
 
 
-# the text output (--charpoly without --json) of two GOLDEN_JSON cases
+# the text output (--charpoly without --json) of three GOLDEN_JSON cases
 GOLDEN_TEXT = {
     "uqg-A2-5-numeric": (
         ("family", "uqg", "--type", "A2", "--ell", "5", "--s", "2", "--lambda=-0.6+0.9j,1.3-0.4j",
@@ -848,6 +924,10 @@ GOLDEN_TEXT = {
     "uqsl2-9-symbolic": (
         ("family", "uqsl2", "--ell", "9", "--lambda", "symbolic", "--charpoly"),
         "2a0b74784c8d705e77954f0d642a74722f4582804b9b8f9a8347414d4fb10d87",
+    ),
+    "uqsl2-7-exact": (
+        ("family", "uqsl2", "--ell", "7", "--lambda", "5/7", "--charpoly"),
+        "b7dd68c3c5e6f250a4344181e167c256b5c44171f74d6ab2896bf6804c679faf",
     ),
 }
 
@@ -867,8 +947,9 @@ def test_golden_json_digest(capsys, name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
 def test_golden_text_digest(capsys, name):
-    """The text bytes of a numeric spectrum held as arrays and of a symbolic
-    one are pinned as well."""
+    """The text bytes of a numeric spectrum held as arrays, of a symbolic one
+    held as exponent rows and of an exact one held as coefficient rows are
+    pinned as well."""
     argv, digest = GOLDEN_TEXT[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0

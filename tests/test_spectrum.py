@@ -134,6 +134,39 @@ class TestSelectM:
         for fam in (uqsl2_family(3, lam=Fraction(2)), uqsl2_family(5)):
             assert select_m(fam.fusion, fam.module, candidate=fam.m) == fam.m
 
+    def test_failing_candidate_names_its_first_row(self):
+        """The exact check (integer rows, int64 or object) reports the first
+        (label, row) where N_r m != d_r m, with the message of a check row
+        by row in CycNum or Fraction arithmetic."""
+        def first_failure(f, mod, m):
+            for lab, d in zip(f.labels, f.dims_vector()):
+                N = mod.matrix(lab)
+                for j in range(mod.size):
+                    if sum(int(N[j, i]) * m[i] for i in range(mod.size)) != d * m[j]:
+                        return f"N_{lab} m != d_{lab} m at row {mod.labels[j]}"
+
+        rng = random.Random(3)
+        fam = uqsl2_family(5, lam=Fraction(2))
+        g, h, _ = vecg_family(Group.cyclic(4), {str(a): 1 for a in range(4)}, ["0"])
+        cases = [(fam.fusion, fam.module, fam.m), (g, h, [Fraction(1)] * 4)]
+        failures = 0
+        for f, mod, m in cases:
+            for scale in (1, Fraction(2**70, 3), Fraction(1, 7**30)):
+                good = [x * scale for x in m]
+                spectrum._verify_eigenvector(f, mod, good, 1e-9)
+                for _ in range(6):
+                    bad = list(good)
+                    for i in rng.sample(range(mod.size), rng.randint(1, 2)):
+                        bad[i] = bad[i] * rng.choice([2, -1, Fraction(3, 5)]) + rng.choice([0, 1])
+                    expect = first_failure(f, mod, bad)
+                    if expect is None:
+                        continue
+                    failures += 1
+                    with pytest.raises(NotInEigenspace) as exc:
+                        spectrum._verify_eigenvector(f, mod, bad, 1e-9)
+                    assert str(exc.value) == expect
+        assert failures > 20
+
     def test_candidate_for_unmatched_data_reports_empty_eigenspace(self):
         f, mod, _ = vecg_family(Group.cyclic(2), {"0": 1, "1": -1}, ["0", "1"])
         with pytest.raises(EmptyEigenspace):
@@ -351,6 +384,72 @@ def quadruple_loop(values, w):
     return SpectrumFactorization.merge_pairs(
         [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
          for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "symbolic")
+
+
+class TestCoefficientRows:
+    """Exact spectra from the kernel are coefficient rows: the same entries,
+    order and multiplicities as merge_pairs over the same quotients."""
+
+    def test_row_route_equals_merge_pairs(self):
+        """Orders 1-12, rational-only lists, negative coefficients, values
+        past 2^62 (object rows), scalar, tensor and all-zero weights."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+        @st.composite
+        def cases(draw):
+            k = draw(st.integers(min_value=1, max_value=3))
+            order = draw(st.sampled_from([None, 1, 2, 3, 4, 5, 7, 8, 9, 12]))
+            scale = st.sampled_from([1, 1, Fraction(2**63 + 1, 3), Fraction(-1, 5**30)])
+            if order is None:  # Fractions: one coefficient each
+                value = coefficient.filter(bool)
+            else:
+                field = CycField(order)
+                value = st.lists(coefficient, min_size=field.degree, max_size=field.degree)
+                value = value.map(field.reduce).filter(bool)
+            values = draw(st.lists(st.builds(lambda v, c: v * c, value, scale),
+                                   min_size=k, max_size=k))
+            kind = draw(st.sampled_from(["scalar", "tensor", "zero"]))
+            if kind == "scalar":
+                return values, draw(st.integers(min_value=1, max_value=3))
+            flat = draw(st.lists(st.integers(0, 2 if kind == "tensor" else 0),
+                                 min_size=k**4, max_size=k**4))
+            return values, np.array(flat, dtype=np.int64).reshape((k,) * 4)
+
+        seen = set()
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cases())
+        @hypothesis.example(([Fraction(-3, 2), Fraction(5)], 2))
+        @hypothesis.example(([Fraction(2**70, 3), Fraction(-5, 7**30)], 1))
+        @hypothesis.example(([CycField(7).zeta(3) * 2**65, CycField(7).zeta(1) - 3], 1))
+        def check(case):
+            values, weights = case
+            w = np.broadcast_to(weights, (len(values),) * 4)
+            expect = SpectrumFactorization.merge_pairs(
+                [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
+                 for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "cyclotomic")
+            got = pair_class_spectrum(values, weights)
+            tops, bottoms = got.coeffs
+            assert got._entries is None and got.backend == "cyclotomic"
+            assert got.entries == expect.entries
+            assert [type(v) for v, _ in got.entries] == [type(v) for v, _ in expect.entries]
+            assert (len(got), got.total_degree) == (len(expect), int(w.sum()))
+            seen.add((got.field is None, tops.dtype == object, len(got) > 0))
+
+        check()
+        assert {(False, True, True), (True, True, True), (False, False, True),
+                (True, False, True), (False, False, False)} <= seen
+
+    def test_coefficients_are_the_sort_keys(self):
+        F = CycField(12)
+        values = [F.reduce([Fraction(1, 2), -3, 0, Fraction(5, 6)]), F.zeta(5), F.from_rational(4)]
+        spec = pair_class_spectrum(values, 1)
+        tops, bottoms = spec.coeffs
+        assert spec.field is F and tops.dtype == bottoms.dtype == np.int64
+        assert [tuple(zip(p, q)) for p, q in zip(tops.tolist(), bottoms.tolist())] == \
+            [v.sort_key() for v, _ in spec.entries]
 
 
 class TestExponentKeys:
