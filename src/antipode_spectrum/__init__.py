@@ -3,28 +3,15 @@ to a finite tensor category and a semisimple indecomposable module category,
 from Grothendieck-level data."""
 
 from .cyclotomic import CycField, CycNum, cyclotomic_polynomial
-from .grothendieck import (
-    FusionData,
-    VerificationReport,
-    global_dimension,
-    q_matrix,
-    verify_fusion,
-)
-from .modcat import ModuleActionData, d_action_triviality, dimension_identity, verify_module
-from .pivotalization import (
-    PivotalizationData,
-    char_poly_pivotalized,
-    from_matched_pivotal,
-    signed_spectrum,
-)
+from .grothendieck import FusionData, VerificationReport, q_matrix, verify_fusion
+from .modcat import ModuleActionData, dimension_identity, verify_module
+from .pivotalization import PivotalizationData, char_poly_pivotalized, from_matched_pivotal
 from .scalar import SignedEigenvalue, parse_literal
 from .spectrum import (
     SpectrumFactorization,
     char_poly_s2,
     dimension_eigenspace,
     m_bar,
-    matched_checks,
-    pivotal_twist_invariance,
     select_m,
 )
 from .symbolic import FactoredContext, FactoredValue, LaurentPoly
@@ -46,18 +33,13 @@ __all__ = [
     "char_poly_pivotalized",
     "char_poly_s2",
     "cyclotomic_polynomial",
-    "d_action_triviality",
     "dimension_eigenspace",
     "dimension_identity",
     "from_matched_pivotal",
-    "global_dimension",
     "m_bar",
-    "matched_checks",
     "parse_literal",
-    "pivotal_twist_invariance",
     "q_matrix",
     "select_m",
-    "signed_spectrum",
     "verify_fusion",
     "verify_module",
 ]

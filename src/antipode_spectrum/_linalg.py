@@ -95,11 +95,6 @@ def nullspace(m, tol=DEFAULT_TOLERANCE):
     return basis
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), start=row[0] * 0) for col in bt] for row in a]
-
-
 class Subspace:
     """Span of exact rows, held as the nonzero rows of their reduced row
     echelon form and the pivot column of each."""
@@ -123,9 +118,6 @@ class Subspace:
                 for j, x in support:
                     v[j] -= c * x
         return v
-
-    def contains(self, v):
-        return not any(self.reduce(v))
 
     def coords(self, v):
         """Coordinates of v in the rows; AssertionError when v is outside

@@ -17,13 +17,14 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import families, oracle, specfile
+from . import specfile
 from .cyclotomic import CycNum, coefficient_approx, coefficient_texts, fit, joined_text
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
                      to_text)
-from .spectrum import SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m
+from .spectrum import (SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m,
+                       sorted_runs)
 from .symbolic import FactoredValue, constant_text, monomial_text, value_text
 
 
@@ -213,17 +214,13 @@ def _item_text(m, value: str) -> str:
 
 def _distinct_rows(a):
     """The distinct rows of the int matrix a, in some order, and the index
-    of each row of a among them; sorted by np.lexsort, which is much faster
-    on a few int columns than np.unique(a, axis=0), and which the kernel's
-    canonical_order has already paged in (np.unique's first int64 sort adds
-    ~0.5 MB of RSS)."""
-    order = np.lexsort(a.T) if a.shape[1] else np.arange(len(a))
-    a = a[order]
-    new = np.ones(len(a), bool)
-    new[1:] = (a[1:] != a[:-1]).any(axis=1)
+    of each row of a among them.  np.lexsort, through sorted_runs, is the
+    sort the kernel's canonical_order has already paged in (np.unique's
+    first int64 sort adds ~0.5 MB of RSS)."""
+    order, new = sorted_runs(a)
     ids = np.empty(len(a), np.intp)
     ids[order] = np.cumsum(new) - 1
-    return a[new], ids
+    return a[order[new]], ids
 
 
 def _rows_chunk_text(spec, chunk, blocks: dict) -> str:
@@ -539,6 +536,7 @@ def _parse_lambda(text, ell):
 
 
 def _family_data(args):
+    from . import families
     if args.kind == "taft":
         f, mod, m = families.taft_family(args.n, args.s)
         return f, mod, m, args.n
@@ -567,6 +565,7 @@ def _family_data(args):
 
 
 def _parse_group(name):
+    from . import families
     if name == "s3":
         return families.Group.symmetric3()
     if name.startswith("z"):
@@ -578,6 +577,7 @@ def _parse_group(name):
 
 
 def cmd_family(args):
+    from . import families
     if args.kind == "uqg":
         if args.lam is None and families.RootSystemData.preset(args.type).rank >= 2:
             raise BadParameters(
@@ -623,6 +623,7 @@ def _oracle_size(args):
 
 
 def cmd_oracle(args):
+    from . import families, oracle
     if args.what == "s2" and args.family != "taft":
         raise BadParameters("oracle s2 computes the Taft spectrum only; use --family taft")
     size = _oracle_size(args)

@@ -12,10 +12,10 @@ Phi_n is monic with integer coefficients, so every power x^e reduces to an
 integer row.  CycField tabulates those rows for e < max(n, 2 phi(n) - 1),
 which covers zeta^e for 0 <= e < n and every exponent of a product of two
 reduced elements.  A product is an integer convolution folded through the
-table, then one gcd; a Galois conjugate or an embedding reads its rows from
-the same table; the inverse is the product of the other Galois conjugates
-over the norm.  Fraction appears only where a rational enters or leaves:
-``from_rational``, ``reduce``, ``rational_value`` and ``coeffs``.
+table, then one gcd; a Galois conjugate reads its rows from the same table;
+the inverse is the product of the other Galois conjugates over the norm.
+Fraction appears only where a rational enters or leaves: ``from_rational``,
+``reduce`` and ``coeffs``.
 
 Many elements at once are integer coefficient rows: an (n, phi(n)) numpy
 array of numerators, with their denominators alongside.  A row array is
@@ -454,26 +454,8 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def is_real(self) -> bool:
         return self.conjugate() == self
-
-    def embed(self, target: CycField) -> "CycNum":
-        """Image under zeta_m -> zeta_n^(n/m); requires m | n."""
-        m, n = self.field.order, target.order
-        if self.field is target:
-            return self
-        if n % m:
-            raise FieldMismatch(f"Q(zeta_{m}) does not embed in Q(zeta_{n})")
-        step = n // m
-        acc = [0] * n
-        for k, c in enumerate(self.num):
-            acc[k * step] = c
-        return _canonical(target, target._fold(acc), self.den)
 
     def complex_value(self) -> complex:
         """The value in the standard embedding; a part beyond the float range

@@ -373,61 +373,3 @@ def regular_module(f: FusionData):
     m = [f.dims[f.dual[x]] for x in f.labels]
     return module, m
 
-
-def fibonacci_fusion() -> FusionData:
-    field = CycField(5)
-    phi = -(field.zeta(2)) - field.zeta(3)  # golden ratio
-    return FusionData(
-        labels=["1", "t"],
-        unit="1",
-        dual={"1": "1", "t": "t"},
-        structure={("1", "1", "1"): 1, ("1", "t", "t"): 1, ("t", "1", "t"): 1,
-                   ("t", "t", "1"): 1, ("t", "t", "t"): 1},
-        cartan=None,
-        dims={"1": field.one(), "t": phi},
-    )
-
-
-BuiltinExample = namedtuple("BuiltinExample", "name fusion module m q_suite pivotal_suite")
-
-
-def matched_builtins():
-    """Matched examples used by the property suites.
-
-    q_suite: the rank-one Q-element identities apply (fusion-type data).
-    pivotal_suite: additionally semisimple with real trace vector, so the
-    signed-spectrum reduction applies.
-    """
-    out = []
-    f, mod, m = taft_family(2)
-    out.append(BuiltinExample("taft-2", f, mod, m, True, False))
-    f, mod, m = taft_family(3)
-    out.append(BuiltinExample("taft-3", f, mod, m, True, False))
-    f, mod, m = taft_family(5, 2)
-    out.append(BuiltinExample("taft-5", f, mod, m, True, False))
-
-    z2 = Group.cyclic(2)
-    f, mod, m = vecg_family(z2, {"0": 1, "1": -1}, ["0"])
-    out.append(BuiltinExample("vecg-z2-sign", f, mod, m, True, True))
-
-    z3 = Group.cyclic(3)
-    field3 = CycField(3)
-    f, mod, m = vecg_family(z3, {str(a): field3.zeta(a) for a in range(3)}, ["0"])
-    out.append(BuiltinExample("vecg-z3-omega", f, mod, m, True, False))
-    f, mod, m = vecg_family(z3, {str(a): 1 for a in range(3)}, ["0"])
-    out.append(BuiltinExample("vecg-z3-trivial", f, mod, m, True, True))
-
-    s3 = Group.symmetric3()
-    f, mod, m = vecg_family(s3, {g: 1 for g in s3.elements}, ["e", "r", "r2"])
-    out.append(BuiltinExample("vecg-s3-trivial", f, mod, m, True, True))
-    sign = {"e": 1, "r": 1, "r2": 1, "s": -1, "sr": -1, "sr2": -1}
-    f, mod, m = vecg_family(s3, sign, ["e"])
-    out.append(BuiltinExample("vecg-s3-sign", f, mod, m, True, True))
-
-    fib = fibonacci_fusion()
-    mod, m = regular_module(fib)
-    out.append(BuiltinExample("fibonacci-regular", fib, mod, m, True, True))
-
-    fam = uqsl2_family(3)
-    out.append(BuiltinExample("uqsl2-3-symbolic", fam.fusion, fam.module, fam.m, False, False))
-    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingDims, ZeroGlobalDimension
+from .errors import DimensionMismatch, MissingDims
 
 
 class Violation:
@@ -179,20 +179,6 @@ def verify_fusion(f: FusionData, strict_duality: bool = False) -> VerificationRe
                         f"c^unit = {t[q, r, u]}, expected {want}",
                     )
     return rep
-
-
-def global_dimension(f: FusionData):
-    """dim(C) = sum_r dim(X_r) dim(X_r*); nonzero for consistent char-0 input."""
-    if f.dims is None:
-        raise MissingDims("global dimension needs dims")
-    d = f.dims
-    total = None
-    for x in f.labels:
-        term = d[x] * d[f.dual[x]]
-        total = term if total is None else total + term
-    if not total:
-        raise ZeroGlobalDimension("sum of d_r * d_{r*} vanished")
-    return total
 
 
 def q_matrix(f: FusionData, action_matrices):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInvertibleClass
+from .errors import DimensionMismatch
 from .grothendieck import FusionData, VerificationReport
 
 
@@ -94,16 +94,6 @@ def verify_module(f: FusionData, mod: ModuleActionData) -> VerificationReport:
             "support graph disconnected",
         )
     return rep
-
-
-def d_action_triviality(mod: ModuleActionData, d_label) -> bool:
-    """True iff the invertible class acts trivially on Gr(M).
-
-    The label must act by a permutation matrix (invertible class)."""
-    m = mod.matrix(d_label)
-    if not ((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all() and m.max() == 1):
-        raise NotInvertibleClass(f"{d_label} does not act by a permutation")
-    return bool((m == np.eye(mod.size, dtype=np.int64)).all())
 
 
 def dimension_identity(f: FusionData, mod: ModuleActionData) -> int:

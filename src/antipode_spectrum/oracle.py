@@ -11,7 +11,6 @@ each algebra carries its whole multiplication table, built when the algebra is.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 
@@ -87,25 +86,6 @@ class StructureAlgebra:
     def sparse(row) -> dict:
         """The nonzero entries of a dense row, as a sparse vector."""
         return {i: c for i, c in enumerate(row) if c}
-
-    def check_unit(self) -> bool:
-        for i in range(self.dim):
-            e = {i: self.field.one()}
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
-                return False
-        return True
-
-    def check_associativity(self, triples=None) -> bool:
-        """Exact (uv)w = u(vw) on basis triples; all triples when none given."""
-        rng = range(self.dim)
-        if triples is None:
-            triples = itertools.product(rng, rng, rng)
-        for i, j, k in triples:
-            ei, ej, ek = {i: self.field.one()}, {j: self.field.one()}, {k: self.field.one()}
-            if self.multiply(self.multiply(ei, ej), ek) != self.multiply(ei, self.multiply(ej, ek)):
-                return False
-        return True
-
 
 HopfOracle = namedtuple("HopfOracle", "algebra antipode")
 # antipode: dict basis index -> sparse image vector
@@ -429,23 +409,6 @@ def validate_cartan(alg: StructureAlgebra, generators, simples, candidate,
                 f"[A : {sm.name}] = {totals[qi]}, expected {want}",
             )
     return rep
-
-
-def quotient_algebra(alg: StructureAlgebra, ideal_rows) -> StructureAlgebra:
-    """A / I for a two-sided ideal given by spanning rows; used to confirm
-    that A/rad is semisimple."""
-    ideal = _linalg.Subspace(ideal_rows)
-    basis = _linalg.Subspace([ideal.reduce(r) for r in alg.identity_rows()])
-    labels = [f"q{i}" for i in range(basis.dim)]
-    mult = {}
-    for i, ri in enumerate(basis.rows):
-        vi = alg.sparse(ri)
-        for j, rj in enumerate(basis.rows):
-            vj = alg.sparse(rj)
-            prod = basis.coords(ideal.reduce(alg.dense(alg.multiply(vi, vj))))
-            mult[(i, j)] = alg.sparse(prod)
-    unit = basis.coords(ideal.reduce(alg.dense(alg.unit)))
-    return StructureAlgebra(labels, alg.field, mult, alg.sparse(unit))
 
 
 # -- independent spectrum enumeration ---------------------------------------------------

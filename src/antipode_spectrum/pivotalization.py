@@ -48,16 +48,19 @@ class PivotalizationData:
 
 def char_poly_pivotalized(p: PivotalizationData, tol=DEFAULT_TOLERANCE) -> SpectrumFactorization:
     """Signed factored spectrum: (sign, nu_j nu_k / (nu_i nu_l)) with the
-    plus/minus multiplicities from the signed restriction split."""
+    plus/minus multiplicities from the signed restriction split.  The two
+    halves cannot share an eigenvalue, and each is merged and in canonical
+    order already, so the minus half followed by the plus half is the
+    canonical order of the whole."""
     P = np.stack([p.n_plus[r] for r in p.ring_labels])
     M = np.stack([p.n_minus[r] for r in p.ring_labels])
     n_plus = np.einsum("rji,rkl->ijkl", P, P) + np.einsum("rji,rkl->ijkl", M, M)
     n_minus = np.einsum("rji,rkl->ijkl", M, P) + np.einsum("rji,rkl->ijkl", P, M)
     signed = []
-    for s, n in ((1, n_plus), (-1, n_minus)):
+    for s, n in ((-1, n_minus), (1, n_plus)):
         spec = pair_class_spectrum(p.nu, n.transpose(1, 2, 0, 3), tol)
         signed += [(SignedEigenvalue(s, v), m) for v, m in spec.entries]
-    return SpectrumFactorization.merge_pairs(signed, "signed", tol)
+    return SpectrumFactorization(signed, "signed", tol)
 
 
 def from_matched_pivotal(f: FusionData, mod: ModuleActionData, m, mbar=None,
@@ -81,14 +84,3 @@ def from_matched_pivotal(f: FusionData, mod: ModuleActionData, m, mbar=None,
     n_minus = dict(zip(f.labels, minus))
     return PivotalizationData(mod.labels, nu, n_plus, n_minus, unsigned=mod)
 
-
-def signed_spectrum(spec: SpectrumFactorization, tol=DEFAULT_TOLERANCE) -> SpectrumFactorization:
-    """Re-express a matched real spectrum as signed eigenvalues
-    (sign(lambda), lambda^2) for comparison against the pivotalized route."""
-    pairs = []
-    for v, mult in spec.entries:
-        s = sign(v, tol)
-        if s == 0:
-            raise NonRealSigns("zero eigenvalue cannot be signed")
-        pairs.append((SignedEigenvalue(s, v * v), mult))
-    return SpectrumFactorization.merge_pairs(pairs, "signed", tol)

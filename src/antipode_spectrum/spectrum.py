@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -36,14 +35,13 @@ from .errors import (
     AmbiguousM,
     BadParameters,
     EmptyEigenspace,
-    InvalidTwist,
     JDependence,
     NotInEigenspace,
     NumericOverflow,
     ParseError,
     ZeroEntry,
 )
-from .grothendieck import FusionData, VerificationReport, global_dimension, q_matrix
+from .grothendieck import FusionData, q_matrix
 from .modcat import ModuleActionData
 from .scalar import (
     DEFAULT_TOLERANCE,
@@ -54,7 +52,6 @@ from .scalar import (
     inverse,
     is_zero,
     lift,
-    numeric_value,
     roots_of_unity,
 )
 from .symbolic import KEY_RADIX_LIMIT, canonical_order, exponent_keys, row_values
@@ -160,26 +157,6 @@ class SpectrumFactorization:
 
     def __len__(self):
         return len(self.entries if self.mults is None else self.mults)
-
-    def close_to(self, other: "SpectrumFactorization", tol: float) -> bool:
-        """Numeric comparison: same multiplicities after matching each
-        eigenvalue to its nearest counterpart within tol."""
-        if self.total_degree != other.total_degree or len(self) != len(other):
-            return False
-        # candidates sorted by real part: only those within tol of re(z) can match
-        theirs = sorted(((numeric_value(w), mw) for w, mw in other.entries),
-                        key=lambda t: t[0].real)
-        reals = [w.real for w, _ in theirs]
-        taken = [False] * len(theirs)
-        for v, m in self.entries:
-            z = numeric_value(v)
-            lo, hi = bisect_left(reals, z.real - tol), bisect_right(reals, z.real + tol)
-            best = min(((abs(z - w), i) for i, (w, mw) in enumerate(theirs[lo:hi], lo)
-                        if mw == m and not taken[i]), default=None)
-            if best is None or best[0] > tol:
-                return False
-            taken[best[1]] = True
-        return True
 
     def uniform_root_power(self):
         """(n, e) when the spectrum is exactly all n-th roots of unity, each
@@ -341,57 +318,6 @@ def _m_bar_symbolic(mod, m, Q, tol):
     return mbar
 
 
-def matched_checks(f: FusionData, mod: ModuleActionData, m, mbar,
-                   tol=DEFAULT_TOLERANCE) -> VerificationReport:
-    """The Q-element identity suite for matched data."""
-    rep = VerificationReport("matched pivotal data")
-    Q = q_matrix(f, mod.matrices(f))
-    size = mod.size
-    dim_c = global_dimension(f)
-
-    rep.record("trace")
-    tr = Q[0][0]
-    for i in range(1, size):
-        tr = tr + Q[i][i]
-    if not close(tr, dim_c, tol):
-        rep.fail("trace", (), f"Tr(Q_M) = {tr}, expected dim(C) = {dim_c}")
-
-    rep.record("rank-one")
-    r = _linalg.rank(Q, tol)
-    if r != 1:
-        rep.fail("rank-one", (), f"rank(Q_M) = {r}")
-
-    rep.record("q-squared")
-    Q2 = _linalg.mat_mul(Q, Q)
-    for i in range(size):
-        for j in range(size):
-            if not close(Q2[i][j], dim_c * Q[i][j], tol):
-                rep.fail("q-squared", (mod.labels[i], mod.labels[j]), "Q^2 != dim(C) Q")
-
-    rep.record("pivotal-normalization")
-    s = m[0] * mbar[0]
-    for i in range(1, size):
-        s = s + m[i] * mbar[i]
-    if not close(s, dim_c, tol):
-        rep.fail("pivotal-normalization", (), f"sum m_i mbar_i = {s} != {dim_c}")
-
-    rep.record("hom-table")
-    dims = f.dims_vector()
-    for j in range(size):
-        for i in range(size):
-            lhs = sum(
-                (d * int(mod.matrix(lab)[j, i]) for lab, d in zip(f.labels, dims)),
-                start=0 * dims[0],
-            )
-            if not close(lhs, m[i] * mbar[j], tol):
-                rep.fail(
-                    "hom-table",
-                    (mod.labels[i], mod.labels[j]),
-                    "sum_r dim(X_r) N_{ri}^j != m_i mbar_j",
-                )
-    return rep
-
-
 # -- the characteristic polynomial ------------------------------------------------
 
 def block_multiplicities(f: FusionData, mod: ModuleActionData) -> np.ndarray:
@@ -547,15 +473,24 @@ def _quotient_spectrum(reps, p, q, mults, tol):
     pairs = np.stack([tops, bottoms], axis=2).reshape(len(tops), 2 * ring.degree)  # p0, q0, ...
     if pairs.dtype == object:
         pairs = np.column_stack([k for c in pairs.T for k in _int64_keys(c)])
-    keys = np.column_stack([(tops[:, 1:] != 0).any(axis=1), pairs])  # irrational last
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    irrational = (tops[:, 1:] != 0).any(axis=1)  # sorts last
+    order, new = sorted_runs(np.column_stack([irrational, pairs]))
     starts = np.flatnonzero(new)
     first = order[starts]
     totals = np.add.reduceat(mults[order], starts) if len(order) else mults
     return SpectrumFactorization.from_coefficients(field, tops[first], bottoms[first], totals, tol)
+
+
+def sorted_runs(rows):
+    """(order, new) for the int matrix rows: the stable order that sorts
+    its rows lexicographically, column 0 first (np.lexsort, much faster on
+    a few int columns than np.unique(rows, axis=0)), and whether each row
+    along it differs from the one before, True at the first."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, new
 
 
 def _int64_keys(col):
@@ -631,25 +566,4 @@ def _sweep_numeric(values, mults, tol):
     totals = np.add.reduceat(mults, np.flatnonzero(new))
     order = _lex_order(reps.real, reps.imag)
     return SpectrumFactorization.from_arrays(reps[order], totals[order], tol)
-
-
-def pivotal_twist_invariance(f: FusionData, mod: ModuleActionData, m,
-                             ring_character: dict, module_twist,
-                             tol=DEFAULT_TOLERANCE) -> bool:
-    """True iff the spectrum is unchanged by the pivotal twist
-    d_r -> d_r b_r, m_i -> m_i b_i.  The pair (b_r, b_i) must satisfy the
-    twisted eigenvector equations; otherwise InvalidTwist."""
-    twisted_m = [x * b for x, b in zip(m, module_twist)]
-    for i, x in enumerate(twisted_m):
-        if is_zero(x, tol):
-            raise InvalidTwist(f"twisted m_{mod.labels[i]} vanishes")
-    for lab in f.labels:
-        if lab not in ring_character:
-            raise InvalidTwist(f"no character value for {lab}")
-    dims = [d * ring_character[lab] for lab, d in zip(f.labels, f.dims_vector())]
-    try:
-        _verify_eigenvector(f, mod, twisted_m, tol, dims)
-    except NotInEigenspace as e:
-        raise InvalidTwist(f"twist is not compatible with the action: {e}") from e
-    return char_poly_s2(f, mod, m, tol) == char_poly_s2(f, mod, twisted_m, tol)
 

@@ -16,15 +16,12 @@ from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.errors import JDependence
 from antipode_spectrum.families import (
     Group,
-    fibonacci_fusion,
-    matched_builtins,
     regular_module,
     taft_family,
     uqg_family,
     uqsl2_family,
     vecg_family,
 )
-from antipode_spectrum.grothendieck import global_dimension
 from antipode_spectrum.modcat import dimension_identity
 from antipode_spectrum.oracle import (
     brute_force_spectrum,
@@ -39,21 +36,23 @@ from antipode_spectrum.oracle import (
     uqsl2_simple_modules,
     validate_cartan,
 )
-from antipode_spectrum.pivotalization import (
-    char_poly_pivotalized,
-    from_matched_pivotal,
-    signed_spectrum,
-)
+from antipode_spectrum.pivotalization import char_poly_pivotalized, from_matched_pivotal
 from antipode_spectrum.scalar import canonical_key
 from antipode_spectrum.spectrum import (
     block_multiplicities,
     char_poly_s2,
     dimension_eigenspace,
     m_bar,
-    matched_checks,
     select_m,
 )
 from antipode_spectrum.symbolic import FactoredValue
+from support import (
+    fibonacci_fusion,
+    global_dimension,
+    matched_builtins,
+    matched_checks,
+    signed_spectrum,
+)
 
 UQSL2_CARTAN_3 = np.array([[2, 2, 0], [2, 2, 0], [0, 0, 1]])
 

@@ -20,7 +20,6 @@ from antipode_spectrum.cli import JSON_CHUNK, build_parser, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
 from antipode_spectrum.families import (
     Group,
-    fibonacci_fusion,
     regular_module,
     taft_family,
     uqg_family,
@@ -36,6 +35,7 @@ from antipode_spectrum.pivotalization import (
 from antipode_spectrum.scalar import to_json
 from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2, pair_class_spectrum
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue
+from support import fibonacci_fusion
 
 
 def run(capsys, *argv):

@@ -8,7 +8,6 @@ from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.errors import MissingDims, ZeroGlobalDimension
 from antipode_spectrum.families import (
     Group,
-    fibonacci_fusion,
     regular_module,
     taft_family,
     uqsl2_family,
@@ -16,10 +15,10 @@ from antipode_spectrum.families import (
 )
 from antipode_spectrum.grothendieck import (
     FusionData,
-    global_dimension,
     q_matrix,
     verify_fusion,
 )
+from support import fibonacci_fusion, global_dimension
 
 PHI = (1 + 5**0.5) / 2
 

@@ -16,12 +16,12 @@ from antipode_spectrum import specfile
 from antipode_spectrum.cli import main
 from antipode_spectrum.families import (
     Group,
-    fibonacci_fusion,
     regular_module,
     taft_family,
     uqsl2_family,
     vecg_family,
 )
+from support import fibonacci_fusion
 
 CASES = 400
 BAD_VALUES = [None, 0, -1, 1.5, "x", "", [], {}, [[1]], "1/0", "((", "1e999", True, 10**30]

@@ -4,7 +4,6 @@ import pytest
 from antipode_spectrum.errors import NotInvertibleClass
 from antipode_spectrum.families import (
     Group,
-    fibonacci_fusion,
     regular_module,
     taft_family,
     uqsl2_family,
@@ -12,11 +11,11 @@ from antipode_spectrum.families import (
 )
 from antipode_spectrum.modcat import (
     ModuleActionData,
-    d_action_triviality,
     dimension_identity,
     verify_module,
 )
 from antipode_spectrum.spectrum import char_poly_s2
+from support import d_action_triviality, fibonacci_fusion
 
 
 class TestVerifyModule:

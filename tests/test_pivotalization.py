@@ -4,8 +4,6 @@ import pytest
 from antipode_spectrum.errors import NonRealSigns, SignSplitMismatch
 from antipode_spectrum.families import (
     Group,
-    fibonacci_fusion,
-    matched_builtins,
     regular_module,
     taft_family,
     vecg_family,
@@ -15,9 +13,9 @@ from antipode_spectrum.pivotalization import (
     SignedEigenvalue,
     char_poly_pivotalized,
     from_matched_pivotal,
-    signed_spectrum,
 )
 from antipode_spectrum.spectrum import char_poly_s2
+from support import fibonacci_fusion, matched_builtins, signed_spectrum
 
 
 class TestFromMatchedPivotal:
