@@ -25,7 +25,7 @@ from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_c
                      to_text)
 from .spectrum import (SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m,
                        sorted_runs)
-from .symbolic import FactoredValue, constant_text, monomial_text, value_text
+from .symbolic import monomial_text
 
 
 # -- output helpers ------------------------------------------------------------------
@@ -80,15 +80,9 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _coeff_texts(key) -> list:
-    """The "coeffs" items of to_json(c) from key = c.sort_key(): each
-    coefficient in lowest terms, as str(Fraction) writes it."""
-    return [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in key]
-
-
-# The direct writers below write to_json(v) of an exact or a factored value
-# as _json_text does at the indent of an eigenvalue's "value", without
-# building the payload's dicts.
+# The direct writers below write to_json(v) of exact values and of factored
+# values of constant 1 as _json_text does at the indent of an eigenvalue's
+# "value", without building the payload's dicts.
 
 _COEFF_SEP = '",\n          "'  # between the "coeffs" items of a cyclotomic value
 
@@ -124,83 +118,27 @@ def _cyclotomic_texts(field, tops, bottoms, mults: list, as_json: bool) -> list:
                                           map(floats, re), map(floats, im))]
 
 
-# The parts of a factored value, each cached by value over one print call
-# in the dict blocks as its JSON block and the text it adds to "str": nearly
-# every symbolic constant is 1, and the same monomials and atom powers recur
-# from entry to entry.  The keys of the three kinds of part never meet: a
-# constant's holds a tuple second, a monomial's only ints, and an (atom,
-# power) pair's a tuple first.
-
-def _constant_part(c: CycNum, blocks: dict):
-    key = (c.field.order, c.num, c.den)
-    part = blocks.get(key)
-    if part is None:
-        part = blocks[key] = (
-            f'{{\n          "coeffs": {_list_text(_coeff_texts(c.sort_key()), "          ")},\n'
-            f'          "order": {c.field.order}\n        }}', constant_text(c))
-    return part
-
-
-def _monomial_part(monomial: tuple, blocks: dict):
-    part = blocks.get(monomial)
-    if part is None:
-        part = blocks[monomial] = (_list_text([str(e) for e in monomial], "        "),
-                                   monomial_text(monomial, len(monomial)))
-    return part
-
-
-def _factor_part(ctx, item, blocks: dict):
-    """item is (atom, power), atom = (coords, class)."""
-    part = blocks.get(item)
-    if part is None:
-        (coords, a), p = item
-        part = blocks[item] = (
-            f'{{\n            "class": {a},\n            "power": {p},\n'
+def _factor_part(ctx, item):
+    """The JSON block of a factor item = (atom, power), atom = (coords,
+    class), and the text it adds to "str"."""
+    (coords, a), p = item
+    return (f'{{\n            "class": {a},\n            "power": {p},\n'
             f'            "root": {_list_text([str(x) for x in coords], "            ")}'
             f'\n          }}', ctx.atom_text(*item))
-    return part
 
 
-def _factored_text(constant, monomial, factor_blocks, factor_texts) -> str:
-    """The factored value of the constant and monomial parts and the factor
-    parts, in sorted order, given as their JSON blocks and their texts."""
-    text = value_text(constant[1], monomial[1], factor_texts)
-    return (f'{{\n        "constant": {constant[0]},\n'
-            f'        "factors": {_list_text(factor_blocks, "        ")},\n'
-            f'        "kind": "factored",\n'
-            f'        "monomial": {monomial[0]},\n'
-            f'        "str": {encode_basestring_ascii(text)}\n      }}')
-
-
-def _entry_text(v, m, blocks: dict) -> str:
-    """One item of the "eigenvalues" list, indented as the list's members."""
-    if type(v) is FactoredValue:
-        factors = [_factor_part(v.ctx, item, blocks) for item in sorted(v.factors.items())]
-        value = _factored_text(_constant_part(v.constant, blocks),
-                               _monomial_part(v.monomial, blocks),
-                               [f[0] for f in factors], [f[1] for f in factors])
-    else:
-        value = _json_text(to_json(v), "      ")
-    return _item_text(m, value)
-
-
-def _entry_texts(spec, chunk: slice, blocks: dict, as_json: bool) -> list:
-    """The entries spec.entries[chunk] as _entry_text writes them, or as their
-    lines of the text output (without newlines): a spectrum held as
-    coefficient rows, and every run of CycNum of one field, through
-    _cyclotomic_texts."""
-    if spec.coeffs is not None:
-        tops, bottoms = spec.coeffs
-        return _cyclotomic_texts(spec.field, tops[chunk], bottoms[chunk],
-                                 spec.mults[chunk].tolist(), as_json)
+def _entry_texts(entries, as_json: bool) -> list:
+    """The (value, multiplicity) pairs entries as _item_text writes them, or
+    as their lines of the text output (without newlines): every run of
+    CycNum of one field through _cyclotomic_texts, every other value
+    through to_json or to_text."""
     out = []
-    runs = itertools.groupby(spec.entries[chunk],
-                             key=lambda e: e[0].field if type(e[0]) is CycNum else None)
+    runs = itertools.groupby(entries, key=lambda e: e[0].field if type(e[0]) is CycNum else None)
     for field, run in runs:
         run = list(run)
         if field is None:
-            out += [_entry_text(v, m, blocks) if as_json else f"multiplicity {m}: {to_text(v)}"
-                    for v, m in run]
+            out += [_item_text(m, _json_text(to_json(v), "      ")) if as_json
+                    else f"multiplicity {m}: {to_text(v)}" for v, m in run]
         else:
             keys = np.array([v.sort_key() for v, _ in run], dtype=object)
             out += _cyclotomic_texts(field, fit(keys[..., 0]), fit(keys[..., 1]),
@@ -223,24 +161,25 @@ def _distinct_rows(a):
     return a[order[new]], ids
 
 
-def _rows_chunk_text(spec, chunk, blocks: dict) -> str:
+def _rows_chunk_text(spec, chunk) -> str:
     """The entries rows[chunk] of a row-backed symbolic spectrum as
-    _entry_text writes them, joined by ",\n", as one join over a table of
+    _entry_texts writes them, joined by ",\n", as one join over a table of
     pieces: an entry is its head up to "factors" (one piece per
     multiplicity), each factor's block, its middle up to "str" (per monomial
     and whether there are factors), each factor's text and its tail.  numpy
     finds the nonzero powers, in row order, the distinct ones and each
     piece's place; the parts of each distinct monomial and (atom column,
-    power) are looked up once."""
+    power) are written once."""
     ctx, rows, mults = spec.ctx, spec.rows[chunk], spec.mults[chunk]
     nvars = ctx.nvars
-    constant = _constant_part(ctx.field.one(), blocks)[0]
+    constant = _json_text({"coeffs": [str(c) for c in ctx.field.one().coeffs],
+                           "order": ctx.ell}, "        ")
     counts, mult_ids = _distinct_rows(mults[:, None])
     monos, mono_ids = _distinct_rows(rows[:, :nvars])
     powers = rows[:, nvars:]
     r, c = np.nonzero(powers)
     items, item_ids = _distinct_rows(np.stack([c, powers[r, c]], axis=1))
-    factors = [_factor_part(ctx, (spec.atoms[a], p), blocks) for a, p in items.tolist()]
+    factors = [_factor_part(ctx, (spec.atoms[a], p)) for a, p in items.tolist()]
     middle = ',\n        "kind": "factored",\n        "monomial": '
     pieces = [f'    {{\n      "multiplicity": {m},\n      "value": {{\n'
               f'        "constant": {constant},\n        "factors": '
@@ -251,7 +190,8 @@ def _rows_chunk_text(spec, chunk, blocks: dict) -> str:
     pieces += [encode_basestring_ascii(text)[1:-1] for _, text in factors]
     pieces += [encode_basestring_ascii("*" + text)[1:-1] for _, text in factors]
     mid = len(pieces)
-    monomials = [_monomial_part(m, blocks) for m in map(tuple, monos.tolist())]
+    monomials = [(_list_text([str(e) for e in m], "        "), monomial_text(m, nvars))
+                 for m in monos.tolist()]
     for close in ("[]", "\n        ]"):
         for block, text in monomials:
             if close == "[]":
@@ -382,7 +322,7 @@ def _write_floats(x, digits, field):
 
 def _numeric_chunk_text(values, mults, digits) -> str:
     """The entries of the arrays values (complex) and mults (int64) as
-    _entry_text writes them, joined by ",\n": one uint8 row per entry from
+    _entry_texts writes them, joined by ",\n": one uint8 row per entry from
     the template, its fields written by column as digit words with the bytes
     not kept set to NUL, and one gather of the bytes that are not NUL.
     digits are the rounding digits of the spectrum's tolerance."""
@@ -397,36 +337,40 @@ def _numeric_chunk_text(values, mults, digits) -> str:
 def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     """Write spec as text, or as the JSON object {"backend", "eigenvalues",
     "total_degree"} laid out byte for byte as the json module writes it with
-    indent=2 and sort_keys=True, plus a newline.  The JSON is rendered and
-    written JSON_CHUNK entries at a time, without building the document; an
-    array-backed spectrum is rendered straight from its arrays."""
+    indent=2 and sort_keys=True, plus a newline.  Either is rendered and
+    written JSON_CHUNK entries at a time, without building the document, by
+    the writer of spec's storage: the JSON of an array- or row-backed
+    spectrum straight from its arrays, coefficient rows through
+    _cyclotomic_texts, and every other chunk from its entries alone."""
     out = out or sys.stdout
     if as_json:
         out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
-        blocks = {}
-        digits = _round_digits(spec.tol)
-        sep = "[\n"
-        for start in range(0, len(spec), JSON_CHUNK):
-            chunk = slice(start, start + JSON_CHUNK)
-            if spec.values is not None:
-                text = _numeric_chunk_text(spec.values[chunk], spec.mults[chunk], digits)
-            elif spec.rows is not None:
-                text = _rows_chunk_text(spec, chunk, blocks)
-            else:
-                text = ",\n".join(_entry_texts(spec, chunk, blocks, True))
-            out.write(sep)
-            out.write(text)
-            sep = ",\n"
-        out.write("\n  ]" if len(spec) else "[]")
-        out.write(f',\n  "total_degree": {_json_text(spec.total_degree, "  ")}\n}}\n')
-        return
-    rp = spec.uniform_root_power()
-    out.write(f"total degree {spec.total_degree}, {len(spec)} distinct eigenvalue(s)\n")
-    if rp:
-        out.write(f"chi(z) = (z^{rp[0]} - 1)^{rp[1]}\n")
+        sep, join, close = "[\n", ",\n", "\n  ]" if len(spec) else "[]"
+    else:
+        rp = spec.uniform_root_power()
+        out.write(f"total degree {spec.total_degree}, {len(spec)} distinct eigenvalue(s)\n")
+        if rp:
+            out.write(f"chi(z) = (z^{rp[0]} - 1)^{rp[1]}\n")
+        sep, join, close = "", "\n", "\n" if len(spec) else ""
     for start in range(0, len(spec), JSON_CHUNK):
-        out.write("\n".join(_entry_texts(spec, slice(start, start + JSON_CHUNK), {}, False)))
-        out.write("\n")
+        chunk = slice(start, start + JSON_CHUNK)
+        if spec.coeffs is not None:
+            tops, bottoms = spec.coeffs
+            text = join.join(_cyclotomic_texts(spec.field, tops[chunk], bottoms[chunk],
+                                               spec.mults[chunk].tolist(), as_json))
+        elif as_json and spec.values is not None:
+            text = _numeric_chunk_text(spec.values[chunk], spec.mults[chunk],
+                                       _round_digits(spec.tol))
+        elif as_json and spec.rows is not None:
+            text = _rows_chunk_text(spec, chunk)
+        else:
+            text = join.join(_entry_texts(spec.entries_in(chunk), as_json))
+        out.write(sep)
+        out.write(text)
+        sep = join
+    out.write(close)
+    if as_json:
+        out.write(f',\n  "total_degree": {_json_text(spec.total_degree, "  ")}\n}}\n')
 
 
 def _trace_vector(doc: specfile.SpecDocument, override_m=None):

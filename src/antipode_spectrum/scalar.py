@@ -243,7 +243,8 @@ def to_json(v):
 
 def to_text(v) -> str:
     """An eigenvalue other than a CycNum (see cli._cyclotomic_texts) as the
-    text output prints it."""
+    text output prints it; cli.print_spectrum calls it per entry of a chunk,
+    built alone for a spectrum held as arrays or exponent rows."""
     if isinstance(v, (SignedEigenvalue, FactoredValue, int, Fraction)):
         return str(v)
     z = complex(v)

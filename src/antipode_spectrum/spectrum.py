@@ -14,7 +14,6 @@ On examples with real self-conjugate data both index orders coincide.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -74,8 +73,9 @@ class SpectrumFactorization:
     is the sort_key of the eigenvalue), int64 or, where a value passes
     cyclotomic.ROW_LIMIT, object; ``field`` is None when the eigenvalues
     are Fractions, of one coefficient each.  ``entries`` is then built from
-    the arrays on first use.  Every other spectrum keeps its entries list,
-    and ``mults`` is None."""
+    the arrays on first use; ``entries_in(chunk)`` builds only the pairs of
+    one chunk, as the text output does, and leaves ``entries`` unbuilt.
+    Every other spectrum keeps its entries list, and ``mults`` is None."""
 
     values = mults = rows = coeffs = field = None
 
@@ -88,7 +88,7 @@ class SpectrumFactorization:
     @classmethod
     def _from_mults(cls, backend, mults, tol, make_values):
         """A spectrum with multiplicities mults whose eigenvalues, in the same
-        order, make_values() lists on first use of entries.  The total
+        order, make_values(chunk) lists for each slice chunk of them.  The total
         degree is summed in int64 over the high and the low 32 bits of each
         multiplicity apart, exact for any int64 mults; NumericOverflow when
         there are so many that a half could wrap."""
@@ -105,7 +105,7 @@ class SpectrumFactorization:
     def from_arrays(cls, values, mults, tol=DEFAULT_TOLERANCE):
         """The numeric spectrum of the sorted distinct eigenvalues values
         with multiplicities mults, held as the arrays themselves."""
-        spec = cls._from_mults("numeric", mults, tol, values.tolist)
+        spec = cls._from_mults("numeric", mults, tol, lambda chunk: values[chunk].tolist())
         spec.values = values
         return spec
 
@@ -115,7 +115,7 @@ class SpectrumFactorization:
         with exponent rows, sorted in canonical order, and multiplicities
         mults, held as the arrays themselves."""
         spec = cls._from_mults("symbolic", mults, tol,
-                               functools.partial(row_values, ctx, atoms, rows))
+                               lambda chunk: row_values(ctx, atoms, rows[chunk]))
         spec.rows, spec.atoms, spec.ctx = rows, atoms, ctx
         return spec
 
@@ -125,15 +125,22 @@ class SpectrumFactorization:
         tops / bottoms in field (None: Fractions), sorted by canonical key,
         and multiplicities mults, held as the arrays themselves."""
         spec = cls._from_mults("cyclotomic", mults, tol,
-                               functools.partial(coefficient_values, field, tops, bottoms))
+                               lambda chunk: coefficient_values(field, tops[chunk], bottoms[chunk]))
         spec.coeffs, spec.field = (tops, bottoms), field
         return spec
 
     @property
     def entries(self):
         if self._entries is None:
-            self._entries = list(zip(self._make_values(), self.mults.tolist()))
+            self._entries = self.entries_in(slice(None))
         return self._entries
+
+    def entries_in(self, chunk: slice):
+        """The (value, multiplicity) pairs entries[chunk], built from the
+        arrays alone while entries is not built."""
+        if self._entries is not None:
+            return self._entries[chunk]
+        return list(zip(self._make_values(chunk), self.mults[chunk].tolist()))
 
     @classmethod
     def merge_pairs(cls, pairs, backend, tol=DEFAULT_TOLERANCE):
@@ -200,12 +207,12 @@ def dimension_eigenspace(f: FusionData, mod: ModuleActionData, tol=DEFAULT_TOLER
     return basis, len(basis)
 
 
-def _verify_eigenvector(f, mod, m, tol, dims=None):
-    """Check N_r m = d_r m for every r, where d is the dimension vector unless
-    given; exact for exact and symbolic entries.  NotInEigenspace names the
-    first label, and in it the first row, where the check fails."""
+def _verify_eigenvector(f, mod, m, tol):
+    """Check N_r m = d_r m for every r, d the dimension vector; exact for
+    exact and symbolic entries.  NotInEigenspace names the first label, and
+    in it the first row, where the check fails."""
     size = mod.size
-    dims = f.dims_vector() if dims is None else list(dims)
+    dims = f.dims_vector()
     backend, m = lift(m)
     if backend == "cyclotomic":
         joint, values = lift(m + dims)

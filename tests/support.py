@@ -87,6 +87,11 @@ def signed_spectrum(spec: SpectrumFactorization, tol=DEFAULT_TOLERANCE) -> Spect
     return SpectrumFactorization.merge_pairs(pairs, "signed", tol)
 
 
+def with_dims(f: FusionData, dims) -> FusionData:
+    """f with the dimension vector dims (in the order of f.labels)."""
+    return FusionData(f.labels, f.unit, f.dual, f.structure, f.cartan, zip(f.labels, dims))
+
+
 def pivotal_twist_invariance(f: FusionData, mod, m, ring_character: dict, module_twist,
                              tol=DEFAULT_TOLERANCE) -> bool:
     """True iff the spectrum is unchanged by the pivotal twist
@@ -101,7 +106,7 @@ def pivotal_twist_invariance(f: FusionData, mod, m, ring_character: dict, module
             raise InvalidTwist(f"no character value for {lab}")
     dims = [d * ring_character[lab] for lab, d in zip(f.labels, f.dims_vector())]
     try:
-        _verify_eigenvector(f, mod, twisted_m, tol, dims)
+        _verify_eigenvector(with_dims(f, dims), mod, twisted_m, tol)
     except NotInEigenspace as e:
         raise InvalidTwist(f"twist is not compatible with the action: {e}") from e
     return char_poly_s2(f, mod, m, tol) == char_poly_s2(f, mod, twisted_m, tol)

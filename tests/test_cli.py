@@ -759,6 +759,58 @@ class TestJsonRenderer:
         check()
 
 
+class TestTextOutput:
+    """print_spectrum(spec, False) of a spectrum held as arrays, exponent rows
+    or coefficient rows writes the text of the same entries held as a list,
+    and builds no whole-spectrum entries list."""
+
+    @staticmethod
+    def check(spec):
+        assert len(set(spec.mults.tolist())) > 1  # no (z^n - 1)^e header to test
+        text = io.StringIO()
+        print_spectrum(spec, False, text)
+        assert spec._entries is None
+        listed = io.StringIO()
+        print_spectrum(SpectrumFactorization(spec.entries, spec.backend, spec.tol), False, listed)
+        assert_same_text(text.getvalue(), listed.getvalue())
+        return text.getvalue()
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_arrays(self, d):
+        """JSON_CHUNK + 1 values on the 10^-d grid and off it, with NaN, the
+        infinities and +-0.0."""
+        k = np.arange(JSON_CHUNK + 1)
+        values = np.round(k / 7, d) - 1j * (k / 3)
+        values[[5, 9, 17, JSON_CHUNK]] = [complex(float("nan"), 1), complex(float("inf"), -0.0),
+                                          complex(-0.0, float("-inf")), complex(0.0, -1e300)]
+        spec = SpectrumFactorization.from_arrays(values, k.astype(np.int64) % 5 + 1, 10.0**-d)
+        lines = self.check(spec).splitlines()
+        assert len(lines) == JSON_CHUNK + 2
+        assert lines[6] == "multiplicity 1: nan+1j" and lines[10] == "multiplicity 5: inf-0j"
+        assert lines[18] == "multiplicity 3: -0-infj"
+
+    def test_exponent_rows(self):
+        ctx = FactoredContext(5, 2)
+        values = [FactoredValue(ctx, ctx.field.one(), (e, 1 - e)) for e in range(3)]
+        values.append(values[1] * FactoredValue.atom(ctx, (1, 1), 2, -1))
+        weights = np.arange(4**4, dtype=np.int64).reshape((4,) * 4) % 3
+        spec = pair_class_spectrum(values, weights)
+        assert spec.rows is not None
+        self.check(spec)
+
+    @pytest.mark.parametrize("field", [None, CycField(5)])
+    def test_coefficient_rows(self, field):
+        if field is None:
+            values = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
+        else:
+            values = [field.zeta(1), field.from_rational(Fraction(3, 2)) + field.zeta(2),
+                      field.zeta(3) - field.zeta(4)]
+        weights = np.arange(3**4, dtype=np.int64).reshape((3,) * 4) % 4
+        spec = pair_class_spectrum(values, weights)
+        assert spec.coeffs is not None and spec.field == field
+        self.check(spec)
+
+
 class TestRowBackedSpectra:
     """Factored trace vectors of one constant give a spectrum held as exponent
     rows, those of several constants the merge_pairs route: both give the

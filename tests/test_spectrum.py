@@ -51,6 +51,7 @@ from support import (
     matched_builtins,
     matched_checks,
     pivotal_twist_invariance,
+    with_dims,
 )
 
 PHI5 = lambda: -(CycField(5).zeta(2)) - CycField(5).zeta(3)
@@ -641,7 +642,7 @@ class TestGaloisEquivariance:
             for k in (k for k in range(1, n) if math.gcd(k, n) == 1):
                 image = [x.galois(k) for x in lifted]
                 sdims, sm = image[:len(dims)], image[len(dims):]
-                spectrum._verify_eigenvector(ex.fusion, ex.module, sm, 1e-9, sdims)
+                spectrum._verify_eigenvector(with_dims(ex.fusion, sdims), ex.module, sm, 1e-9)
                 expect = SpectrumFactorization.merge_pairs(
                     [(v.galois(k), mult) for v, mult in spec.entries], "cyclotomic")
                 assert char_poly_s2(ex.fusion, ex.module, sm).entries == expect.entries, \
