@@ -25,9 +25,10 @@ number depending on the backend.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .cyclotomic import CycNum
 from .errors import (
@@ -180,6 +181,16 @@ def inverse(x):
     return 1 / x
 
 
+def divided(values, d) -> list:
+    """[x / d for x in values].  For a CycNum or Fraction d the values are
+    multiplied by 1 / d, inverted once, which gives the same quotients; any
+    other d divides each value, as x * (1 / d) rounds differently."""
+    if isinstance(d, (CycNum, Fraction)):
+        inv = inverse(d)
+        return [x * inv for x in values]
+    return [x / d for x in values]
+
+
 def sign(x, tol: float = DEFAULT_TOLERANCE) -> int:
     """Sign of a real scalar; NonRealSigns when the value is not real."""
     if isinstance(x, (int, Fraction)):
@@ -196,17 +207,24 @@ def sign(x, tol: float = DEFAULT_TOLERANCE) -> int:
 
 
 def roots_of_unity(values) -> bool:
-    """True iff the n values are the n-th roots of unity: their phases are
-    the n distinct multiples of 2 pi / n, and v**n == 1 for every v, exactly
-    for an exact value whichever field or rational type stores it."""
+    """True iff the n values are the n-th roots of unity: their complex
+    values pass unit_roots, and v**n == 1 for every v, exactly for an exact
+    value whichever field or rational type stores it."""
     n = len(values)
-    z = [numeric_value(v) for v in values]
-    if not all(abs(abs(x) - 1) <= 1e-6 for x in z):  # also keeps x**n finite
-        return False
-    roots = sorted(round(cmath.phase(x) / (2 * math.pi) * n) % n for x in z)
-    if roots != list(range(n)) or any(abs(x**n - 1) > 1e-6 for x in z):
+    if not unit_roots(np.array([numeric_value(v) for v in values], dtype=complex)):
         return False
     return all(v**n == 1 for v in values if isinstance(v, (CycNum, Fraction, int)))
+
+
+def unit_roots(z) -> bool:
+    """True iff the n complex numbers z (an array) are the n-th roots of
+    unity within 1e-6: each |z| and z**n within 1e-6 of one, and the phases
+    the n distinct multiples of 2 pi / n."""
+    n = len(z)
+    if not (np.abs(np.abs(z) - 1) <= 1e-6).all():  # also keeps z**n finite
+        return False
+    roots = np.sort(np.round(np.angle(z) / (2 * math.pi) * n) % n)
+    return bool((roots == np.arange(n)).all() and (np.abs(z**n - 1) <= 1e-6).all())
 
 
 # -- renderings ---------------------------------------------------------------------

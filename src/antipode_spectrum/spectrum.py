@@ -24,6 +24,7 @@ from .cyclotomic import (
     ROW_LIMIT,
     CycField,
     CycNum,
+    coefficient_approx,
     coefficient_pairs,
     coefficient_values,
     fit,
@@ -48,10 +49,12 @@ from .scalar import (
     _round_digits,
     canonical_key,
     close,
+    divided,
     inverse,
     is_zero,
     lift,
     roots_of_unity,
+    unit_roots,
 )
 from .symbolic import KEY_RADIX_LIMIT, canonical_order, exponent_keys, row_values
 
@@ -171,12 +174,24 @@ class SpectrumFactorization:
         n = len(self)
         if n == 0 or self.backend not in ("cyclotomic", "numeric"):
             return None
-        if self.mults is not None and (self.mults != self.mults[0]).any():
-            return None  # decided without building the entries
-        mults = {m for _, m in self.entries}
-        if len(mults) != 1 or not roots_of_unity([v for v, _ in self.entries]):
+        if self.mults is None:
+            mults = {m for _, m in self.entries}
+            if len(mults) != 1 or not roots_of_unity([v for v, _ in self.entries]):
+                return None
+            return (n, mults.pop())
+        # decided from the arrays: the coefficient rows are screened by their
+        # complex values, and only rows that pass are built into values
+        if (self.mults != self.mults[0]).any():
             return None
-        return (n, mults.pop())
+        if self.values is not None:
+            z = self.values
+        else:
+            z = np.empty(n, dtype=complex)
+            z.real, z.imag = coefficient_approx(self.field or CycField(1), *self.coeffs)
+        if not unit_roots(z) or (self.coeffs is not None
+                                 and not roots_of_unity(self._make_values(slice(None)))):
+            return None
+        return (n, int(self.mults[0]))
 
     def __str__(self):
         rp = self.uniform_root_power()
@@ -192,19 +207,90 @@ class SpectrumFactorization:
 # -- eigenspace machinery --------------------------------------------------------
 
 def dimension_eigenspace(f: FusionData, mod: ModuleActionData, tol=DEFAULT_TOLERANCE):
-    """Exact basis of the joint eigenspace  cap_r ker(N_r - dim(X_r) I)  and
-    its dimension (the multiplicity of the dimension character in Gr(M))."""
-    size = mod.size
-    rows = []
-    for m, d in zip(mod.matrices(f), f.dims_vector()):
-        for j in range(size):
-            row = [int(x) for x in m[j]]
-            row[j] -= d
-            rows.append(row)
-    basis = _linalg.nullspace(rows, tol)
+    """Basis of the joint eigenspace  cap_r ker(N_r - dim(X_r) I)  and its
+    dimension (the multiplicity of the dimension character in Gr(M));
+    EmptyEigenspace when it is zero.
+
+    Numeric dims: one SVD of the stacked rows N_r - d_r I (_linalg.nullspace,
+    cutoff tol).  Exact dims: the kernels are intersected one label at a
+    time (_joint_kernel), and the basis is the one an elimination of the
+    stacked rows gives, entry for entry.  That basis depends on the kernel
+    alone: equal kernels have equal row spaces, hence the same reduced row
+    echelon form and the same free columns, and nullspace lists one vector
+    per free column c, one at c and zero at every other free column.  Its
+    last nonzero entry is at c, as a pivot row of the echelon form is zero
+    left of its pivot; so read right to left these vectors are the reduced
+    row echelon form of the kernel, in reverse order.  A basis of one
+    vector is brought to it by scaling its last nonzero entry to one, a
+    larger one by a Subspace of its rows with the columns reversed."""
+    matrices, dims = mod.matrices(f), f.dims_vector()
+    backend, lifted = lift(dims)
+    if backend == "cyclotomic":
+        basis = _joint_kernel(matrices, lifted, mod.size)
+    else:
+        rows = []
+        for m, d in zip(matrices, dims):
+            for j in range(mod.size):
+                row = [int(x) for x in m[j]]
+                row[j] -= d
+                rows.append(row)
+        basis = _linalg.nullspace(rows, tol)
     if not basis:
         raise EmptyEigenspace("no matched pivotal structure for the given dims")
     return basis, len(basis)
+
+
+def _joint_kernel(matrices, dims, size):
+    """The canonical basis (see dimension_eigenspace) of the vectors v of
+    length size with N v = d v for each integer matrix N and exact d of
+    dims (Fractions, or CycNum of one field); [] when there are none, or no
+    matrices.  A running basis B starts as the whole space.  A block
+    N - d I that is zero leaves it; the first nonzero one gives
+    B = nullspace(N - d I), and each later one W = (N - d I) B^T, from the
+    nonzero entries of N, and B <- nullspace(W) B unless W = 0."""
+    if not size or not dims:
+        return []
+    basis = None  # the whole space
+    changed = False  # B is no longer a nullspace of its own
+    for N, d in zip(matrices, dims):
+        block = N.tolist()
+        rows = [[(i, x) for i, x in enumerate(row) if x] for row in block]
+        if all(row == [(j, d)] for j, row in enumerate(rows)):
+            continue
+        if basis is None:
+            for j in range(size):
+                block[j][j] -= d
+            basis = _linalg.nullspace(block)
+        else:
+            W = [[sum((v[i] if x == 1 else x * v[i] for i, x in row), -(d * v[j]) if v[j] else v[j])
+                  for v in basis] for j, row in enumerate(rows)]
+            if not any(x for row in W for x in row):
+                continue
+            basis = [_combination(c, basis) for c in _linalg.nullspace(W)]
+            changed = True
+        if not basis:
+            return []
+    if basis is None:
+        zero = dims[0] * 0
+        one = zero + 1
+        return [[one if i == j else zero for i in range(size)] for j in range(size)]
+    if not changed:
+        return basis
+    if len(basis) == 1:
+        v = basis[0]
+        inv = inverse(next(x for x in reversed(v) if x))
+        return [[x * inv if x else x for x in v]]
+    return [v[::-1] for v in reversed(_linalg.Subspace([v[::-1] for v in basis]).rows)]
+
+
+def _combination(coeffs, vectors):
+    """sum_c coeffs[c] vectors[c], over the nonzero coefficients."""
+    out = None
+    for c, v in zip(coeffs, vectors):
+        if c:
+            term = v if c == 1 else [c * x if x else x for x in v]
+            out = term if out is None else [a + b for a, b in zip(out, term)]
+    return out
 
 
 def _verify_eigenvector(f, mod, m, tol):
@@ -283,8 +369,7 @@ def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=No
     for i, x in enumerate(v):
         if is_zero(x, tol):
             raise ZeroEntry(f"m_{mod.labels[i]} = 0 in the unique eigenvector")
-    lead = v[0]
-    return [x / lead for x in v]
+    return divided(v, v[0])
 
 
 def m_bar(f: FusionData, mod: ModuleActionData, m, tol=DEFAULT_TOLERANCE):

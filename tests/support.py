@@ -4,8 +4,9 @@ The package computes spectra; these helpers check them.  The matched
 identity suite (Tr Q_M = dim C, Q_M rank one, Q_M^2 = dim(C) Q_M, the pivotal
 normalization and the Hom table), pivotal-twist invariance, the signed form
 of a matched spectrum, numeric spectrum comparison, the matched example
-collection and a few algebra and field checks live here, against the
-package's public outputs.
+collection, a few algebra and field checks, and the elimination of the
+stacked eigenspace rows that dimension_eigenspace is checked against live
+here, against the package's public outputs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from antipode_spectrum import _linalg
 from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.errors import (
+    EmptyEigenspace,
     FieldMismatch,
     InvalidTwist,
     MissingDims,
@@ -296,6 +298,22 @@ def quotient_algebra(alg: StructureAlgebra, ideal_rows) -> StructureAlgebra:
 
 def contains(sub: _linalg.Subspace, v) -> bool:
     return not any(sub.reduce(v))
+
+
+def stacked_eigenspace(f: FusionData, mod, tol=DEFAULT_TOLERANCE):
+    """dimension_eigenspace as one elimination of all the stacked rows
+    N_r - d_r I, exact and numeric alike: the reference."""
+    size = mod.size
+    rows = []
+    for m, d in zip(mod.matrices(f), f.dims_vector()):
+        for j in range(size):
+            row = [int(x) for x in m[j]]
+            row[j] -= d
+            rows.append(row)
+    basis = _linalg.nullspace(rows, tol)
+    if not basis:
+        raise EmptyEigenspace("no matched pivotal structure for the given dims")
+    return basis, len(basis)
 
 
 def rational_value(x):

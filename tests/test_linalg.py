@@ -228,8 +228,10 @@ class TestSparseElimination:
         check()
 
     def test_taft_eigenspace_multiplication_count(self):
-        """The Taft n=9 eigenspace matrix is 81 x 9 with 144 nonzero entries:
-        elimination over zeros would make 2,452 products of CycNums."""
+        """The Taft n=9 eigenspace: elimination over zeros of the 81 x 9
+        stacked rows (144 nonzero entries) would make 2,452 products of
+        CycNums, the sparse one 576; the kernels intersected one label at a
+        time make 191, and the bound leaves 25% above that."""
         fusion, module, _ = taft_family(9)
         calls = []
         mul_vec = CycField._mul_vec
@@ -241,7 +243,7 @@ class TestSparseElimination:
         with mock.patch.object(CycField, "_mul_vec", counted):
             basis, dim = dimension_eigenspace(fusion, module)
         assert dim == 1
-        assert len(calls) <= 600
+        assert len(calls) <= 238
 
 
 def test_elimination_lives_in_linalg():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from antipode_spectrum import spectrum
-from antipode_spectrum.cyclotomic import CycField, CycNum
+from antipode_spectrum.cyclotomic import CycField, CycNum, coefficient_pairs
 from antipode_spectrum.errors import (
     AmbiguousM,
     EmptyEigenspace,
@@ -20,6 +20,8 @@ from antipode_spectrum.errors import (
 )
 from antipode_spectrum.families import (
     Group,
+    _uqsl2_fusion,
+    _uqsl2_module,
     regular_module,
     taft_family,
     uqg_family,
@@ -27,6 +29,7 @@ from antipode_spectrum.families import (
     vecg_family,
 )
 from antipode_spectrum.grothendieck import FusionData
+from antipode_spectrum.modcat import ModuleActionData
 from antipode_spectrum.oracle import brute_force_spectrum
 from antipode_spectrum.scalar import canonical_key, lift
 from antipode_spectrum.spectrum import (
@@ -51,6 +54,7 @@ from support import (
     matched_builtins,
     matched_checks,
     pivotal_twist_invariance,
+    stacked_eigenspace,
     with_dims,
 )
 
@@ -99,6 +103,133 @@ class TestDimensionEigenspace:
         assert mult == 1
         m = select_m(fnum, mod, (basis, mult))
         assert all(abs(m[i] - q**i) < 1e-9 for i in range(3))
+
+
+def eigenspace_outcome(eigenspace, f, mod):
+    """The multiplicity and the basis as (type, value) pairs, so equal values
+    of unequal kinds differ; or the class and message of the exception."""
+    try:
+        basis, mult = eigenspace(f, mod)
+    except Exception as e:
+        return type(e), str(e)
+    return mult, [[(type(x), x) for x in v] for v in basis]
+
+
+def units(n):
+    return [s for s in range(1, n) if math.gcd(s, n) == 1]
+
+
+class TestJointKernel:
+    """The kernels intersected one label at a time give the basis of the
+    elimination of all stacked rows (support.stacked_eigenspace), entry for
+    entry and type for type, or the same exception."""
+
+    def check(self, f, mod):
+        want = eigenspace_outcome(stacked_eigenspace, f, mod)
+        assert eigenspace_outcome(dimension_eigenspace, f, mod) == want
+        return want
+
+    def test_taft_at_every_s(self):
+        for n in range(2, 10):
+            for s in units(n):
+                f, mod, _ = taft_family(n, s)
+                assert self.check(f, mod)[0] == 1
+
+    def test_uqsl2(self):
+        for ell in (3, 5, 7):
+            for s in units(ell):
+                assert self.check(_uqsl2_fusion(ell, s), _uqsl2_module(ell))[0] == 2
+
+    def test_fibonacci_and_yang_lee(self):
+        fib = fibonacci_fusion()
+        mod, _ = regular_module(fib)
+        phi = fib.dims["t"]
+        for f in (fib, with_dims(fib, [phi * 0 + 1, 1 - phi])):
+            assert self.check(f, mod)[0] == 1
+
+    def test_s3(self):
+        s3 = Group.symmetric3()
+        sign = {"e": 1, "r": 1, "r2": 1, "s": -1, "sr": -1, "sr2": -1}
+        outcomes = set()
+        for kappa in ({g: 1 for g in s3.elements}, sign):
+            for sub in (["e"], ["e", "s"], ["e", "sr2"], ["e", "r", "r2"], s3.elements):
+                f, mod, _ = vecg_family(s3, kappa, sub)
+                outcomes.add(self.check(f, mod)[0])
+        assert outcomes == {1, EmptyEigenspace}
+
+    def test_size_zero_and_zero_blocks(self):
+        f, _, _ = taft_family(3)
+        empty = ModuleActionData([], {lab: np.zeros((0, 0)) for lab in f.labels})
+        assert self.check(f, empty)[0] is EmptyEigenspace
+        # every block zero: the whole space, in the kind of the dims
+        for one in (1, CycField(4).one(), 1.0):
+            f = FusionData(["e", "a"], "e", {}, {}, dims={"e": one, "a": 2 * one})
+            mod = ModuleActionData(["x", "y"], {"e": np.eye(2), "a": 2 * np.eye(2)})
+            assert self.check(f, mod)[0] == 2
+
+    def test_vec_cyclic_cosets(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cosets(draw):
+            n = draw(st.integers(1, 12))
+            h = draw(st.sampled_from([h for h in range(1, n + 1) if n % h == 0]))
+            t = draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(["cyclotomic", "rational", "numeric"]))
+            if kind == "rational" and 2 * t % n:
+                kind = "cyclotomic"
+            zeta = CycField(n).zeta(t)
+            kappa = {str(a): (-1) ** (2 * t * a // n) if kind == "rational" else zeta ** a
+                     for a in range(n)}
+            f, mod, _ = vecg_family(Group.cyclic(n), kappa, [str(k * (n // h)) for k in range(h)])
+            if kind == "numeric":  # the SVD of the stacked rows
+                f = with_dims(f, [complex(d.complex_value()) for d in f.dims_vector()])
+            return f, mod
+
+        seen = set()
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cosets())
+        def check(case):
+            seen.add(self.check(*case)[0])
+
+        check()
+        assert seen == {1, EmptyEigenspace}
+
+    def test_permutation_actions(self):
+        """Labels acting by permutations with dims mostly 1: the joint kernel
+        of the eigenvalue-1 blocks has one vector per orbit, so later blocks
+        cut a basis of several vectors (W != 0) and the result is reduced."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        field = CycField(3)
+
+        @st.composite
+        def actions(draw):
+            size, count = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+            kind = draw(st.sampled_from([Fraction, CycNum]))
+            labels = [f"r{i}" for i in range(count)]
+            action, dims = {}, {}
+            for lab in labels:
+                perm = draw(st.permutations(range(size)))
+                action[lab] = np.eye(size, dtype=np.int64)[list(perm)]
+                d = draw(st.sampled_from([1, 1, 1, -1, 2, 0]))
+                dims[lab] = Fraction(d) if kind is Fraction else field.from_rational(d)
+                if kind is CycNum and draw(st.integers(0, 5)) == 0:
+                    dims[lab] = field.zeta(1)
+            return FusionData(labels, labels[0], {}, {}, dims=dims), \
+                ModuleActionData([str(i) for i in range(size)], action)
+
+        seen = set()
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(actions())
+        def check(case):
+            seen.add(self.check(*case)[0])
+
+        check()
+        assert {EmptyEigenspace, 1, 2, 3} <= seen
 
 
 class TestSelectM:
@@ -751,6 +882,39 @@ class TestUniformRootPower:
         ]
         for entries in cases:
             assert SpectrumFactorization(entries, "cyclotomic").uniform_root_power() is None
+
+    def test_arrays_are_decided_without_entries(self):
+        """A spectrum held as arrays or coefficient rows is decided without
+        filling entries, and as the same entries held as a list decide it."""
+        n = 20000
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        off = roots.copy()
+        off[7] = 2
+        for values, want in ((roots, (n, 3)), (off, None)):
+            spec = SpectrumFactorization.from_arrays(values, np.full(n, 3, dtype=np.int64))
+            assert spec.uniform_root_power() == want
+            assert spec._entries is None
+            listed = SpectrumFactorization(zip(values.tolist(), [3] * n), "numeric")
+            assert listed.uniform_root_power() == want
+
+        def rows(values, mults):
+            field = values[0].field if type(values[0]) is CycNum else None
+            num = np.array([v.num if field else (v.numerator,) for v in values], dtype=np.int64)
+            den = np.array([v.den if field else v.denominator for v in values], dtype=np.int64)
+            return SpectrumFactorization.from_coefficients(
+                field, *coefficient_pairs(num, den), np.array(mults, dtype=np.int64))
+
+        F = CycField(5)
+        fifth = [F.zeta(t) for t in range(5)]
+        near = fifth[:4] + [fifth[4] + Fraction(1, 10**7)]  # passes the float screen
+        cases = [(fifth, [2] * 5, (5, 2)), (near, [2] * 5, None), (fifth, [2] * 4 + [1], None),
+                 ([Fraction(1), Fraction(-1)], [4, 4], (2, 4)),
+                 ([Fraction(1), Fraction(1, 2)], [4, 4], None)]
+        for values, mults, want in cases:
+            spec = rows(values, mults)
+            assert spec.uniform_root_power() == want
+            assert spec._entries is None
+            assert SpectrumFactorization(zip(values, mults), "cyclotomic").uniform_root_power() == want
 
 
 class TestArrayBackedSpectrum:

@@ -1,17 +1,20 @@
 """The package ships only what it runs: every function, class and method
 defined in src/ is used somewhere in src/ outside its own definition and
-__init__.py, or named in the benchmark's files under perfbench/ (read as
-text; nothing there is imported).  A module-level (or nested) function or
-class is used only through its bare name in its own module, a name imported
-from that module, or an attribute of a name bound to that module
-(``_linalg.rank``); a method only through an attribute.  A definition used
-only by unused ones is unused too.  Helpers that only tests call live in
-tests/support.py.  Dunder methods are called by the language, and the error
-classes of errors.py are the catalogue the command line maps to exit codes;
-both are exempt."""
+__init__.py, or named in the code of the benchmark's files under
+perfbench/ (as a name or in a string constant, read with tokenize: comments
+and docstrings do not count, and nothing there is imported).  A
+module-level (or nested) function or class is used only through its bare
+name in its own module, a name imported from that module, or an attribute
+of a name bound to that module (``_linalg.rank``); a method only through an
+attribute.  A definition used only by unused ones is unused too.  Helpers
+that only tests call live in tests/support.py.  Dunder methods are called by
+the language, and the error classes of errors.py are the catalogue the
+command line maps to exit codes; both are exempt."""
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -84,11 +87,35 @@ def unused_definitions(sources: dict, exempt=frozenset()) -> list:
     return sorted(d[0] for d in unused)
 
 
+def code_words(text):
+    """The words of a module's names and string constants, read with
+    tokenize: its comments and docstrings are left out."""
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, *DEFINITIONS)) and node.body
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)
+                  and isinstance(node.body[0].value.value, str)}
+    words = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME or (tok.type == tokenize.STRING
+                                         and tok.start not in docstrings):
+            words.update(re.findall(r"\w+", tok.string))
+    return words
+
+
 def test_every_definition_is_used_by_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    bench = {word for path in (ROOT / "perfbench").glob("*.py")
-             for word in re.findall(r"\w+", path.read_text())}
+    bench = set().union(*(code_words(path.read_text())
+                          for path in (ROOT / "perfbench").glob("*.py")))
     assert unused_definitions(sources, bench) == []
+
+
+def test_comments_and_docstrings_are_no_words():
+    text = ('"""rank, in the module docstring."""\n\n'
+            "def f():\n    \"\"\"matrix, in a docstring.\"\"\"\n"
+            "    return g('select_m') + h  # lift, in a comment\n")
+    assert code_words(text) == {"def", "f", "return", "g", "select_m", "h"}
 
 
 def test_an_attribute_of_another_object_is_no_use():
