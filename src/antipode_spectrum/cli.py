@@ -18,11 +18,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import specfile
-from .cyclotomic import CycNum, coefficient_approx, coefficient_texts, fit, joined_text
+from .cyclotomic import (coefficient_approx, coefficient_pairs, coefficient_rows, coefficient_texts,
+                         joined_text)
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
-from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
-                     to_text)
+from .scalar import (_round_digits, count_torus_vars, cyclotomic_field, from_literal,
+                     literal_to_cycnum, to_json, to_text)
 from .spectrum import (SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m,
                        sorted_runs)
 from .symbolic import monomial_text
@@ -133,16 +134,16 @@ def _entry_texts(entries, as_json: bool) -> list:
     CycNum of one field through _cyclotomic_texts, every other value
     through to_json or to_text."""
     out = []
-    runs = itertools.groupby(entries, key=lambda e: e[0].field if type(e[0]) is CycNum else None)
+    runs = itertools.groupby(entries, key=lambda e: cyclotomic_field(e[0]))
     for field, run in runs:
         run = list(run)
         if field is None:
             out += [_item_text(m, _json_text(to_json(v), "      ")) if as_json
                     else f"multiplicity {m}: {to_text(v)}" for v, m in run]
         else:
-            keys = np.array([v.sort_key() for v, _ in run], dtype=object)
-            out += _cyclotomic_texts(field, fit(keys[..., 0]), fit(keys[..., 1]),
-                                     [m for _, m in run], as_json)
+            _, num, den, _ = coefficient_rows([v for v, _ in run])
+            out += _cyclotomic_texts(field, *coefficient_pairs(num, den), [m for _, m in run],
+                                     as_json)
     return out
 
 

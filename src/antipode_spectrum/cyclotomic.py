@@ -14,16 +14,17 @@ which covers zeta^e for 0 <= e < n and every exponent of a product of two
 reduced elements.  A product is an integer convolution folded through the
 table, then one gcd; a Galois conjugate reads its rows from the same table;
 the inverse is the product of the other Galois conjugates over the norm.
-Fraction appears only where a rational enters or leaves: ``from_rational``,
-``reduce`` and ``coeffs``.
+Fraction appears only where a rational enters or leaves: ``from_rational``
+and ``coeffs``.
 
 Many elements at once are integer coefficient rows: an (n, phi(n)) numpy
 array of numerators, with their denominators alongside.  A row array is
 int64 when a bound shows that no entry or partial sum passes ROW_LIMIT, and
-object (Python ints, the same code) otherwise.  ``CycField.mul_rows`` forms
-many products in one pass, ``coefficient_pairs`` brings each coefficient to
-lowest terms, and ``coefficient_approx`` evaluates rows in the standard
-embedding as ``complex_value`` does, bit for bit.
+object (Python ints, the same code) otherwise.  ``coefficient_rows`` lays
+exact values out as rows, ``CycField.mul_rows`` forms many products in one
+pass, ``coefficient_pairs`` brings each coefficient to lowest terms, and
+``coefficient_approx`` evaluates rows in the standard embedding as
+``complex_value`` does, bit for bit.
 """
 
 from __future__ import annotations
@@ -90,6 +91,22 @@ def matmul(a, b):
     x, y = max_abs(a), max_abs(b)
     dtype = np.int64 if max(x, y, a.shape[-1] * x * y) < ROW_LIMIT else object
     return a.astype(dtype) @ b.astype(dtype)
+
+
+def coefficient_rows(values):
+    """(field, num, den, top) for exact values, CycNum of one field or
+    Fractions: the field, None for Fractions; the numerator rows, int64
+    when they fit; the denominators, an object array; and the largest
+    denominator."""
+    if values and type(values[0]) is CycNum:
+        field = values[0].field
+        num, den = [v.num for v in values], [v.den for v in values]
+    else:
+        field = None
+        num, den = [(v.numerator,) for v in values], [v.denominator for v in values]
+    degree = field.degree if field else 1
+    return (field, fit(np.array(num, dtype=object).reshape(len(values), degree)),
+            np.array(den, dtype=object), max(den, default=1))
 
 
 def coefficient_pairs(num, den):
@@ -225,24 +242,7 @@ class CycField:
     def zeta(self, e: int = 1) -> "CycNum":
         return self._zetas[e % self.order]
 
-    def reduce(self, coeffs) -> "CycNum":
-        """Reduce an arbitrary-length rational coefficient list mod Phi_n,
-        using x^e = zeta^(e mod n) for the overflow exponents."""
-        qs = [Fraction(c) for c in coeffs]
-        den = lcm(*(q.denominator for q in qs)) if qs else 1
-        return _canonical(self, self._fold(q.numerator * (den // q.denominator) for q in qs), den)
-
     # -- integer vector kernels ------------------------------------------------------
-
-    def _fold(self, coeffs):
-        """Integer vector of sum_e coeffs[e] x^e mod Phi_n, for any length."""
-        out = [0] * self.degree
-        rows, n = self._rows, self.order
-        for e, c in enumerate(coeffs):
-            if c:
-                for i, r in rows[e % n]:
-                    out[i] += c * r
-        return out
 
     def _mul_vec(self, a, b):
         """Integer vector of a(x) b(x) mod Phi_n."""

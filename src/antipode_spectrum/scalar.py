@@ -32,7 +32,6 @@ import numpy as np
 
 from .cyclotomic import CycNum
 from .errors import (
-    DivisionByZero,
     FieldMismatch,
     NonRealSigns,
     NotFactorable,
@@ -156,8 +155,7 @@ def numeric_value(x) -> complex:
 
 
 def is_zero(x, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Exactly zero for exact kinds (never true of a FactoredValue); within
-    tol of zero for numeric ones."""
+    """Exactly zero for exact kinds; within tol of zero for numeric ones."""
     if isinstance(x, _EXACT):
         return not x
     return abs(x) <= tol
@@ -274,6 +272,11 @@ def to_literal(x) -> str:
     if isinstance(x, (CycNum, FactoredValue, int, Fraction)):
         return str(x)
     raise ParseError(f"cannot serialize {type(x).__name__} exactly; use the cyclotomic backend")
+
+
+def cyclotomic_field(x):
+    """The field of a CycNum; None for every other kind."""
+    return x.field if isinstance(x, CycNum) else None
 
 
 def literal_order(values) -> int:
@@ -477,8 +480,6 @@ class _Parser:
             return FactoredValue.from_laurent(v)
         except NotFactorable as e:
             raise ParseError(str(e))
-        except DivisionByZero:
-            raise ParseError("zero denominator or zero factored value")
 
     def _add(self, a, b):
         return self._to_poly(a) + self._to_poly(b)
@@ -498,9 +499,9 @@ class _Parser:
         return self._to_factored(a) * self._to_factored(b)
 
     def _div(self, a, b):
+        if not b:
+            raise ParseError("division by zero")
         if isinstance(b, LaurentPoly):
-            if b.is_zero():
-                raise ParseError("division by zero")
             if len(b.terms) == 1:
                 m, c = next(iter(b.terms.items()))
                 if isinstance(a, LaurentPoly):
@@ -512,6 +513,8 @@ class _Parser:
 
     def _pow(self, a, e: int):
         if e < 0:
+            if not a:
+                raise ParseError("division by zero")
             return self._to_factored(a) ** e
         out = LaurentPoly.constant(self.ctx, self.ctx.field.one())
         while e:
@@ -562,8 +565,6 @@ def literal_to_factored(s: str, order: int, nvars: int) -> FactoredValue:
         return FactoredValue.from_laurent(v)
     except NotFactorable as e:
         raise ParseError(str(e))
-    except DivisionByZero:
-        raise ParseError(f"literal {s!r} is zero")
 
 
 def literal_to_complex(s: str, order: int) -> complex:

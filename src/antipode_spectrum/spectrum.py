@@ -23,9 +23,9 @@ from . import _linalg
 from .cyclotomic import (
     ROW_LIMIT,
     CycField,
-    CycNum,
     coefficient_approx,
     coefficient_pairs,
+    coefficient_rows,
     coefficient_values,
     fit,
     matmul,
@@ -322,9 +322,9 @@ def _verify_exact(f, mod, m, dims):
     Fractions), all labels in one batch: m is the integer rows M over their
     common denominator, and N_r m = d_r m reads den(d_r) N_r M ==
     num(d_r) M, the right side one batch of mul_rows."""
-    field = m[0].field if type(m[0]) is CycNum else CycField(1)
+    field, num, den, top = coefficient_rows(m + dims)
+    field = field or CycField(1)
     size, count = len(m), len(dims)
-    num, den, top = _coefficient_rows(m + dims, field.degree)
     common = math.lcm(*den[:size].tolist())
     M = fit(num[:size].astype(object) * (common // den[:size])[:, None])
     lhs = matmul(np.stack([mod.matrix(lab) for lab in f.labels]), M)
@@ -374,38 +374,18 @@ def select_m(f: FusionData, mod: ModuleActionData, eigenspace=None, candidate=No
 
 def m_bar(f: FusionData, mod: ModuleActionData, m, tol=DEFAULT_TOLERANCE):
     """Conjugate trace vector from the rank-one structure of Q_M:
-    mbar_i = (Q_M)_{ji} / m_j, checked to be independent of the row j."""
-    Q = q_matrix(f, mod.matrices(f))
+    mbar_i = (Q_M)_{ji} / m_j, checked to be independent of the row j.
+    m and the entries of Q_M are lifted into one backend together."""
     size = mod.size
-    backend, m = lift(m)
-    if backend == "symbolic":
-        return _m_bar_symbolic(mod, m, Q, tol)
+    Q = q_matrix(f, mod.matrices(f))
+    _, values = lift(list(m) + [x for row in Q for x in row])
+    m, Q = values[:size], [values[size * (j + 1):size * (j + 2)] for j in range(size)]
     mbar = [Q[0][i] / m[0] for i in range(size)]
     for j in range(size):
         for i in range(size):
             if not close(Q[j][i], mbar[i] * m[j], tol):
                 raise JDependence(
                     f"row {mod.labels[j]} of Q_M is not m_j * mbar; data is not matched"
-                )
-    return mbar
-
-
-def _m_bar_symbolic(mod, m, Q, tol):
-    """m_bar for factored m; no FactoredValue is zero, so a vanishing entry
-    of Q or of m_bar is None."""
-    size = mod.size
-    nonzero = [(j, i) for j in range(size) for i in range(size) if not is_zero(Q[j][i], tol)]
-    _, lifted = lift([m[0]] + [Q[j][i] for j, i in nonzero])
-    q = dict(zip(nonzero, lifted[1:]))
-    mbar = [q[0, i] / m[0] if (0, i) in q else None for i in range(size)]
-    for j in range(size):
-        for i in range(size):
-            lhs = q.get((j, i))
-            rhs = None if mbar[i] is None else mbar[i] * m[j]
-            if (lhs is None) != (rhs is None) or (lhs is not None and lhs != rhs):
-                raise JDependence(
-                    f"row {mod.labels[j]} of Q_M is not m_j * mbar; the torus "
-                    "parameter does not cancel"
                 )
     return mbar
 
@@ -466,21 +446,23 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     pair classes are the distinct ids, each with its first pair (a, b).
     The id is the sum keys[a] + keys[b] of the symbolic.exponent_keys of
     the values when they are factored, or else of factored, the factored
-    values of which values are a specialization; without keys it is the
-    complex product when numeric (bitwise-equal floats, so rounding never
-    joins two values here), else the product itself, as exact values are
-    canonical.  With keys, class pairs of nonzero total weight are merged
-    by the difference of their sums in int64.  Factored values of one
-    constant are not evaluated at all: every quotient has constant 1, and
-    its exponent row, the difference of two pair sums of rows, is its
+    values of which values are a specialization; there are keys only when
+    those share one nonzero constant.  Without keys the id is the complex
+    product when numeric (bitwise-equal floats, so rounding never joins two
+    values here), else the product itself, as exact values are canonical.
+    With keys, class pairs of nonzero total weight are merged by the
+    difference of their sums in int64, and values that are factored
+    themselves are not evaluated at all: every quotient has constant 1,
+    and its exponent row, the difference of two pair sums of rows, is its
     canonical form, so distinct differences are distinct eigenvalues (the
     atoms are pairwise coprime irreducibles of a unique factorization
-    domain), listed in canonical order as a row-backed spectrum.  Otherwise
-    one representative product per class is formed, and one quotient per
-    class pair: numeric ones merge by sort and sweep at tol (see
-    _sweep_numeric), exact ones as coefficient rows (_quotient_spectrum),
-    factored ones by merge_pairs; these join values that coincide
-    although their ids differ."""
+    domain), listed in canonical order as a row-backed spectrum.
+    Otherwise one representative product per class is formed, and one
+    quotient per class pair: numeric ones merge by sort and sweep at tol
+    (see _sweep_numeric), exact ones as coefficient rows
+    (_quotient_spectrum), factored ones by merge_pairs; these join values
+    that coincide although their ids differ.  An exact zero that a
+    quotient divides by raises DivisionByZero."""
     backend, values = lift(values)
     k = len(values)
     source = values if backend == "symbolic" else factored
@@ -515,7 +497,7 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     mults = totals[p, q]
     if keys is not None:
         p, q, mults = _merge_class_pairs(sums[first], keys.radices, p, q, mults)
-        if backend == "symbolic" and not keys.constants:
+        if backend == "symbolic":
             rows = keys.exponents[left] + keys.exponents[right]
             quotients = rows[p] - rows[q]
             order = canonical_order(quotients, values[0].ctx.nvars)
@@ -537,18 +519,6 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     return _quotient_spectrum(reps, p, q, mults, tol)
 
 
-def _coefficient_rows(values, degree):
-    """The numerator rows and the denominators of exact values (CycNum of a
-    field of this degree, or Fractions) as integer arrays, each int64 when
-    it fits, and the largest denominator."""
-    if values and type(values[0]) is CycNum:
-        num, den = [v.num for v in values], [v.den for v in values]
-    else:
-        num, den = [(v.numerator,) for v in values], [v.denominator for v in values]
-    return (fit(np.array(num, dtype=object).reshape(len(values), degree)),
-            np.array(den, dtype=object), max(den, default=1))
-
-
 def _quotient_spectrum(reps, p, q, mults, tol):
     """The eigenvalues reps[p] / reps[q] of the exact class representatives
     reps (CycNum of one field, or Fractions), with multiplicities mults,
@@ -556,9 +526,8 @@ def _quotient_spectrum(reps, p, q, mults, tol):
     class is inverted once; the quotients are one batch of row products,
     and their coefficients in lowest terms, their canonical form, are
     sorted with the rational ones first, as canonical_key sorts them."""
-    field = reps[0].field if reps and type(reps[0]) is CycNum else None
+    field, num, den, top = coefficient_rows(reps + [inverse(r) for r in reps])
     ring, classes = field or CycField(1), len(reps)
-    num, den, top = _coefficient_rows(reps + [inverse(r) for r in reps], ring.degree)
     den = fit(den, top * top)
     tops, bottoms = coefficient_pairs(ring.mul_rows(num[p], num[classes:], q),
                                       den[p] * den[classes + q])

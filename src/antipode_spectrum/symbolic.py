@@ -10,7 +10,8 @@ expression in the canonical shape
 and never expands.  Equality of canonical forms is sound because atoms with
 the same coordinate vector and distinct exponent classes are coprime
 irreducibles (classes a and a + ell collapse; for even ell, a and a + ell/2
-differ by the unit -1 and are folded into the constant).
+differ by the unit -1 and are folded into the constant).  The zero is the
+constant 0 with no monomial and no factors.
 
 LaurentPoly is the additive workhorse used to verify linear identities
 (eigenvector equations) and to recognize atoms when parsing literals.
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import CycField, CycNum
-from .errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
+from .errors import FieldMismatch, NotFactorable, ParseError
 
 
 class FactoredContext:
@@ -91,9 +92,6 @@ class LaurentPoly:
         exp[index] = power
         return cls(ctx, {tuple(exp): ctx.field.one()})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -140,15 +138,6 @@ class LaurentPoly:
         return LaurentPoly(
             self.ctx, {tuple(a + b for a, b in zip(m, exp)): c for m, c in self.terms.items()}
         )
-
-    def complex_value(self, lam: tuple) -> complex:
-        total = 0j
-        for m, c in self.terms.items():
-            v = c.complex_value()
-            for x, e in zip(lam, m):
-                v *= x**e
-            total += v
-        return total
 
     def __repr__(self):
         return f"LaurentPoly({self.terms})"
@@ -203,15 +192,16 @@ def value_text(constant, monomial, factors):
 
 
 class FactoredValue:
-    """constant * L^monomial * product of atom powers; canonical, never expanded."""
+    """constant * L^monomial * product of atom powers; canonical, never
+    expanded.  A zero constant drops the monomial and the factors."""
 
     __slots__ = ("ctx", "constant", "monomial", "factors", "_hash")
 
     def __init__(self, ctx, constant: CycNum, monomial: tuple = None, factors: dict = None):
-        if not constant:
-            raise DivisionByZero("FactoredValue constant must be nonzero")
         self.ctx = ctx
         self.constant = constant
+        if not constant:
+            monomial = factors = None
         self.monomial = monomial if monomial is not None else ctx.zero_exp()
         self.factors = {k: p for k, p in (factors or {}).items() if p}
         self._hash = None
@@ -251,13 +241,13 @@ class FactoredValue:
     def from_laurent(cls, poly: LaurentPoly) -> "FactoredValue":
         """Recognize a Laurent polynomial as constant * monomial * single atom.
 
-        Accepts zero factors deep (one- or two-term polynomials only); raises
-        NotFactorable otherwise.
+        Accepts zero factors deep (the zero and one- or two-term polynomials
+        only); raises NotFactorable otherwise.
         """
         ctx = poly.ctx
         terms = list(poly.terms.items())
         if not terms:
-            raise DivisionByZero("zero is not a valid FactoredValue")
+            return cls(ctx, ctx.field.zero())
         if len(terms) == 1:
             m, c = terms[0]
             return cls(ctx, c, m, {})
@@ -295,6 +285,9 @@ class FactoredValue:
         if self._hash is None:
             self._hash = hash(self._key())
         return self._hash
+
+    def __bool__(self):
+        return bool(self.constant)
 
     def __mul__(self, other):
         _check_ctx(self, other)
@@ -360,20 +353,6 @@ class FactoredValue:
                 out = out * atom_poly
         return out
 
-    def complex_value(self, lam: tuple) -> complex:
-        import cmath
-
-        v = self.constant.complex_value()
-        for x, e in zip(lam, self.monomial):
-            v *= x**e
-        z = cmath.exp(2j * cmath.pi / self.ctx.ell)
-        for (coords, a), p in self.factors.items():
-            la = 1.0 + 0j
-            for x, e in zip(lam, coords):
-                la *= x**e
-            v *= (la * z**a - z**-a) ** p
-        return v
-
     def sort_key(self):
         return (
             self.monomial,
@@ -398,42 +377,37 @@ class FactoredValue:
 # and the difference of two such sums all fit in int64
 KEY_RADIX_LIMIT = 2**62
 
-ExponentKeys = namedtuple("ExponentKeys", "exponents keys radices atoms constants")
+ExponentKeys = namedtuple("ExponentKeys", "exponents keys radices atoms")
 
 
 def exponent_keys(values):
-    """Additive integer keys of factored values of one context.
+    """Additive integer keys of factored values of one context and one
+    nonzero constant.
 
     exponents is the int64 matrix of the values' columns: the monomial
-    coordinates, the powers of the atoms (coords, class) of the sorted list
-    atoms, all those met in values, and, when the constants differ, one count
-    per distinct constant of the list constants (empty when they are equal).
-    A column whose entries span [lo, hi] is a digit of width
-    4 (hi - lo) + 1 holding entry - lo, packed by mixed radix into the
-    columns of keys, one word per radix in radices; a new word starts where
-    the running radix would pass KEY_RADIX_LIMIT.  Digits of a pair sum lie
-    in [0, 2 (hi - lo)] and of a difference of pair sums in
-    [-2 (hi - lo), 2 (hi - lo)], so per word keys[a] + keys[b] identifies
-    the exponents of the product of a and b, and that sum minus the one of
-    c and d identifies those of the quotient, all within (radix - 1) / 2 of
-    zero.  Equal keys mean equal values; unequal keys may still be equal
-    values (constants 2 * 2 and 4 * 1).  None when an exponent or a digit
-    is larger than KEY_RADIX_LIMIT."""
+    coordinates and the powers of the atoms (coords, class) of the sorted
+    list atoms, all those met in values.  A column whose entries span
+    [lo, hi] is a digit of width 4 (hi - lo) + 1 holding entry - lo, packed
+    by mixed radix into the columns of keys, one word per radix in radices;
+    a new word starts where the running radix would pass KEY_RADIX_LIMIT.
+    Digits of a pair sum lie in [0, 2 (hi - lo)] and of a difference of
+    pair sums in [-2 (hi - lo), 2 (hi - lo)], so per word keys[a] + keys[b]
+    identifies the exponents of the product of a and b, and that sum minus
+    the one of c and d identifies those of the quotient, all within
+    (radix - 1) / 2 of zero.  With one constant, keys are equal exactly for
+    equal values.  None when the constants differ or are zero, or when an
+    exponent or a digit is larger than KEY_RADIX_LIMIT."""
+    constants = {v.constant for v in values}
+    if len(constants) > 1 or not all(constants):
+        return None
     atom_list = sorted({a for v in values for a in v.factors})
     atoms = {a: j for j, a in enumerate(atom_list)}
-    constants = {}
-    for v in values:
-        constants.setdefault(v.constant, len(constants))
-    if len(constants) == 1:
-        constants.clear()
     nvars = values[0].ctx.nvars if values else 0
     exponents = []
     for v in values:
-        row = list(v.monomial) + [0] * (len(atoms) + len(constants))
+        row = list(v.monomial) + [0] * len(atoms)
         for atom, p in v.factors.items():
             row[nvars + atoms[atom]] = p
-        if constants:
-            row[nvars + len(atoms) + constants[v.constant]] = 1
         exponents.append(row)
     digits, radices, radix = [], [], KEY_RADIX_LIMIT
     for j, col in enumerate(zip(*exponents)):
@@ -447,18 +421,17 @@ def exponent_keys(values):
                 radix = 1
             digits.append((j, lo, radix, len(radices) - 1))
             radix = radices[-1] = radix * width
-    ncols = nvars + len(atoms) + len(constants)
-    exponents = np.array(exponents, dtype=np.int64).reshape(len(values), ncols)
+    exponents = np.array(exponents, dtype=np.int64).reshape(len(values), nvars + len(atoms))
     keys = np.zeros((len(values), max(len(radices), 1)), dtype=np.int64)
     for j, lo, place, word in digits:
         keys[:, word] += (exponents[:, j] - lo) * place
-    return ExponentKeys(exponents, keys, radices or [1], atom_list, list(constants))
+    return ExponentKeys(exponents, keys, radices or [1], atom_list)
 
 
 def row_values(ctx, atoms, rows):
     """The factored values of constant 1 whose exponents are the int64 rows,
-    with columns as in exponent_keys of values with equal constants: the
-    monomial, then the powers of the atoms."""
+    with columns as in exponent_keys: the monomial, then the powers of the
+    atoms."""
     one, nvars = ctx.field.one(), ctx.nvars
     return [FactoredValue(ctx, one, tuple(row[:nvars]),
                           {atoms[j]: p for j, p in enumerate(row[nvars:]) if p})
@@ -467,7 +440,7 @@ def row_values(ctx, atoms, rows):
 
 def canonical_order(exponents, nvars):
     """Stable argsort of exponent rows (columns as in exponent_keys) in the
-    order of FactoredValue.sort_key when the constants are equal: the
+    order of FactoredValue.sort_key of values of one constant: the
     monomial, then the list of (atom, power) pairs of the nonzero powers,
     a list coming before any longer list that it begins.  In that order a
     zero power at an atom sorts below every power when no later atom has a

@@ -4,16 +4,19 @@ The package computes spectra; these helpers check them.  The matched
 identity suite (Tr Q_M = dim C, Q_M rank one, Q_M^2 = dim(C) Q_M, the pivotal
 normalization and the Hom table), pivotal-twist invariance, the signed form
 of a matched spectrum, numeric spectrum comparison, the matched example
-collection, a few algebra and field checks, and the elimination of the
-stacked eigenspace rows that dimension_eigenspace is checked against live
-here, against the package's public outputs.
+collection, a few algebra and field checks, field elements from long
+coefficient lists, complex values of torus-parameter expressions, and the
+elimination of the stacked eigenspace rows that dimension_eigenspace is
+checked against live here, against the package's public outputs.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from antipode_spectrum.scalar import (
     sign,
 )
 from antipode_spectrum.spectrum import SpectrumFactorization, _verify_eigenvector, char_poly_s2
+from antipode_spectrum.symbolic import LaurentPoly
 
 # the relative part of close_to's bound: a few hundred ulps, the rounding two
 # float evaluation orders of one eigenvalue can differ by at large |z|
@@ -316,6 +320,35 @@ def stacked_eigenspace(f: FusionData, mod, tol=DEFAULT_TOLERANCE):
     return basis, len(basis)
 
 
+def reduced(field: CycField, coeffs):
+    """sum_e coeffs[e] zeta^e in field, for rational coefficients of any
+    length: x^e reduces as zeta^(e mod n)."""
+    return sum((field.zeta(e) * Fraction(c) for e, c in enumerate(coeffs) if c), field.zero())
+
+
+def complex_at(x, lam: tuple) -> complex:
+    """The value of the LaurentPoly or FactoredValue x at the torus point
+    lam, zeta_ell taken in the standard embedding."""
+    if isinstance(x, LaurentPoly):
+        total = 0j
+        for m, c in x.terms.items():
+            v = c.complex_value()
+            for t, e in zip(lam, m):
+                v *= t**e
+            total += v
+        return total
+    v = x.constant.complex_value()
+    for t, e in zip(lam, x.monomial):
+        v *= t**e
+    z = cmath.exp(2j * cmath.pi / x.ctx.ell)
+    for (coords, a), p in x.factors.items():
+        la = 1.0 + 0j
+        for t, e in zip(lam, coords):
+            la *= t**e
+        v *= (la * z**a - z**-a) ** p
+    return v
+
+
 def rational_value(x):
     """The Fraction of a rational CycNum."""
     if not x.is_rational():
@@ -333,4 +366,4 @@ def embed(x, target: CycField):
     acc = [0] * n
     for k, c in enumerate(x.coeffs):
         acc[k * (n // m)] = c
-    return target.reduce(acc)
+    return reduced(target, acc)

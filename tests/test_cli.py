@@ -35,7 +35,7 @@ from antipode_spectrum.pivotalization import (
 from antipode_spectrum.scalar import to_json
 from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2, pair_class_spectrum
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue
-from support import fibonacci_fusion
+from support import fibonacci_fusion, reduced
 
 
 def run(capsys, *argv):
@@ -427,6 +427,22 @@ class TestCliCommands:
         assert code == 2
         assert out == "" and "m-vector" in err and "term pairs" in err
 
+    def test_zero_entries_of_a_symbolic_m(self, capsys, tmp_path):
+        """A zero --m entry is the zero FactoredValue, refused as a vanishing
+        candidate entry; a zero denominator stays a parse error, in --m and
+        in the document, where the error names the entry."""
+        code, spec, _ = run(capsys, "family", "uqsl2", "--ell", "3")
+        path = self.write_spec(tmp_path, spec)
+        code, out, err = run(capsys, "charpoly", path, "--m", "0, L*z^1 - z^-1, L*z^2 - z^-2")
+        assert (code, out, err) == (2, "", "input error: candidate m_0 = 0\n")
+        bad = "(L*z^1 - z^-1)*(L - L)^-1"
+        code, out, err = run(capsys, "charpoly", path, "--m", f"{bad}, L*z^1 - z^-1, L*z^2 - z^-2")
+        assert (code, out) == (2, "") and "division by zero" in err
+        doc = json.loads(spec)
+        doc["m_vector"][0] = bad
+        code, out, err = run(capsys, "charpoly", self.write_spec(tmp_path, json.dumps(doc)))
+        assert (code, out) == (2, "") and "division by zero" in err and "$.m_vector[0]" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/spec.json")
         assert code == 2
@@ -522,7 +538,7 @@ class TestJsonRenderer:
         def values(draw):
             field = CycField(draw(st.integers(min_value=1, max_value=12)))
             scale = draw(st.sampled_from([1, 1, 10**400, Fraction(-1, 7**500)]))
-            return field.reduce([draw(st.fractions(min_value=-40, max_value=40,
+            return reduced(field, [draw(st.fractions(min_value=-40, max_value=40,
                                                    max_denominator=30)) * scale
                                  for _ in range(field.degree)])
 
@@ -533,7 +549,7 @@ class TestJsonRenderer:
             assert_same_text(render(spec), stdlib_render(spec))
 
         check()
-        big = CycField(4).reduce([10**400, -(10**400)])
+        big = reduced(CycField(4), [10**400, -(10**400)])
         assert "Infinity" in render(SpectrumFactorization([(big, 1)], "cyclotomic"))
 
     def test_cyclotomic_rows_match_the_entry_writer(self):
@@ -552,7 +568,7 @@ class TestJsonRenderer:
             scale = st.sampled_from([1, 1, 2**60 + 1, Fraction(3, 2**55), 10**400])
             coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=8),
                               min_size=field.degree, max_size=field.degree)
-            value = st.builds(lambda c, x: field.reduce(c) * x, coeffs, scale).filter(bool)
+            value = st.builds(lambda c, x: reduced(field, c) * x, coeffs, scale).filter(bool)
             values = draw(st.lists(value, min_size=1, max_size=3))
             return pair_class_spectrum(values, draw(st.integers(min_value=1, max_value=2)))
 
@@ -584,7 +600,7 @@ class TestJsonRenderer:
 
         @st.composite
         def values(draw, ctx):
-            constant = ctx.field.reduce([draw(st.fractions(min_value=-4, max_value=4,
+            constant = reduced(ctx.field, [draw(st.fractions(min_value=-4, max_value=4,
                                                            max_denominator=5))
                                          for _ in range(ctx.field.degree)])
             hypothesis.assume(constant)

@@ -21,6 +21,7 @@ from antipode_spectrum.scalar import (
     from_literal,
     inverse,
     is_zero,
+    lift,
     literal_to_cycnum,
     literal_to_factored,
     numeric_value,
@@ -31,15 +32,15 @@ from antipode_spectrum.scalar import (
 )
 from antipode_spectrum.spectrum import char_poly_s2
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue, LaurentPoly
-from support import embed, rational_value, signed_spectrum
+from support import complex_at, embed, rational_value, reduced, signed_spectrum
 
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def rand_cyc(field, rng, span=6):
-    return field.reduce(
-        [Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(field.degree)]
+    return reduced(
+        field, [Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(field.degree)]
     )
 
 
@@ -197,7 +198,7 @@ class TestFactoredValues:
         vals = []
         for _ in range(3):
             lam = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
-            vals.append(ratio.complex_value((lam,)))
+            vals.append(complex_at(ratio, (lam,)))
         assert max(abs(v - vals[0]) for v in vals) > 1e-6
 
     def test_class_collapse_mod_ell(self):
@@ -224,8 +225,8 @@ class TestFactoredValues:
         seen_gap = False
         for _ in range(5):
             lam = (complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)),)
-            assert abs(same1.complex_value(lam) - a.complex_value(lam)) < 1e-9
-            if abs(diff.complex_value(lam) - a.complex_value(lam)) > 1e-9:
+            assert abs(complex_at(same1, lam) - complex_at(a, lam)) < 1e-9
+            if abs(complex_at(diff, lam) - complex_at(a, lam)) > 1e-9:
                 seen_gap = True
         assert seen_gap
 
@@ -235,7 +236,7 @@ class TestFactoredValues:
         poly = v.expand()
         for _ in range(4):
             lam = (complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)),)
-            assert abs(poly.complex_value(lam) - v.complex_value(lam)) < 1e-9
+            assert abs(complex_at(poly, lam) - complex_at(v, lam)) < 1e-9
 
     def test_even_order_folding(self):
         ctx = FactoredContext(4, 1)
@@ -271,7 +272,38 @@ class TestFactoredValues:
         assert v.monomial == (-1,) and v.constant == -self.ctx.field.one()
         lam = (0.8 + 0.3j,)
         z = cmath.exp(2j * cmath.pi / 5)
-        assert abs(v.complex_value(lam) - (z / lam[0] - 1 / z)) < 1e-12
+        assert abs(complex_at(v, lam) - (z / lam[0] - 1 / z)) < 1e-12
+
+    def test_zero(self):
+        """The zero is the constant 0 with no monomial and no factors: a
+        product with it, a zero constant given with factors, the zero
+        polynomial and a lifted 0 are all that one value; it divides by
+        nothing, and its literal reads back."""
+        ctx = FactoredContext(5, 2)
+        F = ctx.field
+        zero = FactoredValue(ctx, F.zero())
+        x = FactoredValue(ctx, F.zeta(2), (1, -1)) * FactoredValue.atom(ctx, (1, 1), 3, -2)
+        assert not zero and x and is_zero(zero) and not is_zero(x)
+        assert (zero.monomial, zero.factors) == ((0, 0), {})
+        for same in (x * zero, zero * x, zero / x, zero ** 3,
+                     FactoredValue(ctx, F.zero(), (2, 1), {((1, 0), 1): 4}),
+                     FactoredValue.from_laurent(LaurentPoly(ctx, {})),
+                     lift([x, 0])[1][1]):
+            assert same == zero and hash(same) == hash(zero)
+            assert canonical_key(same) == canonical_key(zero)
+        for bad in (lambda: x / zero, lambda: zero ** -1, lambda: inverse(zero)):
+            with pytest.raises(DivisionByZero):
+                bad()
+        assert str(zero) == to_literal(zero) == "(0)"
+        assert literal_to_factored(to_literal(zero), 5, 2) == zero
+        assert literal_to_factored("L1*(L2 - L2)", 5, 2) == zero
+        assert zero.expand() == LaurentPoly(ctx, {}) and numeric_value(zero) == 0
+
+    def test_zero_denominator_is_a_parse_error(self):
+        for text in ("(L*z^1 - z^-1)*(L - L)^-1", "(L*z - z^-1)/((L*z^2 - z^-2)*(L - L))",
+                     "1/(L - L)", "(L*z - z^-1)^-1/((L*z - z^-1)*0)"):
+            with pytest.raises(ParseError, match="division by zero"):
+                literal_to_factored(text, 3, 1)
 
 
 class TestNumericValue:
@@ -450,7 +482,7 @@ class TestLiteralParser:
             nvars = draw(st.sampled_from([1, 2]))
             ctx = FactoredContext(ell, nvars)
             small = st.integers(min_value=-2, max_value=2)
-            constant = ctx.field.reduce([draw(st.fractions(min_value=-4, max_value=4,
+            constant = reduced(ctx.field, [draw(st.fractions(min_value=-4, max_value=4,
                                                            max_denominator=3))
                                          for _ in range(ctx.field.degree)])
             hypothesis.assume(constant)
@@ -484,8 +516,9 @@ SCALAR_TYPES = {"CycNum", "FactoredValue", "Fraction", "complex", "SignedEigenva
 
 def test_scalar_kind_is_decided_in_scalar_only():
     """The modules outside scalar.py and the scalar classes ask scalar.py
-    which kind a value is: they name no scalar type in an isinstance call and
-    read no tag out of a canonical key."""
+    which kind a value is: they name no scalar type in an isinstance call or
+    as an operand of a comparison (type(x) is CycNum), and read no tag out
+    of a canonical key."""
     for name in ("cli", "specfile", "pivotalization", "oracle", "spectrum", "families"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         for node in ast.walk(tree):
@@ -493,6 +526,9 @@ def test_scalar_kind_is_decided_in_scalar_only():
                     and node.func.id == "isinstance"):
                 named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
                 assert not named & SCALAR_TYPES, f"{name}.py:{node.lineno}"
+            if isinstance(node, ast.Compare):
+                named = {n.id for n in (node.left, *node.comparators) if isinstance(n, ast.Name)}
+                assert not named & SCALAR_TYPES, f"{name}.py:{node.lineno} compares a type"
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
                 func = node.value.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -510,7 +546,7 @@ def test_scalar_helpers_properties():
     @st.composite
     def cyclotomics(draw):
         field = CycField(draw(st.integers(min_value=1, max_value=12)))
-        return field.reduce([draw(fractions) for _ in range(field.degree)])
+        return reduced(field, [draw(fractions) for _ in range(field.degree)])
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(

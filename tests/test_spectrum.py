@@ -11,6 +11,7 @@ from antipode_spectrum import spectrum
 from antipode_spectrum.cyclotomic import CycField, CycNum, coefficient_pairs
 from antipode_spectrum.errors import (
     AmbiguousM,
+    DivisionByZero,
     EmptyEigenspace,
     InvalidTwist,
     JDependence,
@@ -49,11 +50,13 @@ from antipode_spectrum.symbolic import (
 )
 from support import (
     close_to,
+    complex_at,
     fibonacci_fusion,
     global_dimension,
     matched_builtins,
     matched_checks,
     pivotal_twist_invariance,
+    reduced,
     stacked_eigenspace,
     with_dims,
 )
@@ -205,26 +208,39 @@ class TestJointKernel:
         st = hypothesis.strategies
         field = CycField(3)
 
+        def case(perms, dims):
+            """Label r_i acts by the permutation perms[i], with dimension dims[i]."""
+            labels = [f"r{i}" for i in range(len(perms))]
+            action = {lab: np.eye(len(perm), dtype=np.int64)[list(perm)]
+                      for lab, perm in zip(labels, perms)}
+            return FusionData(labels, labels[0], {}, {}, dims=dict(zip(labels, dims))), \
+                ModuleActionData([str(i) for i in range(len(perms[0]))], action)
+
         @st.composite
         def actions(draw):
             size, count = draw(st.integers(1, 6)), draw(st.integers(1, 4))
             kind = draw(st.sampled_from([Fraction, CycNum]))
-            labels = [f"r{i}" for i in range(count)]
-            action, dims = {}, {}
-            for lab in labels:
-                perm = draw(st.permutations(range(size)))
-                action[lab] = np.eye(size, dtype=np.int64)[list(perm)]
+            perms, dims = [], []
+            for _ in range(count):
+                perms.append(draw(st.permutations(range(size))))
                 d = draw(st.sampled_from([1, 1, 1, -1, 2, 0]))
-                dims[lab] = Fraction(d) if kind is Fraction else field.from_rational(d)
+                dims.append(Fraction(d) if kind is Fraction else field.from_rational(d))
                 if kind is CycNum and draw(st.integers(0, 5)) == 0:
-                    dims[lab] = field.zeta(1)
-            return FusionData(labels, labels[0], {}, {}, dims=dims), \
-                ModuleActionData([str(i) for i in range(size)], action)
+                    dims[-1] = field.zeta(1)
+            return case(perms, dims)
 
         seen = set()
+        one = Fraction(1)
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(actions())
+        # each outcome at least once: no vector, then one, two and three
+        # orbits, each later swap cutting the running basis (W != 0)
+        @hypothesis.example(case([[0]], [Fraction(2)]))
+        @hypothesis.example(case([[1, 0], [0, 1]], [one, one]))
+        @hypothesis.example(case([[1, 0, 2, 3], [0, 1, 3, 2]], [one, one]))
+        @hypothesis.example(case([[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]],
+                                 [field.one()] * 3))
         def check(case):
             seen.add(self.check(*case)[0])
 
@@ -339,8 +355,30 @@ class TestMBar:
 
     def test_jdependence_for_uqsl2(self):
         fam = uqsl2_family(3)
-        with pytest.raises(JDependence):
+        with pytest.raises(JDependence, match="data is not matched"):
             m_bar(fam.fusion, fam.module, fam.m)
+
+    def test_factored_multiple_of_a_matched_m(self):
+        """m_bar of c m, c a factored value depending on the torus
+        parameters, is m_bar(m) / c on every matched example, and on data
+        whose Q_M = m mbar^T has a zero column, where the entry is the zero
+        FactoredValue."""
+        f = FusionData(["e", "a"], "e", {"e": "e", "a": "a"}, {}, dims={"e": 1, "a": -1})
+        mod = ModuleActionData(["x", "y"], {"e": np.eye(2, dtype=np.int64),
+                                            "a": np.array([[1, 1], [0, 0]])})
+        cases = [(ex.name, ex.fusion, ex.module, ex.m) for ex in matched_builtins() if ex.q_suite]
+        cases.append(("zero column", f, mod, [-1, 1]))
+        for name, f, mod, m in cases:
+            fields = {x.field.order for x in m if hasattr(x, "field")}
+            ctx = FactoredContext(fields.pop() if fields else 3, 2)
+            c = FactoredValue(ctx, ctx.field.from_rational(3), (1, -2)) \
+                * FactoredValue.atom(ctx, (1, 1), 1, 2) / FactoredValue.atom(ctx, (0, 1), 2)
+            _, lifted = lift(m + [c])
+            mb = m_bar(f, mod, [c * x for x in lifted[:-1]])
+            _, expect = lift(m_bar(f, mod, m) + [c])
+            assert mb == [x / c for x in expect[:-1]], name
+            assert all(type(x) is FactoredValue for x in mb)
+            assert [not x for x in mb] == [name == "zero column"] + [False] * (len(m) - 1), name
 
 
 class TestMatchedChecks:
@@ -544,7 +582,7 @@ class TestCoefficientRows:
             else:
                 field = CycField(order)
                 value = st.lists(coefficient, min_size=field.degree, max_size=field.degree)
-                value = value.map(field.reduce).filter(bool)
+                value = value.map(functools.partial(reduced, field)).filter(bool)
             values = draw(st.lists(st.builds(lambda v, c: v * c, value, scale),
                                    min_size=k, max_size=k))
             kind = draw(st.sampled_from(["scalar", "tensor", "zero"]))
@@ -581,7 +619,7 @@ class TestCoefficientRows:
 
     def test_coefficients_are_the_sort_keys(self):
         F = CycField(12)
-        values = [F.reduce([Fraction(1, 2), -3, 0, Fraction(5, 6)]), F.zeta(5), F.from_rational(4)]
+        values = [reduced(F, [Fraction(1, 2), -3, 0, Fraction(5, 6)]), F.zeta(5), F.from_rational(4)]
         spec = pair_class_spectrum(values, 1)
         tops, bottoms = spec.coeffs
         assert spec.field is F and tops.dtype == bottoms.dtype == np.int64
@@ -602,10 +640,10 @@ class TestExponentKeys:
         got = pair_class_spectrum(values, weights)
         assert got.entries == expect.entries
         assert got.total_degree == int(w.sum())
-        numeric = pair_class_spectrum([v.complex_value(point) for v in values],
+        numeric = pair_class_spectrum([complex_at(v, point) for v in values],
                                       weights, factored=values)
         evaluated = SpectrumFactorization(
-            [(v.complex_value(point), m) for v, m in expect.entries], "numeric")
+            [(complex_at(v, point), m) for v, m in expect.entries], "numeric")
         assert close_to(numeric, evaluated, 1e-7)
 
     def test_keyed_kernel_equals_quadruple_loop(self):
@@ -655,6 +693,21 @@ class TestExponentKeys:
         spec = pair_class_spectrum(values, 1)
         assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
         assert dict((str(v), m) for v, m in spec.entries)["(1)"] == 19
+        assert exponent_keys(values) is None
+
+    def test_zero_values_take_no_keys(self):
+        """Zeros share one constant, 0, but have no quotient: exponent_keys
+        refuses them, and the kernel raises as it does for CycNum zeros."""
+        ctx = self.CTX
+        zero = FactoredValue(ctx, ctx.field.zero())
+        atom = FactoredValue.atom(ctx, (1, 0), 2)
+        for values in ([zero], [zero, zero], [zero, atom], [atom, zero * atom]):
+            assert exponent_keys(values) is None
+            with pytest.raises(DivisionByZero):
+                pair_class_spectrum(values, 1)
+        with pytest.raises(DivisionByZero):
+            pair_class_spectrum([ctx.field.zero()] * 2, 1)
+        assert exponent_keys([atom, atom * atom]) is not None
 
     def test_more_columns_than_one_radix(self):
         """Forty-two atoms with powers 0 and 1 need digits of width 5 each,

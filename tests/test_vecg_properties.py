@@ -12,6 +12,7 @@ from antipode_spectrum.families import Group, vecg_family
 from antipode_spectrum.modcat import dimension_identity
 from antipode_spectrum.scalar import canonical_key
 from antipode_spectrum.spectrum import block_multiplicities, char_poly_s2
+from support import reduced
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,7 +35,7 @@ def coset_modules(draw):
 def scales(draw, field):
     coeffs = [draw(st.fractions(min_value=-9, max_value=9, max_denominator=7))
               for _ in range(field.degree)]
-    c = field.reduce(coeffs)
+    c = reduced(field, coeffs)
     hypothesis.assume(c)
     return c
 
