@@ -725,6 +725,9 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"failure: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"failure: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
     except OSError as e:

@@ -343,6 +343,8 @@ class CycNum:
         return any(self.num)
 
     def __eq__(self, other):
+        if type(other) is int:  # n / 1 and num / den are both in lowest terms
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         other = self._coerce(other)
         if other is None:
             return NotImplemented

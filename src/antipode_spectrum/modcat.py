@@ -20,14 +20,19 @@ class ModuleActionData:
             raise ValueError("duplicate module labels")
         self.index = {x: i for i, x in enumerate(self.labels)}
         k = len(self.labels)
-        self.action = {}
-        for r, m in action.items():
-            m = np.asarray(m, dtype=np.int64)
-            if m.shape != (k, k):
-                raise DimensionMismatch(f"N_{r} must be {k}x{k}")
-            if (m < 0).any():
-                raise ValueError(f"N_{r} has negative entries")
-            self.action[r] = m
+        mats = list(action.values())
+        try:  # one int64 array of every matrix, checked as a whole
+            stack = np.array(mats, dtype=np.int64)
+        except (TypeError, ValueError):  # matrices of different shapes, say
+            stack = None
+        if stack is None or stack.shape != (len(mats), k, k) or (stack < 0).any():
+            stack = [np.asarray(m, dtype=np.int64) for m in mats]
+            for r, m in zip(action, stack):  # the first bad one
+                if m.shape != (k, k):
+                    raise DimensionMismatch(f"N_{r} must be {k}x{k}")
+                if (m < 0).any():
+                    raise ValueError(f"N_{r} has negative entries")
+        self.action = dict(zip(action, stack))
 
     @property
     def size(self):
@@ -69,23 +74,25 @@ def verify_module(f: FusionData, mod: ModuleActionData) -> VerificationReport:
                  "N_q N_r != sum c_{qr}^s N_s")
 
     rep.record("transpose-duality")
-    for r in f.labels:
+    duals = [f.index[f.dual[r]] if r in f.dual else i for i, r in enumerate(f.labels)]
+    transposed = (n[duals] == n.transpose(0, 2, 1)).all(axis=(1, 2))
+    for r, ok in zip(f.labels, transposed):
         if r not in f.dual:
             rep.fail("transpose-duality", (r,), "dual undefined")
-        elif not (mod.matrix(f.dual[r]) == mod.matrix(r).T).all():
+        elif not ok:
             rep.fail("transpose-duality", (r,), "N_{r*} != N_r^T")
 
     rep.record("indecomposability")
-    support = sum(mod.matrix(r) for r in f.labels)
-    adj = (support + support.T) > 0
+    support = n.sum(axis=0)
+    adj = ((support + support.T) > 0).tolist()
     seen = {0}
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if int(j) not in seen:
-                seen.add(int(j))
-                frontier.append(int(j))
+        for j, linked in enumerate(adj[i]):
+            if linked and j not in seen:
+                seen.add(j)
+                frontier.append(j)
     if len(seen) != k:
         orphan = sorted(set(range(k)) - seen)
         rep.fail(

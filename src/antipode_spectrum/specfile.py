@@ -18,12 +18,26 @@ Layout:
 
 Scalar values are strings in the literal grammar, never floats, so exact
 data survives the round trip.
+
+Validation reads the document top down: the backend, then the category
+(labels, unit, dual, fusion rows, cartan, dims), the module, m_vector and
+pivotalization, and the first bad node ends the load with a SchemaError
+that names its path.  The fusion rows and each map of integer matrices are
+screened as one whole list first: the types and lengths of all rows at
+once, and the matrices as one int64 array with one range check.  Only when
+a screen fails are the entries walked one at a time, to name the first bad
+one.  Literals are read through scalar.from_literal, whose cache keeps the
+values of the LITERAL_CACHE_SIZE (256) most recent distinct literals, so a
+literal repeated within a document or across documents is parsed once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+
+import numpy as np
 
 from .errors import ParseError, SchemaError
 from .grothendieck import FusionData
@@ -75,7 +89,8 @@ def _parse_scalar(lit, mode, order, path, nvars=0):
         raise SchemaError(f"bad scalar literal {lit!r}: {e}", location=path)
 
 
-def _parse_matrix(obj, size, path):
+def _check_matrix(obj, size, path):
+    """SchemaError unless obj is a size x size list of count rows."""
     if (not isinstance(obj, list) or len(obj) != size
             or any(not isinstance(r, list) or len(r) != size for r in obj)):
         raise SchemaError(f"expected a {size}x{size} integer matrix", location=path)
@@ -84,13 +99,77 @@ def _parse_matrix(obj, size, path):
             if not _count(x):
                 raise SchemaError("matrix entries must be nonnegative int64 integers",
                                   location=path)
-    return obj
+
+
+def _int_stack(mats, size):
+    """mats as one int64 array of shape (len(mats), size, size) when each is
+    a size x size list of count rows; None otherwise.  One screen of the
+    whole list: the set of entry types (JSON booleans are not ints here)
+    and the least and greatest entry, then one np.array.  A matrix or row
+    that is not a list yields str entries, raises TypeError or ValueError,
+    or gives another shape."""
+    try:
+        entries = list(chain.from_iterable(chain.from_iterable(mats)))
+        if (set(map(type, entries)) <= {int}
+                and (not entries or 0 <= min(entries) and max(entries) <= MAX_COUNT)):
+            stack = np.array(mats, dtype=np.int64)
+            if stack.shape == (len(mats), size, size):
+                return stack
+    except (TypeError, ValueError):
+        pass
+    return None
+
+
+def _parse_matrix(obj, size, path):
+    """A size x size count matrix, as an int64 array when size > 0."""
+    stack = _int_stack([obj], size)
+    if stack is None:
+        _check_matrix(obj, size, path)
+        return obj
+    return stack[0]
 
 
 def _parse_matrices(obj, size, path):
-    """A map from labels to size x size integer matrices."""
-    return {lab: _parse_matrix(mat, size, f"{path}.{lab}")
-            for lab, mat in _object(obj, path).items()}
+    """A map from labels to size x size count matrices, int64 arrays when
+    the whole map passes _int_stack; else the entries are walked label by
+    label for the first bad one."""
+    mats = _object(obj, path)
+    stack = _int_stack(list(mats.values()), size)
+    if stack is None:
+        for lab, mat in mats.items():
+            _check_matrix(mat, size, f"{path}.{lab}")
+        return mats
+    return dict(zip(mats, stack))
+
+
+def _fusion_structure(rows, labels):
+    """{(q, r, s): count} of the fusion rows.  One screen of the whole list:
+    every row a 4-list, the label columns within labels (an unhashable
+    entry raises TypeError) and the counts ints in range.  Otherwise the
+    rows are walked in order, and the first bad one raises SchemaError."""
+    if not rows:
+        return {}
+    try:
+        if set(map(type, rows)) <= {list} and set(map(len, rows)) == {4}:
+            qs, rs, ss, counts = zip(*rows)
+            if (set(qs).union(rs, ss) <= set(labels) and set(map(type, counts)) <= {int}
+                    and min(counts) >= 0 and max(counts) <= MAX_COUNT):
+                return dict(zip(zip(qs, rs, ss), counts))
+    except TypeError:
+        pass
+    structure = {}
+    for idx, row in enumerate(rows):
+        path = f"$.category.fusion[{idx}]"
+        if not isinstance(row, list) or len(row) != 4:
+            raise SchemaError("fusion rows are [q, r, s, count]", location=path)
+        q, r, s, c = row
+        for lab in (q, r, s):
+            if lab not in labels:
+                raise SchemaError(f"unknown label {lab!r}", location=path)
+        if not _count(c):
+            raise SchemaError("fusion count must be a nonnegative int64 integer", location=path)
+        structure[(q, r, s)] = c
+    return structure
 
 
 def loads(text: str) -> SpecDocument:
@@ -122,18 +201,7 @@ def loads(text: str) -> SpecDocument:
     fusion_triples = _need(cat, "fusion", "$.category")
     if not isinstance(fusion_triples, list):
         raise SchemaError("fusion must be a list of rows", location="$.category.fusion")
-    structure = {}
-    for idx, row in enumerate(fusion_triples):
-        path = f"$.category.fusion[{idx}]"
-        if not isinstance(row, list) or len(row) != 4:
-            raise SchemaError("fusion rows are [q, r, s, count]", location=path)
-        q, r, s, c = row
-        for lab in (q, r, s):
-            if lab not in labels:
-                raise SchemaError(f"unknown label {lab!r}", location=path)
-        if not _count(c):
-            raise SchemaError("fusion count must be a nonnegative int64 integer", location=path)
-        structure[(q, r, s)] = c
+    structure = _fusion_structure(fusion_triples, labels)
     cartan = cat.get("cartan")
     if cartan is not None:
         cartan = _parse_matrix(cartan, len(labels), "$.category.cartan")

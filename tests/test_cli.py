@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import antipode_spectrum
-from antipode_spectrum import cli, errors, specfile
+from antipode_spectrum import cli, errors, families, specfile
 from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.cli import JSON_CHUNK, build_parser, main, print_spectrum
 from antipode_spectrum.errors import ParseError, SchemaError
@@ -925,6 +925,26 @@ class TestRowBackedSpectra:
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "580eecc8be073ebb9210e04b8f80ea78dff9e2266b7be67b7bb004ab5c0c70c4")
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (cli, "char_poly_s2", ["family", "taft", "--n", "3", "--charpoly", "--json"]),
+    (families, "uqg_family", ["family", "uqg", "--type", "A1", "--ell", "3", "--lambda", "2/3",
+                              "--charpoly", "--json"]),
+], ids=["char_poly_s2", "uqg_family"])
+@pytest.mark.parametrize("error, stderr", [
+    (MemoryError("Unable to allocate 946. MiB for an array"),
+     "failure: out of memory: Unable to allocate 946. MiB for an array\n"),
+    (MemoryError(), "failure: out of memory\n"),
+], ids=["message", "bare"])
+def test_out_of_memory_is_a_failure(capsys, monkeypatch, module, name, argv, error, stderr):
+    """A kernel that runs out of memory ends in exit 1 and one failure line,
+    not a traceback, and prints nothing to stdout."""
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, exhausted)
+    assert run(capsys, *argv) == (1, "", stderr)
 
 
 def test_every_error_has_one_exit_code():

@@ -18,6 +18,7 @@ from antipode_spectrum.grothendieck import (
     q_matrix,
     verify_fusion,
 )
+from antipode_spectrum.scalar import numeric_value
 from support import fibonacci_fusion, global_dimension
 
 PHI = (1 + 5**0.5) / 2
@@ -57,6 +58,17 @@ class TestVerifyFusion:
         )
         assert not rep.ok
         assert any(v.check == "associativity" for v in rep.violations)
+
+    def test_strict_duality_with_a_label_without_dual(self):
+        """A label without a dual fails dual-involution; strict duality
+        checks the other labels instead of raising KeyError."""
+        f, _, _ = taft_family(3)
+        dual = dict(f.dual)
+        del dual["2"]
+        rep = verify_fusion(FusionData(f.labels, f.unit, dual, f.structure), strict_duality=True)
+        assert [(v.check, v.witness) for v in rep.violations] == [
+            ("dual-involution", ("1",)), ("dual-involution", ("2",))]
+        assert "strict-duality" in rep.checks
 
     def test_broken_unit_reports_witness(self):
         f = fibonacci_fusion()
@@ -113,6 +125,35 @@ class TestQMatrix:
         q = q_matrix(f, mod.matrices(f))
         assert q[0][0] == 1 and q[1][1] == 1
         assert q[0][1] == -1 and q[1][0] == -1  # I - P
+
+    @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "numeric"])
+    def test_equals_the_sum_over_labels(self, numeric):
+        """Q_M summed by distinct dual dim equals the sum over labels of
+        dim(X_r*) N_r, exactly for exact dims; for complex dims, whose sums
+        round in another order, within 1e-12 of it."""
+        s3 = Group.symmetric3()
+        fib = fibonacci_fusion()
+        sign = {g: (-1 if g in ("s", "sr", "sr2") else 1) for g in s3.elements}
+        cases = [
+            (fib, regular_module(fib)[0]),
+            taft_family(5)[:2],
+            vecg_family(s3, sign, ["e", "r", "r2"])[:2],
+            vecg_family(Group.cyclic(6), {str(a): 1 for a in range(6)}, ["0", "3"])[:2],
+            (uqsl2_family(5).fusion, uqsl2_family(5).module),
+        ]
+        for f, mod in cases:
+            if numeric:
+                f = FusionData(f.labels, f.unit, f.dual, f.structure, f.cartan,
+                               {x: numeric_value(d) for x, d in f.dims.items()})
+            mats = mod.matrices(f)
+            got = q_matrix(f, mats)
+            for i, j in itertools.product(range(mod.size), repeat=2):
+                want = sum((f.dims[f.dual[x]] * int(m[i, j]) for x, m in zip(f.labels, mats)),
+                           start=0 * f.dims[f.unit])
+                if numeric:
+                    assert abs(got[i][j] - want) <= 1e-12 * (1 + abs(want))
+                else:
+                    assert got[i][j] == want
 
     def test_fibonacci(self):
         f = fibonacci_fusion()

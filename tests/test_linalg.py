@@ -245,6 +245,25 @@ class TestSparseElimination:
         assert dim == 1
         assert len(calls) <= 238
 
+    def test_taft_eigenspace_lifts_only_nonzeros(self):
+        """The Taft n=9 eigenspace makes 91 field elements from rationals
+        when every integer entry is lifted and an int is compared with a
+        CycNum through one; the 63 zero entries of its first block now share
+        the field's zero, and an int compares without one, which leaves 19.
+        The bound leaves 25% above that."""
+        fusion, module, _ = taft_family(9)
+        calls = []
+        from_rational = CycField.from_rational
+
+        def counted(self, q):
+            calls.append(q)
+            return from_rational(self, q)
+
+        with mock.patch.object(CycField, "from_rational", counted):
+            basis, dim = dimension_eigenspace(fusion, module)
+        assert dim == 1
+        assert len(calls) <= 24
+
 
 def test_elimination_lives_in_linalg():
     """rref and svd are named in _linalg.py only: every other module reaches

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from antipode_spectrum.families import (
     uqsl2_family,
     vecg_family,
 )
+from antipode_spectrum.grothendieck import FusionData, verify_fusion
 from antipode_spectrum.modcat import (
     ModuleActionData,
     dimension_identity,
@@ -114,3 +117,52 @@ class TestSupportAndDegree:
         assert char_poly_s2(fam.fusion, fam.module, fam.m).total_degree == dimension_identity(
             fam.fusion, fam.module
         )
+
+
+def _verification_cases():
+    """Valid and broken based rings and modules: wrong structure constants,
+    a dual map that is no involution, a label without a dual, action
+    matrices off by a few entries or transposed, a disconnected module."""
+    f, mod, _ = taft_family(4)
+    yield "taft4", f, mod
+    s = dict(f.structure)
+    s[("1", "1", "0")] = 2
+    s[("0", "3", "0")] = 1
+    yield "taft4-bad-structure", FusionData(f.labels, f.unit, f.dual, s), mod
+    d = dict(f.dual)
+    d["1"] = "1"
+    yield "taft4-bad-dual", FusionData(f.labels, f.unit, d, f.structure), mod
+    d = dict(f.dual)
+    del d["2"]
+    yield "taft4-no-dual", FusionData(f.labels, f.unit, d, f.structure), mod
+    act = {r: mod.matrix(r).copy() for r in f.labels}
+    act["1"][0, 0] += 1
+    act["3"][2, 1] += 2
+    yield "taft4-bad-action", f, ModuleActionData(mod.labels, act)
+    fib = fibonacci_fusion()
+    yield "fib", fib, regular_module(fib)[0]
+    eye = np.eye(2, dtype=np.int64)
+    yield "fib-disconnected", fib, ModuleActionData(["a", "b"], {"1": eye, "t": 2 * eye})
+    s3 = Group.symmetric3()
+    f, mod, _ = vecg_family(s3, {g: 1 for g in s3.elements}, ["e", "s"])
+    yield "s3", f, mod
+    act = {r: mod.matrix(r).copy() for r in f.labels}
+    act["r"] = act["r"].T.copy()
+    yield "s3-transposed", f, ModuleActionData(mod.labels, act)
+    fam = uqsl2_family(5)
+    yield "uqsl2-5", fam.fusion, fam.module
+
+
+def test_verification_reports_are_unchanged():
+    """The text of every report on the cases above, each violation and its
+    witness in order, hashes to what the entry-by-entry checks gave.  The
+    strict report of a label without a dual is left out: it raised KeyError
+    there (see test_grothendieck.py)."""
+    texts = []
+    for name, f, mod in _verification_cases():
+        texts.append(str(verify_fusion(f)))
+        if name != "taft4-no-dual":
+            texts.append(str(verify_fusion(f, strict_duality=True)))
+        texts.append(str(verify_module(f, mod)))
+    assert (hashlib.sha256("\n".join(texts).encode()).hexdigest()
+            == "f9265347a5325d82f040c46b52833457c0430715c4058b1a7696bd85882e0037")

@@ -16,8 +16,10 @@ from antipode_spectrum.cyclotomic import CycField, cyclotomic_polynomial
 from antipode_spectrum.errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
 from antipode_spectrum.families import uqsl2_family
 from antipode_spectrum.scalar import (
+    LITERAL_CACHE_SIZE,
     canonical_key,
     close,
+    count_torus_vars,
     from_literal,
     inverse,
     is_zero,
@@ -512,6 +514,45 @@ class TestLiteralParser:
 
 PACKAGE = ROOT / "src" / "antipode_spectrum"
 SCALAR_TYPES = {"CycNum", "FactoredValue", "Fraction", "complex", "SignedEigenvalue"}
+
+
+class TestLiteralCache:
+    def test_size_stays_bounded(self):
+        for i in range(2 * LITERAL_CACHE_SIZE):
+            from_literal(f"{i}/7 + z", "cyclotomic", 5)
+            count_torus_vars(f"L^{i}")
+        assert from_literal.cache_info().currsize <= LITERAL_CACHE_SIZE
+        assert count_torus_vars.cache_info().currsize <= LITERAL_CACHE_SIZE
+
+    @pytest.mark.parametrize("args", [
+        ("1/0", "cyclotomic", 5, 0),
+        ("L + 1", "cyclotomic", 5, 0),
+        ("L", "numeric", 5, 1),
+        ("(L*z - z^-1) + (L*z - z^-1)^-1", "cyclotomic", 3, 1),
+    ])
+    def test_failing_literal_fails_the_same_way_twice(self, args):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as e:
+                from_literal(*args)
+            raised.append((type(e.value), str(e.value)))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("args", [
+        ("(1 - z)^-3 + 2/3", "cyclotomic", 7, 0),
+        ("(1 - z)^-3 + 2/3", "numeric", 7, 0),
+        ("-2*(L1*z - z^-1)^2/(L2*L1*z^2 - z^-2)", "cyclotomic", 5, 2),
+    ], ids=["CycNum", "complex", "FactoredValue"])
+    def test_cached_value_equals_a_fresh_parse(self, args):
+        first = from_literal(*args)
+        cached = from_literal(*args)
+        fresh = from_literal.__wrapped__(*args)
+        assert cached is first
+        assert type(cached) is type(fresh) and cached == fresh
+        assert canonical_key(cached) == canonical_key(fresh)
+        # what the callers do with a value leaves the cached one unchanged
+        _ = [inverse(cached) * cached**2, lift([cached, 1]), str(cached)]
+        assert from_literal(*args) == fresh
 
 
 def test_scalar_kind_is_decided_in_scalar_only():
