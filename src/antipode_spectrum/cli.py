@@ -24,8 +24,8 @@ from .errors import BadParameters, DataError, InputError, ParseError, Verificati
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import (_round_digits, count_torus_vars, cyclotomic_field, from_literal,
                      literal_to_cycnum, to_json, to_text)
-from .spectrum import (SpectrumFactorization, char_poly_s2, dimension_eigenspace, select_m,
-                       sorted_runs)
+from .spectrum import (SpectrumFactorization, char_poly_s2, dimension_eigenspace, distinct_rows,
+                       select_m)
 from .symbolic import monomial_text
 
 
@@ -151,17 +151,6 @@ def _item_text(m, value: str) -> str:
     return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
 
 
-def _distinct_rows(a):
-    """The distinct rows of the int matrix a, in some order, and the index
-    of each row of a among them.  np.lexsort, through sorted_runs, is the
-    sort the kernel's canonical_order has already paged in (np.unique's
-    first int64 sort adds ~0.5 MB of RSS)."""
-    order, new = sorted_runs(a)
-    ids = np.empty(len(a), np.intp)
-    ids[order] = np.cumsum(new) - 1
-    return a[order[new]], ids
-
-
 def _rows_chunk_text(spec, chunk) -> str:
     """The entries rows[chunk] of a row-backed symbolic spectrum as
     _entry_texts writes them, joined by ",\n", as one join over a table of
@@ -175,16 +164,18 @@ def _rows_chunk_text(spec, chunk) -> str:
     nvars = ctx.nvars
     constant = _json_text({"coeffs": [str(c) for c in ctx.field.one().coeffs],
                            "order": ctx.ell}, "        ")
-    counts, mult_ids = _distinct_rows(mults[:, None])
-    monos, mono_ids = _distinct_rows(rows[:, :nvars])
+    mult_at, mult_ids = distinct_rows(mults[:, None])
+    mono_at, mono_ids = distinct_rows(rows[:, :nvars])
+    monos = rows[mono_at, :nvars]
     powers = rows[:, nvars:]
     r, c = np.nonzero(powers)
-    items, item_ids = _distinct_rows(np.stack([c, powers[r, c]], axis=1))
-    factors = [_factor_part(ctx, (spec.atoms[a], p)) for a, p in items.tolist()]
+    items = np.stack([c, powers[r, c]], axis=1)
+    item_at, item_ids = distinct_rows(items)
+    factors = [_factor_part(ctx, (spec.atoms[a], p)) for a, p in items[item_at].tolist()]
     middle = ',\n        "kind": "factored",\n        "monomial": '
     pieces = [f'    {{\n      "multiplicity": {m},\n      "value": {{\n'
               f'        "constant": {constant},\n        "factors": '
-              for m in counts[:, 0].tolist()]
+              for m in mults[mult_at].tolist()]
     first = len(pieces)
     pieces += [f"[\n          {block}" for block, _ in factors]
     pieces += [f",\n          {block}" for block, _ in factors]
@@ -202,7 +193,7 @@ def _rows_chunk_text(spec, chunk) -> str:
     tail = len(pieces)
     pieces += ['"\n      }\n    },\n', '"\n      }\n    }']
     # entry e: head, its f factor blocks, middle, its f factor texts, tail
-    u, f = len(items), np.bincount(r, minlength=len(rows))
+    u, f = len(item_at), np.bincount(r, minlength=len(rows))
     start = np.cumsum(3 + 2 * f) - (3 + 2 * f)
     ids = np.empty(int(start[-1] + 3 + 2 * f[-1]), np.intp)
     ids[start] = mult_ids

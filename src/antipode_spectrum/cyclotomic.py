@@ -307,7 +307,8 @@ class CycNum:
     """An element of Q(zeta_n); immutable, in the canonical form num / den.
 
     The constructor takes that form as given; arithmetic results go through
-    ``_canonical``."""
+    ``_canonical``, except a sum with an int, num + n den over den, which is
+    in lowest terms already."""
 
     __slots__ = ("field", "num", "den", "_hash")
 
@@ -356,6 +357,8 @@ class CycNum:
         return self._hash
 
     def __add__(self, other):
+        if type(other) is int:  # gcd(den, num + n den) = gcd(den, num) = 1
+            return CycNum(self.field, (self.num[0] + other * self.den,) + self.num[1:], self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -370,6 +373,8 @@ class CycNum:
         return CycNum(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
+        if type(other) is int:
+            return self + -other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -379,6 +384,8 @@ class CycNum:
         return _canonical(self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return -self + other
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -56,7 +56,7 @@ from .scalar import (
     roots_of_unity,
     unit_roots,
 )
-from .symbolic import KEY_RADIX_LIMIT, canonical_order, exponent_keys, row_values
+from .symbolic import canonical_order, exponent_keys, row_values
 
 
 # -- spectrum container ----------------------------------------------------------
@@ -408,34 +408,6 @@ def char_poly_s2(f: FusionData, mod: ModuleActionData, m,
     return pair_class_spectrum(m, n.transpose(1, 3, 0, 2), tol)
 
 
-def _fuse(words, radices):
-    """One int64 per row of words (int64, shape (n, w), column j in
-    [0, radices[j])), equal exactly for equal rows: the columns joined by
-    mixed radix.  Where the running radix would pass KEY_RADIX_LIMIT, the
-    partial ids and the next column are re-ranked first."""
-    ids, span = words[:, 0], radices[0]
-    for col, radix in zip(words.T[1:], radices[1:]):
-        if span * radix > KEY_RADIX_LIMIT:
-            uniq, ids = np.unique(ids, return_inverse=True)
-            other, col = np.unique(col, return_inverse=True)
-            span, radix = len(uniq), len(other)
-        ids = ids * radix + col
-        span *= radix
-    return ids
-
-
-def _merge_class_pairs(pair_keys, radices, p, q, mults):
-    """The class pairs (p, q) merged by their quotient keys
-    pair_keys[p] - pair_keys[q] in int64: per distinct key its first class
-    pair and the sum of its multiplicities."""
-    half = np.array([(r - 1) // 2 for r in radices], dtype=np.int64)
-    quotient = _fuse(pair_keys[p] - pair_keys[q] + half, radices)
-    order = np.argsort(quotient, kind="stable")
-    starts = np.flatnonzero(np.diff(quotient[order], prepend=-1))
-    first = order[starts]
-    return p[first], q[first], np.add.reduceat(mults[order], starts)
-
-
 def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     """The spectrum kernel: eigenvalue values[a] values[b] / (values[c] values[d])
     with multiplicity weights[a, b, c, d], where weights is an integer tensor
@@ -446,12 +418,13 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     pair classes are the distinct ids, each with its first pair (a, b).
     The id is the sum keys[a] + keys[b] of the symbolic.exponent_keys of
     the values when they are factored, or else of factored, the factored
-    values of which values are a specialization; there are keys only when
-    those share one nonzero constant.  Without keys the id is the complex
-    product when numeric (bitwise-equal floats, so rounding never joins two
-    values here), else the product itself, as exact values are canonical.
-    With keys, class pairs of nonzero total weight are merged by the
-    difference of their sums in int64, and values that are factored
+    values of which values are a specialization (there are keys only when
+    those share one nonzero constant); without keys, the complex product as
+    the row of its two parts when numeric (equal floats, so rounding never
+    joins two values here), else the product itself, as exact values are
+    canonical.  distinct_rows classes the id rows.  With keys, class
+    pairs of nonzero total weight are merged by the difference of their
+    sums, word by word in int64 (merge_rows), and values that are factored
     themselves are not evaluated at all: every quotient has constant 1,
     and its exponent row, the difference of two pair sums of rows, is its
     canonical form, so distinct differences are distinct eigenvalues (the
@@ -479,12 +452,12 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
         classes = len(reps)
     else:
         if keys is not None:
-            sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, len(keys.radices))
-            ids = _fuse(sums, keys.radices)
+            ids = sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, -1)
         else:
             with np.errstate(all="ignore"):
-                ids = np.multiply.outer(values, values).ravel()
-        _, first, cls = np.unique(ids, return_index=True, return_inverse=True)
+                products = np.multiply.outer(values, values).ravel()
+            ids = np.stack([products.real, products.imag], axis=1)
+        first, cls = distinct_rows(ids)
         left, right = np.divmod(first, k)
         classes = len(first)
     if np.ndim(weights) == 0:
@@ -496,7 +469,8 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     p, q = np.nonzero(totals)
     mults = totals[p, q]
     if keys is not None:
-        p, q, mults = _merge_class_pairs(sums[first], keys.radices, p, q, mults)
+        merged, mults = merge_rows(sums[first[p]] - sums[first[q]], mults)
+        p, q = p[merged], q[merged]
         if backend == "symbolic":
             rows = keys.exponents[left] + keys.exponents[right]
             quotients = rows[p] - rows[q]
@@ -535,23 +509,40 @@ def _quotient_spectrum(reps, p, q, mults, tol):
     if pairs.dtype == object:
         pairs = np.column_stack([k for c in pairs.T for k in _int64_keys(c)])
     irrational = (tops[:, 1:] != 0).any(axis=1)  # sorts last
-    order, new = sorted_runs(np.column_stack([irrational, pairs]))
-    starts = np.flatnonzero(new)
-    first = order[starts]
-    totals = np.add.reduceat(mults[order], starts) if len(order) else mults
+    first, totals = merge_rows(np.column_stack([irrational, pairs]), mults)
     return SpectrumFactorization.from_coefficients(field, tops[first], bottoms[first], totals, tol)
 
 
 def sorted_runs(rows):
-    """(order, new) for the int matrix rows: the stable order that sorts
-    its rows lexicographically, column 0 first (np.lexsort, much faster on
-    a few int columns than np.unique(rows, axis=0)), and whether each row
-    along it differs from the one before, True at the first."""
+    """(order, new) for the int or float matrix rows: the stable order that
+    sorts its rows lexicographically, column 0 first (np.lexsort, much
+    faster on a few columns than a unique over rows), and whether each row
+    along it differs from the one before: True at the first and at a NaN."""
     order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
     rows = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return order, new
+
+
+def distinct_rows(rows):
+    """(first, ids) for the matrix rows: the index of the first occurrence
+    of each distinct row, the distinct rows in sorted_runs order, and the
+    number of each row's class in that order."""
+    order, new = sorted_runs(rows)
+    ids = np.empty(len(rows), np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids
+
+
+def merge_rows(rows, mults):
+    """(first, totals) for the int matrix rows and int64 mults: the index of
+    the first occurrence of each distinct row, in sorted_runs order, and the
+    sum of the mults of its equal rows."""
+    order, new = sorted_runs(rows)
+    starts = np.flatnonzero(new)
+    totals = np.add.reduceat(mults[order], starts) if len(order) else mults
+    return order[starts], totals
 
 
 def _int64_keys(col):

@@ -377,7 +377,7 @@ class FactoredValue:
 # and the difference of two such sums all fit in int64
 KEY_RADIX_LIMIT = 2**62
 
-ExponentKeys = namedtuple("ExponentKeys", "exponents keys radices atoms")
+ExponentKeys = namedtuple("ExponentKeys", "exponents keys atoms")
 
 
 def exponent_keys(values):
@@ -388,13 +388,13 @@ def exponent_keys(values):
     coordinates and the powers of the atoms (coords, class) of the sorted
     list atoms, all those met in values.  A column whose entries span
     [lo, hi] is a digit of width 4 (hi - lo) + 1 holding entry - lo, packed
-    by mixed radix into the columns of keys, one word per radix in radices;
-    a new word starts where the running radix would pass KEY_RADIX_LIMIT.
-    Digits of a pair sum lie in [0, 2 (hi - lo)] and of a difference of
-    pair sums in [-2 (hi - lo), 2 (hi - lo)], so per word keys[a] + keys[b]
-    identifies the exponents of the product of a and b, and that sum minus
-    the one of c and d identifies those of the quotient, all within
-    (radix - 1) / 2 of zero.  With one constant, keys are equal exactly for
+    by mixed radix into the words (columns) of keys; a new word starts where
+    the word's running radix would pass KEY_RADIX_LIMIT.  Digits of a pair
+    sum lie in [0, 2 (hi - lo)] and of a difference of pair sums in
+    [-2 (hi - lo), 2 (hi - lo)], so per word keys[a] + keys[b] identifies
+    the exponents of the product of a and b, and that sum minus the one of
+    c and d identifies those of the quotient, all within (radix - 1) / 2 of
+    zero, hence in int64.  With one constant, keys are equal exactly for
     equal values.  None when the constants differ or are zero, or when an
     exponent or a digit is larger than KEY_RADIX_LIMIT."""
     constants = {v.constant for v in values}
@@ -409,7 +409,7 @@ def exponent_keys(values):
         for atom, p in v.factors.items():
             row[nvars + atoms[atom]] = p
         exponents.append(row)
-    digits, radices, radix = [], [], KEY_RADIX_LIMIT
+    digits, words, radix = [], 0, KEY_RADIX_LIMIT
     for j, col in enumerate(zip(*exponents)):
         lo, hi = min(col), max(col)
         width = 4 * (hi - lo) + 1
@@ -417,15 +417,15 @@ def exponent_keys(values):
             return None
         if width > 1:
             if radix * width > KEY_RADIX_LIMIT:
-                radices.append(1)
+                words += 1
                 radix = 1
-            digits.append((j, lo, radix, len(radices) - 1))
-            radix = radices[-1] = radix * width
+            digits.append((j, lo, radix, words - 1))
+            radix *= width
     exponents = np.array(exponents, dtype=np.int64).reshape(len(values), nvars + len(atoms))
-    keys = np.zeros((len(values), max(len(radices), 1)), dtype=np.int64)
+    keys = np.zeros((len(values), max(words, 1)), dtype=np.int64)
     for j, lo, place, word in digits:
         keys[:, word] += (exponents[:, j] - lo) * place
-    return ExponentKeys(exponents, keys, radices or [1], atom_list)
+    return ExponentKeys(exponents, keys, atom_list)
 
 
 def row_values(ctx, atoms, rows):

@@ -990,6 +990,14 @@ GOLDEN_JSON = {
          "--charpoly", "--json"),
         "fdfcaf8cafd1b6ed7264160d8c8d0401cb69f24076f791af76a8c12b9be6d653",
     ),
+    # a rational spectrum as the CLI prints it: kappa is read into Q(zeta_1),
+    # so 1 prints as "kind": "cyclotomic", "order": 1, where vecg_family with
+    # Fraction kappa, through print_spectrum, prints "kind": "rational"
+    "vecg-z2-rational": (
+        ("family", "vecg", "--group", "z2", "--kappa", "1,-1", "--subgroup", "0",
+         "--charpoly", "--json"),
+        "20aa29d45336415fd29f132ae453427915788cca1efaa591bd1f728decfb8c09",
+    ),
     # spec documents: structure, cartan, dims and module action of u_q(sl2)
     "uqsl2-7-spec": (
         ("family", "uqsl2", "--ell", "7", "--s", "3"),

@@ -76,7 +76,8 @@ def test_rational_operands_agree_with_lifts(x, q, k):
         if r:
             assert x / r == x * lifted.inverse()
             assert_canonical(x / r)
-        assert_canonical(x * r)
+        for y in (x * r, x + r, r + x, x - r, r - x):
+            assert_canonical(y)
 
 
 @settings

@@ -73,6 +73,19 @@ class TestDimensionEigenspace:
         F = CycField(3)
         assert m == [F.one(), F.zeta(1), F.zeta(2)]  # m_i = q^i
 
+    def test_int_operands_are_not_lifted(self, monkeypatch):
+        """block[j][j] -= d and the int sums of the elimination add an int
+        to a CycNum without lifting it: Taft n=9 lifts only its nine dims
+        into the field, and its basis is unchanged."""
+        f, mod, _ = taft_family(9)
+        want = dimension_eigenspace(f, mod)
+        calls = []
+        lift_rational = CycField.from_rational
+        monkeypatch.setattr(CycField, "from_rational",
+                            lambda field, q: calls.append(q) or lift_rational(field, q))
+        assert dimension_eigenspace(f, mod) == want
+        assert len(calls) == 9
+
     def test_uqsl2_multiplicity_two(self):
         for ell in (3, 5):
             fam = uqsl2_family(ell)
@@ -475,6 +488,13 @@ class TestPairClassSpectrum:
             with pytest.raises(NumericOverflow, match="overflow"):
                 spectrum._sweep_numeric(values, np.array([1, 2], dtype=np.int64), 1e-9)
 
+    def test_non_finite_products_are_refused(self):
+        # each NaN product is a pair class of its own, whose quotients the
+        # sweep refuses; an infinite one is one class, refused the same way
+        for bad in (complex("nan+nanj"), complex(1e308 * 10, 1)):
+            with pytest.raises(NumericOverflow, match="overflow"):
+                pair_class_spectrum([1 + 1j, bad, bad], 1)
+
     def test_weight_matrix_and_uniform_weight_agree(self):
         F = CycField(5)
         values = [F.zeta(t) for t in range(5)] + [F.zeta(2)]
@@ -711,7 +731,9 @@ class TestExponentKeys:
 
     def test_more_columns_than_one_radix(self):
         """Forty-two atoms with powers 0 and 1 need digits of width 5 each,
-        more than one int64 word holds: the words are joined by re-ranking."""
+        more than one int64 word holds: the keys take several words, each
+        below KEY_RADIX_LIMIT, and the kernel classes and merges them as
+        rows, word by word."""
         ctx = FactoredContext(7, 2)
         atoms = [FactoredValue.atom(ctx, c, a) for c in [(1, 0), (0, 1), (1, 1), (1, 2),
                                                          (2, 1), (1, -1)] for a in range(7)]
@@ -719,24 +741,36 @@ class TestExponentKeys:
         values = [math.prod(rng.sample(atoms, 8), start=FactoredValue.one(ctx)) for _ in range(7)]
         self.check(values, 1, 7, point=(0.9 - 0.2j, 1.1 + 0.4j))
         keys = exponent_keys(values)
-        assert len(keys.radices) > 1
-        assert all(1 < r <= KEY_RADIX_LIMIT for r in keys.radices)
-        assert math.prod(keys.radices) > 2**63
+        assert keys.keys.shape[1] > 1
+        assert ((keys.keys >= 0) & (keys.keys < KEY_RADIX_LIMIT)).all()
+        spans = keys.exponents.max(axis=0) - keys.exponents.min(axis=0)
+        assert math.prod(4 * s + 1 for s in spans.tolist()) > 2**63
 
     def test_fused_words_never_wrap(self):
-        """Words whose radices together pass int64 fuse by re-ranking: the
-        ids stay nonnegative (the merge starts its groups after -1) and are
-        equal exactly for equal rows."""
+        """Words whose radices together pass int64 are classed and merged
+        as rows, word by word, so nothing is fused and nothing can wrap:
+        ids are equal exactly for equal rows, first is each distinct row's
+        first occurrence, in sorted order, and the totals are exact."""
         rng = np.random.default_rng(11)
         radices = [2**62, 3, 2**61, 2**62]
         pool = np.stack([rng.integers(0, r, 6) for r in radices], axis=1)
         words = pool[rng.integers(0, 6, 200)]
         words[::7, 1] = rng.integers(0, 3, len(words[::7]))
-        ids = spectrum._fuse(words, radices)
-        assert (ids >= 0).all()
-        rows = [tuple(w) for w in words.tolist()]
-        assert len(set(ids.tolist())) == len(set(rows))
-        assert len(set(zip(ids.tolist(), rows))) == len(set(rows))
+        for rows in (words, words - words[rng.permutation(len(words))]):
+            tuples = [tuple(w) for w in rows.tolist()]
+            distinct = sorted(set(tuples))
+            first, ids = spectrum.distinct_rows(rows)
+            assert ((ids[:, None] == ids[None, :])
+                    == (rows[:, None] == rows[None, :]).all(axis=2)).all()
+            assert first.tolist() == [tuples.index(t) for t in distinct]
+            assert (ids[first] == np.arange(len(distinct))).all()
+            mults = rng.integers(1, 2**55, len(rows))
+            expect = dict.fromkeys(distinct, 0)
+            for t, m in zip(tuples, mults.tolist()):
+                expect[t] += m
+            merged, totals = spectrum.merge_rows(rows, mults)
+            assert merged.tolist() == first.tolist()
+            assert totals.tolist() == list(expect.values())
 
     def test_too_wide_a_digit_takes_the_canonical_route(self):
         big = FactoredValue.atom(self.CTX, (1, 0), 1, 2**61)
