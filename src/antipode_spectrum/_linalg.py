@@ -1,10 +1,10 @@
 """Linear algebra over one scalar backend.
 
-``nullspace`` and ``rank`` lift their entries with scalar.lift and choose
-the method from the result: exact entries (int, Fraction, CycNum) take
-Gaussian elimination, numeric ones an SVD whose cutoff is tol times the
-largest singular value.  ``Subspace`` is an exact subspace held in reduced
-row echelon form.
+``nullspace``, ``rank`` and ``rref`` lift their entries with scalar.lift;
+exact entries (CycNum, rationals read into Q) take Gaussian elimination,
+numeric ones an SVD whose cutoff is tol times the largest singular value.
+``Subspace`` is an exact subspace held in reduced row echelon form; it
+reduces vectors of the kind its rows were lifted to.
 
 Matrices are sequences of rows (lists, or a 2-D numpy array).
 """
@@ -29,12 +29,11 @@ def _lifted(m):
 
 
 def rref(m):
-    """Reduced row echelon form of exact rows; returns (matrix, pivot_columns).
-
-    The entries are left as they are where elimination does not reach: a
-    zero of the scaled pivot row stays unscaled, and a row is updated only
-    at the pivot row's nonzero columns, which are listed once per pivot."""
-    m = [list(row) for row in m]
+    """Reduced row echelon form of exact rows, lifted into one kind; returns
+    (matrix, pivot_columns).  Entries are left as they are where elimination
+    does not reach: a zero of the scaled pivot row stays unscaled, and a row
+    is updated only at the pivot row's nonzero columns, listed once per pivot."""
+    m = [list(row) for row in _lifted(m)[1]]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])

@@ -18,8 +18,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import specfile
-from .cyclotomic import (coefficient_approx, coefficient_pairs, coefficient_rows, coefficient_texts,
-                         joined_text)
+from .cyclotomic import (TEXT_LINE, coefficient_approx, coefficient_pairs, coefficient_rows,
+                         coefficient_texts, joined_text)
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
 from .scalar import (_round_digits, count_torus_vars, cyclotomic_field, from_literal,
@@ -90,24 +90,19 @@ _COEFF_SEP = '",\n          "'  # between the "coeffs" items of a cyclotomic val
 
 def _cyclotomic_texts(field, tops, bottoms, mults: list, as_json: bool) -> list:
     """The entries of the eigenvalues with coefficient rows tops / bottoms
-    (as in SpectrumFactorization.coeffs; field None: Fractions) and
-    multiplicities mults, each as _item_text writes it or as its line of the
-    text output.  "coeffs" and "str" come from the rows column by column
-    through cyclotomic.coefficient_texts, which str uses too; neither
-    needs escapes, as they hold only digits, "/", "*", "z", "^", "+", "-"
-    and spaces.  "approx" comes from cyclotomic.coefficient_approx."""
+    in field (as in SpectrumFactorization.coeffs) and multiplicities mults,
+    each as _item_text writes it or as its line of the text output.
+    "coeffs" and "str" come from the rows column by column through
+    cyclotomic.coefficient_texts, which str uses too; neither needs
+    escapes, as they hold only digits, "/", "*", "z", "^", "+", "-" and
+    spaces.  "approx" comes from cyclotomic.coefficient_approx."""
     columns = [coefficient_texts(k, ps, qs)
                for k, (ps, qs) in enumerate(zip(tops.T.tolist(), bottoms.T.tolist()))]
     texts = [joined_text("".join(pieces)) for pieces in zip(*[c[1] for c in columns])]
-    if field is None:
-        if not as_json:
-            return [f"multiplicity {m}: {text}" for m, text in zip(mults, texts)]
-        return [_item_text(m, f'{{\n        "kind": "rational",\n        "value": '
-                              f'"{text}"\n      }}') for m, text in zip(mults, texts)]
     approx = coefficient_approx(field, tops, bottoms)
     re, im = approx.tolist()
     if not as_json:
-        return [f"multiplicity {m}: {text}  (~ {x:.6g}{y:+.6g}j)"
+        return [f"multiplicity {m}: {TEXT_LINE.format(text, x, y)}"
                 for m, text, x, y in zip(mults, texts, re, im)]
     floats = float.__repr__ if np.isfinite(approx).all() else _float_text
     return [f'    {{\n      "multiplicity": {m},\n      "value": {{\n'

@@ -14,8 +14,8 @@ which covers zeta^e for 0 <= e < n and every exponent of a product of two
 reduced elements.  A product is an integer convolution folded through the
 table, then one gcd; a Galois conjugate reads its rows from the same table;
 the inverse is the product of the other Galois conjugates over the norm.
-Fraction appears only where a rational enters or leaves: ``from_rational``
-and ``coeffs``.
+Arithmetic takes a rational, an element of Q = Q(zeta_1) or Q(zeta_2),
+into the other operand's field (``CycField.embed``).
 
 Many elements at once are integer coefficient rows: an (n, phi(n)) numpy
 array of numerators, with their denominators alongside.  A row array is
@@ -67,6 +67,9 @@ def _float_or_inf(c: int, den: int) -> float:
 # products that form it, below this in absolute value
 ROW_LIMIT = 2**62
 
+# a value's line of the text output: its str, then its complex value
+TEXT_LINE = "{}  (~ {:.6g}{:+.6g}j)"
+
 
 def max_abs(a) -> int:
     """The largest absolute value in the integer array a; 0 when it is empty."""
@@ -94,18 +97,12 @@ def matmul(a, b):
 
 
 def coefficient_rows(values):
-    """(field, num, den, top) for exact values, CycNum of one field or
-    Fractions: the field, None for Fractions; the numerator rows, int64
-    when they fit; the denominators, an object array; and the largest
-    denominator."""
-    if values and type(values[0]) is CycNum:
-        field = values[0].field
-        num, den = [v.num for v in values], [v.den for v in values]
-    else:
-        field = None
-        num, den = [(v.numerator,) for v in values], [v.denominator for v in values]
-    degree = field.degree if field else 1
-    return (field, fit(np.array(num, dtype=object).reshape(len(values), degree)),
+    """(field, num, den, top) for values, CycNum of one field: the field (Q
+    when there are no values); the numerator rows, int64 when they fit; the
+    denominators, an object array; and the largest denominator."""
+    field = values[0].field if values else CycField(1)
+    num, den = [v.num for v in values], [v.den for v in values]
+    return (field, fit(np.array(num, dtype=object).reshape(len(values), field.degree)),
             np.array(den, dtype=object), max(den, default=1))
 
 
@@ -120,10 +117,7 @@ def coefficient_pairs(num, den):
 
 def coefficient_values(field, tops, bottoms) -> list:
     """The elements of field whose coefficients are tops / bottoms (rows of
-    coefficient_pairs); Fractions, from the first column, when field is
-    None."""
-    if field is None:
-        return [Fraction(p, q) for p, q in zip(tops[:, 0].tolist(), bottoms[:, 0].tolist())]
+    coefficient_pairs)."""
     out = []
     for ps, qs in zip(tops.tolist(), bottoms.tolist()):
         den = lcm(*qs)  # lowest terms: a prime power of den is all of some q
@@ -242,6 +236,15 @@ class CycField:
     def zeta(self, e: int = 1) -> "CycNum":
         return self._zetas[e % self.order]
 
+    def embed(self, x) -> "CycNum":
+        """x, an element of this field or of one of degree 1 (a rational), as
+        an element of this field, a zero as its zero; FieldMismatch else."""
+        if x.field is self:
+            return x
+        if x.field.degree != 1:
+            raise FieldMismatch(f"orders {x.field.order} and {self.order}")
+        return CycNum(self, x.num + self._zero_tail, x.den) if x.num[0] else self._zero
+
     # -- integer vector kernels ------------------------------------------------------
 
     def _mul_vec(self, a, b):
@@ -324,15 +327,16 @@ class CycNum:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
+        """(self, other) in one field, a rational one taken into the other's
+        field; other is None for an operand of any other kind."""
         if isinstance(other, CycNum):
             if other.field is not self.field:
-                raise FieldMismatch(
-                    f"orders {self.field.order} and {other.field.order}"
-                )
-            return other
+                field = self.field if other.field.degree == 1 else other.field
+                return field.embed(self), field.embed(other)
+            return self, other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+            return self, self.field.from_rational(other)
+        return self, None
 
     def _scale(self, p: int, q: int) -> "CycNum":
         """self * p / q for integers p and q != 0."""
@@ -346,20 +350,21 @@ class CycNum:
     def __eq__(self, other):
         if type(other) is int:  # n / 1 and num / den are both in lowest terms
             return self.den == 1 and self.num[0] == other and not any(self.num[1:])
-        other = self._coerce(other)
+        self, other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
+    def __hash__(self):  # rationals as (num, den): one of degree 1 equals its embeddings
         if self._hash is None:
-            self._hash = hash((self.field.order, self.num, self.den))
+            num, den = self.num, self.den
+            self._hash = hash((num[0], den) if not any(num[1:]) else (self.field.order, num, den))
         return self._hash
 
     def __add__(self, other):
         if type(other) is int:  # gcd(den, num + n den) = gcd(den, num) = 1
             return CycNum(self.field, (self.num[0] + other * self.den,) + self.num[1:], self.den)
-        other = self._coerce(other)
+        self, other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.den, other.den
@@ -375,7 +380,7 @@ class CycNum:
     def __sub__(self, other):
         if type(other) is int:
             return self + -other
-        other = self._coerce(other)
+        self, other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.den, other.den
@@ -383,19 +388,16 @@ class CycNum:
             return _canonical(self.field, [x - y for x, y in zip(self.num, other.num)], a)
         return _canonical(self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
 
-    def __rsub__(self, other):
-        if type(other) is int:
-            return -self + other
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    def __rsub__(self, other):  # never two CycNum: Python reflects no op of one type
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         # a CycNum operand is tested first: isinstance(x, Fraction) goes
         # through the ABC machinery of numbers.Rational
         if type(other) is CycNum:
-            field = self._coerce(other).field
+            if other.field is not self.field:
+                self, other = self._coerce(other)
+            field = self.field
             return _canonical(field, field._mul_vec(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self._scale(other.numerator, other.denominator)
@@ -422,7 +424,7 @@ class CycNum:
 
     def __truediv__(self, other):
         if type(other) is CycNum:
-            return self * self._coerce(other).inverse()
+            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZero("inverse of zero cyclotomic number")

@@ -2,15 +2,16 @@
 
 Four backends name the kinds of scalar that flow through the package:
 
-* cyclotomic  CycNum, an exact element of Q(zeta_n); int and Fraction for
-              rationals
+* cyclotomic  CycNum, an exact element of Q(zeta_n); a rational is an
+              element of Q = CycField(1)
 * symbolic    FactoredValue, a factored rational function of torus parameters
 * numeric     complex, compared within a tolerance
 * signed      SignedEigenvalue, sign * sqrt(squared) from a pivotalization
 
 This module is the one place outside the scalar classes that asks which kind
 a value is: lifting to one backend, keys, zero and closeness tests, inverse,
-sign, and the JSON, text and literal renderings.
+sign, and the JSON, text and literal renderings.  The rational inputs, int
+and Fraction, are read as the elements of Q they name.
 
 Literals follow the grammar
 
@@ -31,20 +32,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum
-from .errors import (
-    FieldMismatch,
-    NonRealSigns,
-    NotFactorable,
-    NotNumeric,
-    ParseError,
-)
+from .cyclotomic import TEXT_LINE, CycField, CycNum
+from .errors import NonRealSigns, NotFactorable, NotNumeric, ParseError
 from .symbolic import FactoredContext, FactoredValue, LaurentPoly
 
 DEFAULT_TOLERANCE = 1e-9
 
+# the rational inputs, read as elements of Q
+_RATIONAL = (int, Fraction)
 # kinds compared by exact equality; everything else is numeric
-_EXACT = (CycNum, Fraction, int, FactoredValue, LaurentPoly)
+_EXACT = (CycNum, FactoredValue, LaurentPoly, *_RATIONAL)
 
 
 class SignedEigenvalue:
@@ -83,27 +80,30 @@ def lift(values):
     symbolic when any value is a FactoredValue (constants become constant
     FactoredValues), else numeric when any value is neither exact nor
     rational (all become complex), else cyclotomic: CycNum in the one field
-    present, or Fraction when every value is rational.  Every rational zero
-    becomes the field's one shared zero."""
+    present (Q when every value is rational), a rational taken into it or
+    into the symbolic context's.  Every rational zero becomes the field's
+    one shared zero."""
     field = ctx = None
-    numeric = False
+    numeric = mixed = False
     for v in values:
         if isinstance(v, CycNum):
-            if field is not None and v.field is not field:
-                raise FieldMismatch("mixed cyclotomic orders; embed first")
-            field = v.field
+            if field is None:
+                field = v.field
+            elif v.field is not field:  # keep one of degree > 1, embed the rest below
+                field, mixed = v.field if field.degree == 1 else field, True
         elif isinstance(v, FactoredValue):
             ctx = v.ctx
-        elif not isinstance(v, (int, Fraction)):
+        elif not isinstance(v, _RATIONAL):
             numeric = True
     if ctx is not None:
-        if field is not None and field is not ctx.field:
-            raise FieldMismatch("constants live outside the symbolic context field")
+        mixed = mixed or field not in (None, ctx.field)
         field = ctx.field
     elif numeric:
         return "numeric", [numeric_value(v) for v in values]
-    if field is None:
-        return "cyclotomic", [Fraction(v) for v in values]
+    elif field is None:
+        field = CycField(1)
+    if mixed:
+        values = [field.embed(v) if isinstance(v, CycNum) else v for v in values]
     zero = field.zero()
     exact = [v if isinstance(v, (CycNum, FactoredValue)) else field.from_rational(v) if v else zero
              for v in values]
@@ -135,15 +135,18 @@ def canonical_key(x, tol: float = DEFAULT_TOLERANCE):
         return ("symbolic", x.sort_key())
     elif isinstance(x, SignedEigenvalue):
         return ("signed", x.sign, canonical_key(x.squared, tol))
-    elif isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return ("cyclotomic", 1, ((x.numerator, x.denominator),))
+    elif isinstance(x, _RATIONAL):
+        return canonical_key(_exact(x))
     v = complex(x)
     d = _round_digits(tol)
     re = round(v.real, d) + 0.0  # normalize -0.0
     im = round(v.imag, d) + 0.0
     return ("numeric", re, im)
+
+
+def _exact(x):
+    """x as the element of Q it names when it is a rational input, else x."""
+    return CycField(1).from_rational(x) if isinstance(x, _RATIONAL) else x
 
 
 def numeric_value(x) -> complex:
@@ -173,31 +176,31 @@ def close(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
 
 
 def inverse(x):
-    """1 / x in the kind of x; a rational becomes a Fraction."""
-    if isinstance(x, CycNum):
-        return x.inverse()
+    """1 / x in the kind of x, Q for a rational input."""
     if isinstance(x, FactoredValue):
         return FactoredValue.one(x.ctx) / x
-    if isinstance(x, int):
-        x = Fraction(x)
-    return 1 / x
+    x = _exact(x)
+    return x.inverse() if isinstance(x, CycNum) else 1 / x
 
 
 def divided(values, d) -> list:
-    """[x / d for x in values].  For a CycNum or Fraction d the values are
-    multiplied by 1 / d, inverted once, which gives the same quotients; any
-    other d divides each value, as x * (1 / d) rounds differently."""
-    if isinstance(d, (CycNum, Fraction)):
-        inv = inverse(d)
+    """[x / d for x in values].  For an exact d the values are multiplied by
+    1 / d, inverted once, which gives the same quotients; any other d
+    divides each value, as x * (1 / d) rounds differently."""
+    d = _exact(d)
+    if isinstance(d, CycNum):
+        inv = d.inverse()
         return [x * inv for x in values]
     return [x / d for x in values]
 
 
 def sign(x, tol: float = DEFAULT_TOLERANCE) -> int:
-    """Sign of a real scalar; NonRealSigns when the value is not real."""
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
+    """Sign of a real scalar, exact for a rational; NonRealSigns when the
+    value is not real."""
+    x = _exact(x)
     if isinstance(x, CycNum):
+        if x.is_rational():
+            return (x.num[0] > 0) - (x.num[0] < 0)
         if not x.is_real():
             raise NonRealSigns(f"{x} is not real")
         v = x.complex_value().real
@@ -211,11 +214,11 @@ def sign(x, tol: float = DEFAULT_TOLERANCE) -> int:
 def roots_of_unity(values) -> bool:
     """True iff the n values are the n-th roots of unity: their complex
     values pass unit_roots, and v**n == 1 for every v, exactly for an exact
-    value whichever field or rational type stores it."""
+    value whichever field stores it."""
     n = len(values)
     if not unit_roots(np.array([numeric_value(v) for v in values], dtype=complex)):
         return False
-    return all(v**n == 1 for v in values if isinstance(v, (CycNum, Fraction, int)))
+    return all(v**n == 1 for v in map(_exact, values) if isinstance(v, CycNum))
 
 
 def unit_roots(z) -> bool:
@@ -233,6 +236,7 @@ def unit_roots(z) -> bool:
 
 def to_json(v):
     """JSON payload of an eigenvalue, tagged with its kind."""
+    v = _exact(v)
     if isinstance(v, SignedEigenvalue):
         return {"kind": "signed", "sign": v.sign, "squared": to_json(v.squared)}
     if isinstance(v, CycNum):
@@ -255,25 +259,26 @@ def to_json(v):
             ],
             "str": v.text(items),
         }
-    if isinstance(v, (int, Fraction)):
-        return {"kind": "rational", "value": str(v)}
     z = complex(v)
     return {"kind": "numeric", "re": z.real, "im": z.imag}
 
 
 def to_text(v) -> str:
-    """An eigenvalue other than a CycNum (see cli._cyclotomic_texts) as the
-    text output prints it; cli.print_spectrum calls it per entry of a chunk,
-    built alone for a spectrum held as arrays or exponent rows."""
-    if isinstance(v, (SignedEigenvalue, FactoredValue, int, Fraction)):
+    """An eigenvalue as the text output prints it; cli.print_spectrum calls it
+    per entry of a chunk built alone, save for runs of CycNum, which
+    cli._cyclotomic_texts writes from their rows through TEXT_LINE too."""
+    v = _exact(v)
+    if isinstance(v, (SignedEigenvalue, FactoredValue)):
         return str(v)
-    z = complex(v)
+    z = numeric_value(v)
+    if isinstance(v, CycNum):
+        return TEXT_LINE.format(v, z.real, z.imag)
     return f"{z.real:.9g}{z.imag:+.9g}j"
 
 
 def to_literal(x) -> str:
     """A scalar in the literal grammar; from_literal reads it back."""
-    if isinstance(x, (CycNum, FactoredValue, int, Fraction)):
+    if isinstance(_exact(x), (CycNum, FactoredValue)):
         return str(x)
     raise ParseError(f"cannot serialize {type(x).__name__} exactly; use the cyclotomic backend")
 

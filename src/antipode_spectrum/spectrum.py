@@ -22,7 +22,6 @@ import numpy as np
 from . import _linalg
 from .cyclotomic import (
     ROW_LIMIT,
-    CycField,
     coefficient_approx,
     coefficient_pairs,
     coefficient_rows,
@@ -74,8 +73,7 @@ class SpectrumFactorization:
     ``coeffs`` = (tops, bottoms), each coefficient tops[i, j] / bottoms[i, j]
     of eigenvalue i in the power basis of ``field`` in lowest terms (row i
     is the sort_key of the eigenvalue), int64 or, where a value passes
-    cyclotomic.ROW_LIMIT, object; ``field`` is None when the eigenvalues
-    are Fractions, of one coefficient each.  ``entries`` is then built from
+    cyclotomic.ROW_LIMIT, object.  ``entries`` is then built from
     the arrays on first use; ``entries_in(chunk)`` builds only the pairs of
     one chunk, as the text output does, and leaves ``entries`` unbuilt.
     Every other spectrum keeps its entries list, and ``mults`` is None."""
@@ -125,7 +123,7 @@ class SpectrumFactorization:
     @classmethod
     def from_coefficients(cls, field, tops, bottoms, mults, tol=DEFAULT_TOLERANCE):
         """The cyclotomic spectrum of the distinct eigenvalues with coefficients
-        tops / bottoms in field (None: Fractions), sorted by canonical key,
+        tops / bottoms in field, sorted by canonical key,
         and multiplicities mults, held as the arrays themselves."""
         spec = cls._from_mults("cyclotomic", mults, tol,
                                lambda chunk: coefficient_values(field, tops[chunk], bottoms[chunk]))
@@ -187,7 +185,7 @@ class SpectrumFactorization:
             z = self.values
         else:
             z = np.empty(n, dtype=complex)
-            z.real, z.imag = coefficient_approx(self.field or CycField(1), *self.coeffs)
+            z.real, z.imag = coefficient_approx(self.field, *self.coeffs)
         if not unit_roots(z) or (self.coeffs is not None
                                  and not roots_of_unity(self._make_values(slice(None)))):
             return None
@@ -243,7 +241,7 @@ def dimension_eigenspace(f: FusionData, mod: ModuleActionData, tol=DEFAULT_TOLER
 def _joint_kernel(matrices, dims, size):
     """The canonical basis (see dimension_eigenspace) of the vectors v of
     length size with N v = d v for each integer matrix N and exact d of
-    dims (Fractions, or CycNum of one field); [] when there are none, or no
+    dims (CycNum of one field); [] when there are none, or no
     matrices.  A running basis B starts as the whole space.  A block
     N - d I that is zero leaves it; the first nonzero one gives
     B = nullspace(N - d I), and each later one W = (N - d I) B^T, from the
@@ -318,12 +316,11 @@ def _verify_eigenvector(f, mod, m, tol):
 
 
 def _verify_exact(f, mod, m, dims):
-    """_verify_eigenvector for exact m and dims (CycNum of one field, or
-    Fractions), all labels in one batch: m is the integer rows M over their
+    """_verify_eigenvector for exact m and dims (CycNum of one field), all
+    labels in one batch: m is the integer rows M over their
     common denominator, and N_r m = d_r m reads den(d_r) N_r M ==
     num(d_r) M, the right side one batch of mul_rows."""
     field, num, den, top = coefficient_rows(m + dims)
-    field = field or CycField(1)
     size, count = len(m), len(dims)
     common = math.lcm(*den[:size].tolist())
     M = fit(num[:size].astype(object) * (common // den[:size])[:, None])
@@ -495,17 +492,17 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
 
 def _quotient_spectrum(reps, p, q, mults, tol):
     """The eigenvalues reps[p] / reps[q] of the exact class representatives
-    reps (CycNum of one field, or Fractions), with multiplicities mults,
+    reps (CycNum of one field), with multiplicities mults,
     merged and listed by canonical key as a coefficient-row spectrum.  Each
     class is inverted once; the quotients are one batch of row products,
     and their coefficients in lowest terms, their canonical form, are
     sorted with the rational ones first, as canonical_key sorts them."""
     field, num, den, top = coefficient_rows(reps + [inverse(r) for r in reps])
-    ring, classes = field or CycField(1), len(reps)
+    classes = len(reps)
     den = fit(den, top * top)
-    tops, bottoms = coefficient_pairs(ring.mul_rows(num[p], num[classes:], q),
+    tops, bottoms = coefficient_pairs(field.mul_rows(num[p], num[classes:], q),
                                       den[p] * den[classes + q])
-    pairs = np.stack([tops, bottoms], axis=2).reshape(len(tops), 2 * ring.degree)  # p0, q0, ...
+    pairs = np.stack([tops, bottoms], axis=2).reshape(len(tops), 2 * field.degree)  # p0, q0, ...
     if pairs.dtype == object:
         pairs = np.column_stack([k for c in pairs.T for k in _int64_keys(c)])
     irrational = (tops[:, 1:] != 0).any(axis=1)  # sorts last

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from antipode_spectrum.cyclotomic import CycField
 from antipode_spectrum.errors import NonRealSigns, SignSplitMismatch
 from antipode_spectrum.families import (
     Group,
@@ -38,6 +41,17 @@ class TestFromMatchedPivotal:
         f, mod, m = taft_family(3)  # m = (1, q, q^2) is not real
         with pytest.raises(NonRealSigns):
             from_matched_pivotal(f, mod, m)
+
+    def test_tiny_rational_nu_is_positive(self):
+        """nu_a = 10^-12 is positive, as a Fraction or as an element of any
+        field: a rational's sign is exact, not judged within a tolerance."""
+        f, mod, m = vecg_family(Group.cyclic(2), {"0": 1, "1": -1}, ["0"])
+        piv = from_matched_pivotal(f, mod, m)
+        tiny = Fraction(1, 10**12)
+        for nu in (tiny, CycField(1).from_rational(tiny), CycField(5).from_rational(tiny)):
+            split = PivotalizationData(mod.labels, [nu, nu], piv.n_plus, piv.n_minus,
+                                       unsigned=mod)
+            assert split.nu == [nu, nu]
 
     def test_sign_split_mismatch(self):
         f, mod, m = vecg_family(Group.cyclic(2), {"0": 1, "1": -1}, ["0"])

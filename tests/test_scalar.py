@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from antipode_spectrum import errors, specfile
-from antipode_spectrum.cyclotomic import CycField, cyclotomic_polynomial
+from antipode_spectrum.cyclotomic import CycField, CycNum, cyclotomic_polynomial
 from antipode_spectrum.errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
 from antipode_spectrum.families import uqsl2_family
 from antipode_spectrum.scalar import (
@@ -30,7 +30,9 @@ from antipode_spectrum.scalar import (
     parse_literal,
     roots_of_unity,
     sign,
+    to_json,
     to_literal,
+    to_text,
 )
 from antipode_spectrum.spectrum import char_poly_s2
 from antipode_spectrum.symbolic import FactoredContext, FactoredValue, LaurentPoly
@@ -612,5 +614,55 @@ def test_scalar_helpers_properties():
         r = numeric_value(real).real
         if abs(r) > 1e-9:
             assert sign(real) == (1 if r > 0 else -1)
+
+    check()
+
+
+def test_rational_inputs_are_elements_of_q():
+    """An int or Fraction x and CycField(1).from_rational(x) agree on every
+    helper, signs of tiny values included.  A rational of degree 1 (order 1
+    or 2) meets an element of any field of order 1-12 in arithmetic, in both
+    operand orders, as its embedding there does; lift of a list that mixes
+    it with that field, or with a factored value, is the lift of the
+    embedded list."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    Q = CycField(1)
+    rationals = st.one_of(st.integers(-10**20, 10**20),
+                          st.fractions(max_denominator=10**15).filter(lambda q: abs(q) <= 10**6))
+    small = st.fractions(max_denominator=6).filter(lambda q: abs(q) <= 6)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(rationals, rationals, st.integers(1, 12), st.data())
+    def check(x, y, order, data):
+        q = Q.from_rational(x)
+        for helper in (canonical_key, sign, to_json, to_text, to_literal, is_zero):
+            assert helper(x) == helper(q), helper
+        assert sign(x) == sign(q) == (x > 0) - (x < 0)
+        assert close(x, y) == close(q, Q.from_rational(y)) == close(x, Q.from_rational(y)) == (x == y)
+        if x:
+            assert type(inverse(x)) is CycNum and inverse(x).field is Q
+            assert inverse(x) == inverse(q) == 1 / Fraction(x)
+        F = CycField(order)
+        w = reduced(F, [data.draw(small) for _ in range(F.degree)])
+        for r in (q, CycField(2).from_rational(x)):
+            e = embed(q, F)
+            assert r == e and e == r and hash(r) == hash(e)
+            pairs = [(r + w, e + w), (w + r, w + e), (r - w, e - w), (w - r, w - e),
+                     (r * w, e * w), (w * r, w * e), (r == w, e == w), (w == r, w == e)]
+            if w:
+                pairs.append((r / w, e / w))
+            if x:
+                pairs.append((w / r, w / e))
+            for got, want in pairs:
+                assert got == want
+                assert getattr(got, "field", F) is F or F.degree == 1  # Q meets Q
+            backend, values = lift([r, w, y])
+            assert (backend, values) == lift([e, w, F.from_rational(y)])
+            assert all(v.field is F for v in values)
+            if order > 2:
+                ctx = FactoredContext(order, 1)
+                v = FactoredValue(ctx, w or F.one(), (1,))
+                assert lift([r, v]) == lift([FactoredValue.from_constant(ctx, e), v])
 
     check()

@@ -527,7 +527,7 @@ class TestPairClassSpectrum:
             empty = pair_class_spectrum(values, zero)
             assert (empty.backend, empty.entries, empty.total_degree) == (backend, [], 0)
         rational = pair_class_spectrum([1, 2], 1)
-        assert all(type(v) is Fraction for v, _ in rational.entries)
+        assert all(v.field is CycField(1) for v, _ in rational.entries)
         assert rational.multiset() == {canonical_key(Fraction(2) ** e): m
                                        for e, m in zip(range(-2, 3), (1, 4, 6, 4, 1))}
 
@@ -629,9 +629,11 @@ class TestCoefficientRows:
             tops, bottoms = got.coeffs
             assert got._entries is None and got.backend == "cyclotomic"
             assert got.entries == expect.entries
-            assert [type(v) for v, _ in got.entries] == [type(v) for v, _ in expect.entries]
+            assert [type(v) for v, _ in got.entries] == [CycNum] * len(expect)
             assert (len(got), got.total_degree) == (len(expect), int(w.sum()))
-            seen.add((got.field is None, tops.dtype == object, len(got) > 0))
+            rational = type(values[0]) is Fraction  # read into Q
+            assert not rational or got.field is CycField(1)
+            seen.add((rational, tops.dtype == object, len(got) > 0))
 
         check()
         assert {(False, True, True), (True, True, True), (False, False, True),
@@ -866,7 +868,9 @@ class TestGaloisEquivariance:
                 assert char_poly_s2(ex.fusion, ex.module, sm).entries == expect.entries, \
                     (ex.name, k)
             checked += 1
-        assert checked == 5  # taft-2, taft-3, taft-5, vecg-z3-omega, fibonacci
+        # taft-2, taft-3, taft-5, vecg-z3-omega, fibonacci, and the four
+        # rational vecg examples, whose m lies in Q (no unit k > 1)
+        assert checked == 9
 
     def test_random_matched_cosets(self):
         """Vec_{Z/n} on Z/n / <idx> with kappa(a) = zeta_n^(t a), matched since
@@ -985,11 +989,11 @@ class TestUniformRootPower:
             assert listed.uniform_root_power() == want
 
         def rows(values, mults):
-            field = values[0].field if type(values[0]) is CycNum else None
-            num = np.array([v.num if field else (v.numerator,) for v in values], dtype=np.int64)
-            den = np.array([v.den if field else v.denominator for v in values], dtype=np.int64)
+            _, values = lift(values)  # Fractions are read into Q
+            num = np.array([v.num for v in values], dtype=np.int64)
+            den = np.array([v.den for v in values], dtype=np.int64)
             return SpectrumFactorization.from_coefficients(
-                field, *coefficient_pairs(num, den), np.array(mults, dtype=np.int64))
+                values[0].field, *coefficient_pairs(num, den), np.array(mults, dtype=np.int64))
 
         F = CycField(5)
         fifth = [F.zeta(t) for t in range(5)]
