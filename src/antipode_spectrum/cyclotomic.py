@@ -13,7 +13,11 @@ integer row.  CycField tabulates those rows for e < max(n, 2 phi(n) - 1),
 which covers zeta^e for 0 <= e < n and every exponent of a product of two
 reduced elements.  A product is an integer convolution folded through the
 table, then one gcd; a Galois conjugate reads its rows from the same table;
-the inverse is the product of the other Galois conjugates over the norm.
+the inverse is the product of the other Galois conjugates over the norm.  In
+a field of degree at most KERNEL_DEGREE the product and the Galois maps are
+straight-line Python generated from the table and compiled on their first
+use in the field (``CycField._kernels``); a larger field runs the loops,
+which skip zero coefficients where straight-line code cannot.
 Arithmetic takes a rational, an element of Q = Q(zeta_1) or Q(zeta_2),
 into the other operand's field (``CycField.embed``).
 
@@ -33,6 +37,7 @@ import cmath
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, lcm, nan
+from sys import hash_info
 
 import numpy as np
 
@@ -67,8 +72,24 @@ def _float_or_inf(c: int, den: int) -> float:
 # products that form it, below this in absolute value
 ROW_LIMIT = 2**62
 
+_HASH_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
+
 # a value's line of the text output: its str, then its complex value
 TEXT_LINE = "{}  (~ {:.6g}{:+.6g}j)"
+
+# a field of degree up to this gets straight-line product and Galois kernels
+# (CycField._kernels); above it the loops, which skip zero coefficients, come
+# to win on sparse operands, and the compile grows as phi(n) maps of up to
+# degree^2 terms, paid again in every process that meets a large field
+KERNEL_DEGREE = 6
+
+
+def _linear(terms) -> str:
+    """Python source of the sum of r * name over the pairs (r, name) of a
+    nonzero int and an identifier or product of identifiers; "0" for none."""
+    text = "".join((" - " if r < 0 else " + ") + (name if abs(r) == 1 else f"{abs(r)}*{name}")
+                   for r, name in terms)
+    return "-" + text[3:] if text[1:2] == "-" else text[3:] or "0"
 
 
 def max_abs(a) -> int:
@@ -249,6 +270,9 @@ class CycField:
 
     def _mul_vec(self, a, b):
         """Integer vector of a(x) b(x) mod Phi_n."""
+        kernels = self._kernels
+        if kernels is not None:
+            return kernels[0](a, b)
         d = self.degree
         nb = [(j, y) for j, y in enumerate(b) if y]
         prod = [0] * (2 * d - 1)
@@ -286,10 +310,47 @@ class CycField:
         table = self._power_rows[np.add.outer(np.arange(d), np.arange(d))].reshape(d, d * d)
         return table, max_abs(table)
 
+    @cached_property
+    def _kernels(self):
+        """(product, {k: sigma_k for each unit k mod n}), straight-line
+        functions of integer vectors that _mul_vec and _galois call, or None
+        above KERNEL_DEGREE.  Their source is generated from the table of
+        x^e mod Phi_n alone and compiled on the first use in the field.
+        Output k of the product is its convolution's term of x^k plus r p_e
+        for each exponent e >= d of the convolution, p_e its term of x^e
+        and x^e = ... + r x^k; output i of sigma_k sums r c_j over the j
+        with x^(jk) = ... + r x^i."""
+        d, n, rows = self.degree, self.order, self._rows
+        if d > KERNEL_DEGREE:
+            return None
+        a, b, c = ([f"{s}{i}" for i in range(d)] for s in "abc")
+        lines = ["def product(a, b):", f"    {', '.join(a)}, = a", f"    {', '.join(b)}, = b"]
+        out = [[(1, f"{a[i]}*{b[k - i]}") for i in range(k + 1)] for k in range(d)]
+        for e in range(d, 2 * d - 1):
+            lines.append(f"    p{e} = " + _linear((1, f"{a[i]}*{b[e - i]}") for i in range(e - d + 1, d)))
+            for k, r in rows[e]:
+                out[k].append((r, f"p{e}"))
+        lines.append(f"    return [{', '.join(map(_linear, out))}]")
+        units = [k for k in range(n) if gcd(k, n) == 1]
+        for k in units:
+            out = [[] for _ in range(d)]
+            for j in range(d):
+                for i, r in rows[j * k % n]:
+                    out[i].append((r, c[j]))
+            lines += [f"def sigma_{k}(c):", f"    {', '.join(c)}, = c",
+                      f"    return [{', '.join(map(_linear, out))}]"]
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        return namespace["product"], {k: namespace[f"sigma_{k}"] for k in units}
+
     def _galois(self, num, k):
         """Integer vector of sigma_k(num), where sigma_k maps zeta to zeta^k."""
-        out = [0] * self.degree
         rows, n = self._rows, self.order
+        k %= n
+        kernels = self._kernels
+        if kernels is not None and k in kernels[1]:
+            return kernels[1][k](num)
+        out = [0] * self.degree
         for j, c in enumerate(num):
             if c:
                 for i, r in rows[j * k % n]:
@@ -350,15 +411,35 @@ class CycNum:
     def __eq__(self, other):
         if type(other) is int:  # n / 1 and num / den are both in lowest terms
             return self.den == 1 and self.num[0] == other and not any(self.num[1:])
+        if type(other) is CycNum and other.field is not self.field:
+            # the power basis is unique: a rational is a rational in every
+            # field, and two fields' irrationals raise in _coerce
+            a, b = self.is_rational(), other.is_rational()
+            if a or b:
+                return a and b and self.num[0] == other.num[0] and self.den == other.den
         self, other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):  # rationals as (num, den): one of degree 1 equals its embeddings
+    def __hash__(self):
+        """A rational hashes as Python hashes the int or Fraction it equals
+        (the numeric hash rule of the Python docs); another value by its
+        field and form."""
         if self._hash is None:
             num, den = self.num, self.den
-            self._hash = hash((num[0], den) if not any(num[1:]) else (self.field.order, num, den))
+            if any(num[1:]):
+                self._hash = hash((self.field.order, num, den))
+            elif den == 1:
+                self._hash = hash(num[0])
+            else:
+                p = num[0]
+                if den % _HASH_MODULUS:
+                    h = hash(hash(abs(p)) * pow(den, -1, _HASH_MODULUS))
+                else:
+                    h = _HASH_INF
+                h = h if p >= 0 else -h
+                self._hash = -2 if h == -1 else h
         return self._hash
 
     def __add__(self, other):

@@ -429,7 +429,8 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     domain), listed in canonical order as a row-backed spectrum.
     Otherwise one representative product per class is formed, and one
     quotient per class pair: numeric ones merge by sort and sweep at tol
-    (see _sweep_numeric), exact ones as coefficient rows
+    (see _sweep_numeric), after the class pairs of one quotient of nonzero
+    factored values without keys are merged exactly, exact ones as coefficient rows
     (_quotient_spectrum), factored ones by merge_pairs; these join values
     that coincide although their ids differ.  An exact zero that a
     quotient divides by raises DivisionByZero."""
@@ -475,6 +476,8 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
             return SpectrumFactorization.from_rows(quotients[order], mults[order],
                                                    keys.atoms, values[0].ctx, tol)
     if backend == "numeric":
+        if keys is None and factored is not None and all(factored):
+            p, q, mults = _factored_quotient_classes(factored, left, right, p, q, mults)
         with np.errstate(all="ignore"):
             reps = values[left] * values[right]
             quotients = reps[p] / reps[q]
@@ -488,6 +491,23 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
             backend, tol,
         )
     return _quotient_spectrum(reps, p, q, mults, tol)
+
+
+def _factored_quotient_classes(factored, left, right, p, q, mults):
+    """The class pairs (p, q) of one factored quotient merged into the
+    first of them, with their mults summed: the factored representatives
+    are factored[left] factored[right], nonzero, and equal factored
+    quotients are one eigenvalue at every point, so the numeric route
+    evaluates each once and rounding cannot split it into two."""
+    reps = [factored[i] * factored[j] for i, j in zip(left.tolist(), right.tolist())]
+    inv = {b: inverse(reps[b]) for b in set(q.tolist())}
+    group = {}
+    ids = np.array([group.setdefault(reps[a] * inv[b], len(group))
+                    for a, b in zip(p.tolist(), q.tolist())], dtype=np.intp)
+    first = np.unique(ids, return_index=True)[1]  # ids are numbered in order of first use
+    totals = np.zeros(len(group), dtype=np.int64)
+    np.add.at(totals, ids, mults)
+    return p[first], q[first], totals
 
 
 def _quotient_spectrum(reps, p, q, mults, tol):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from antipode_spectrum import errors, specfile
-from antipode_spectrum.cyclotomic import CycField, CycNum, cyclotomic_polynomial
+from antipode_spectrum.cyclotomic import KERNEL_DEGREE, CycField, CycNum, cyclotomic_polynomial
 from antipode_spectrum.errors import DivisionByZero, FieldMismatch, NotFactorable, ParseError
 from antipode_spectrum.families import uqsl2_family
 from antipode_spectrum.scalar import (
@@ -130,6 +130,35 @@ class TestCycArithmetic:
         assert not roots_of_unity([1e200, -1])
         assert roots_of_unity([F.zeta(k) for k in range(5)])
 
+    def test_rationals_hash_as_the_equal_int_or_fraction(self):
+        """A rational element hashes as Python hashes the int or Fraction it
+        equals, so a set or dict that mixes them holds the value once; a
+        denominator divisible by the hash modulus included."""
+        modulus = 2**61 - 1
+        for order in (1, 5):
+            F = CycField(order)
+            for q in (0, 2, -1, -7, 10**30, Fraction(1, 2), Fraction(-3, 4), Fraction(1, modulus),
+                      Fraction(-5, 3 * modulus), Fraction(10**40 + 1, 10**20)):
+                x = F.from_rational(q)
+                assert x == q and hash(x) == hash(q), (order, q)
+                assert len({x, q}) == 1 and {q: order}[x] == order
+
+    def test_rationals_compare_across_fields(self):
+        """Rationals of two fields compare by value, a rational and an
+        irrational of two fields are unequal, and two irrationals of two
+        fields still raise."""
+        F3, F5 = CycField(3), CycField(5)
+        for q in (0, 2, Fraction(-1, 2)):
+            a, b = F3.from_rational(q), F5.from_rational(q)
+            assert a == b and b == a and not a != b
+            assert len({a, b}) == 1 and {a: 1}[b] == 1
+            assert a != F5.from_rational(3) and F5.from_rational(3) != a
+            for w in (F5.zeta(1), F5.from_rational(q) + F5.zeta(2)):
+                assert a != w and w != a and not a == w
+        assert len({F3.from_rational(2), F5.from_rational(2), F5.zeta(1)}) == 2
+        with pytest.raises(FieldMismatch):
+            F3.zeta(1) == F5.zeta(1)
+
     def test_embedding(self):
         F3, F15 = CycField(3), CycField(15)
         z = embed(F3.zeta(1), F15)
@@ -182,6 +211,52 @@ class TestGaloisConjugate:
         for k in (0, 2, 3, 6, -4):
             with pytest.raises(ValueError, match="unit"):
                 F.zeta(1).galois(k)
+
+
+class TestFieldKernels:
+    def test_kernels_against_polynomial_reference(self):
+        """_mul_vec and _galois, straight-line up to KERNEL_DEGREE and loops
+        above it, against a plain polynomial product, and a substitution
+        x -> x^k (units and non-units, k in -n..2n), reduced mod Phi_n; on
+        dense and sparse vectors with small and large entries.  An inverse
+        made through them times x is one."""
+        rng = random.Random(29)
+        for n in range(1, 41):
+            F = CycField(n)
+            d, phi = F.degree, F.modulus
+            assert (F._kernels is not None) == (d <= KERNEL_DEGREE), n
+
+            def reduce(poly):
+                poly = list(poly) + [0] * d
+                for e in range(len(poly) - 1, d - 1, -1):
+                    c = poly[e]
+                    for i, m in enumerate(phi):
+                        poly[e - d + i] -= c * m
+                assert not any(poly[d:])
+                return poly[:d]
+
+            def vector(sparse, span):
+                v = [rng.randint(-span, span) for _ in range(d)]
+                if sparse:
+                    keep = rng.sample(range(d), min(d, rng.randint(1, 2)))
+                    v = [c if i in keep else 0 for i, c in enumerate(v)]
+                return tuple(v)
+
+            for sparse, span in itertools.product((False, True), (9, 2**70)):
+                a, b = vector(sparse, span), vector(sparse, span)
+                prod = [0] * (2 * d - 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] += x * y
+                assert list(F._mul_vec(a, b)) == reduce(prod), (n, a, b)
+                for k in range(-n, 2 * n + 1):
+                    image = [0] * n
+                    for j, c in enumerate(a):
+                        image[j * k % n] += c
+                    assert list(F._galois(a, k)) == reduce(image), (n, a, k)
+                if any(a):
+                    x = CycNum(F, a, 1)
+                    assert x * x.inverse() == F.one(), (n, a)
 
 
 class TestFactoredValues:

@@ -696,6 +696,18 @@ class TestExponentKeys:
 
         check()
 
+    def test_unkeyed_numeric_quotient_is_evaluated_once(self):
+        """Factored values of two constants have no keys; the eigenvalue
+        near 1.2e7 at the test's point is one quotient of two class pairs,
+        whose float quotients differ by more than tol, and stays one
+        eigenvalue of multiplicity 2."""
+        ctx, F = self.CTX, self.CTX.field
+        atom = functools.partial(FactoredValue.atom, ctx)
+        values = [FactoredValue(ctx, F.one(), (0, 1)) * atom((1, 0), 0, -2) * atom((1, 1), 0, -2),
+                  FactoredValue(ctx, F.one(), (-1, -2)) * atom((1, -1), 3, -1) * atom((1, -1), 4, -2),
+                  FactoredValue(ctx, F.from_rational(Fraction(1, 4)), (0, -1))]
+        self.check(values, 1, 3)
+
     def test_large_quotient_compares_within_a_relative_bound(self):
         """An eigenvalue near 2.7e8 at the test's point, where the kernel's
         float products and complex_value differ by 1.3e-7, two ulps."""
