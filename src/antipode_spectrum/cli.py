@@ -147,9 +147,9 @@ def _item_text(m, value: str) -> str:
 
 
 def _rows_chunk_text(spec, chunk) -> str:
-    """The entries rows[chunk] of a row-backed symbolic spectrum as
-    _entry_texts writes them, joined by ",\n", as one join over a table of
-    pieces: an entry is its head up to "factors" (one piece per
+    """The entries rows[chunk] of a row-backed symbolic spectrum of
+    constants 1 as _entry_texts writes them, joined by ",\n", as one join
+    over a table of pieces: an entry is its head up to "factors" (one piece per
     multiplicity), each factor's block, its middle up to "str" (per monomial
     and whether there are factors), each factor's text and its tail.  numpy
     finds the nonzero powers, in row order, the distinct ones and each
@@ -327,8 +327,9 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     indent=2 and sort_keys=True, plus a newline.  Either is rendered and
     written JSON_CHUNK entries at a time, without building the document, by
     the writer of spec's storage: the JSON of an array- or row-backed
-    spectrum straight from its arrays, coefficient rows through
-    _cyclotomic_texts, and every other chunk from its entries alone."""
+    spectrum straight from its arrays (of rows only when every constant is
+    1), coefficient rows through _cyclotomic_texts, and every other chunk
+    from its entries alone."""
     out = out or sys.stdout
     if as_json:
         out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
@@ -348,7 +349,7 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
         elif as_json and spec.values is not None:
             text = _numeric_chunk_text(spec.values[chunk], spec.mults[chunk],
                                        _round_digits(spec.tol))
-        elif as_json and spec.rows is not None:
+        elif as_json and spec.rows is not None and spec.constants is None:
             text = _rows_chunk_text(spec, chunk)
         else:
             text = join.join(_entry_texts(spec.entries_in(chunk), as_json))

@@ -66,19 +66,20 @@ class SpectrumFactorization:
 
     The kernel's spectra are held as arrays instead, with their
     multiplicities ``mults`` (int64): a numeric one as its eigenvalues
-    ``values`` (complex128); a symbolic one whose eigenvalues have constant
-    1 as their exponent ``rows`` (int64, columns as in
-    symbolic.exponent_keys: the monomial, then the powers of ``atoms``) in
-    the context ``ctx``; and an exact one as its coefficient rows
-    ``coeffs`` = (tops, bottoms), each coefficient tops[i, j] / bottoms[i, j]
-    of eigenvalue i in the power basis of ``field`` in lowest terms (row i
-    is the sort_key of the eigenvalue), int64 or, where a value passes
-    cyclotomic.ROW_LIMIT, object.  ``entries`` is then built from
-    the arrays on first use; ``entries_in(chunk)`` builds only the pairs of
-    one chunk, as the text output does, and leaves ``entries`` unbuilt.
-    Every other spectrum keeps its entries list, and ``mults`` is None."""
+    ``values`` (complex128); a symbolic one as its exponent ``rows``
+    (int64, columns as in symbolic.exponent_keys: the monomial, then the
+    powers of ``atoms``) in the context ``ctx``, and its ``constants`` as
+    coefficient rows in ctx.field, or None for constants 1; and an exact
+    one as its coefficient rows ``coeffs`` = (tops, bottoms), each
+    coefficient tops[i, j] / bottoms[i, j] of eigenvalue i in the power
+    basis of ``field`` in lowest terms (row i is the sort_key of the
+    eigenvalue), int64 or, where a value passes cyclotomic.ROW_LIMIT,
+    object.  ``entries`` is then built from the arrays on first use;
+    ``entries_in(chunk)`` builds only the pairs of one chunk, as the text
+    output does, and leaves ``entries`` unbuilt.  Every other spectrum
+    keeps its entries list, and ``mults`` is None."""
 
-    values = mults = rows = coeffs = field = None
+    values = mults = rows = constants = coeffs = field = None
 
     def __init__(self, entries, backend, tol=DEFAULT_TOLERANCE):
         self._entries = list(entries)
@@ -111,13 +112,14 @@ class SpectrumFactorization:
         return spec
 
     @classmethod
-    def from_rows(cls, rows, mults, atoms, ctx, tol=DEFAULT_TOLERANCE):
-        """The symbolic spectrum of the distinct eigenvalues of constant 1
-        with exponent rows, sorted in canonical order, and multiplicities
+    def from_rows(cls, rows, mults, atoms, ctx, tol=DEFAULT_TOLERANCE, constants=None):
+        """The symbolic spectrum of the distinct eigenvalues with exponent
+        rows and constants 1, or the coefficient rows constants = (tops,
+        bottoms) in ctx.field, sorted in canonical order, and multiplicities
         mults, held as the arrays themselves."""
-        spec = cls._from_mults("symbolic", mults, tol,
-                               lambda chunk: row_values(ctx, atoms, rows[chunk]))
-        spec.rows, spec.atoms, spec.ctx = rows, atoms, ctx
+        spec = cls._from_mults("symbolic", mults, tol, lambda chunk: row_values(
+            ctx, atoms, rows[chunk], constants and (constants[0][chunk], constants[1][chunk])))
+        spec.rows, spec.atoms, spec.ctx, spec.constants = rows, atoms, ctx, constants
         return spec
 
     @classmethod
@@ -411,46 +413,46 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     of shape (k, k, k, k) or one integer shared by every quadruple.  The
     values are lifted into one backend here.
 
-    Each of the k^2 pair products values[a] values[b] gets an id, and the
-    pair classes are the distinct ids, each with its first pair (a, b).
-    The id is the sum keys[a] + keys[b] of the symbolic.exponent_keys of
-    the values when they are factored, or else of factored, the factored
-    values of which values are a specialization (there are keys only when
-    those share one nonzero constant); without keys, the complex product as
-    the row of its two parts when numeric (equal floats, so rounding never
-    joins two values here), else the product itself, as exact values are
-    canonical.  distinct_rows classes the id rows.  With keys, class
-    pairs of nonzero total weight are merged by the difference of their
-    sums, word by word in int64 (merge_rows), and values that are factored
-    themselves are not evaluated at all: every quotient has constant 1,
-    and its exponent row, the difference of two pair sums of rows, is its
-    canonical form, so distinct differences are distinct eigenvalues (the
-    atoms are pairwise coprime irreducibles of a unique factorization
-    domain), listed in canonical order as a row-backed spectrum.
-    Otherwise one representative product per class is formed, and one
-    quotient per class pair: numeric ones merge by sort and sweep at tol
-    (see _sweep_numeric), after the class pairs of one quotient of nonzero
-    factored values without keys are merged exactly, exact ones as coefficient rows
-    (_quotient_spectrum), factored ones by merge_pairs; these join values
-    that coincide although their ids differ.  An exact zero that a
-    quotient divides by raises DivisionByZero."""
+    The k^2 pair products are classed by id rows (distinct_rows), each
+    class with its first pair (a, b).  Where the values are factored, or
+    specialize factored, the id is the sum keys[a] + keys[b] of the
+    symbolic.exponent_keys of the factored values, then, unless these share
+    one nonzero constant, the class of the constant product; else the
+    complex product's two parts when numeric (equal floats, so rounding
+    never joins two values here), else the class of the exact, canonical
+    product (_exact_classes).  With keys, class pairs of nonzero total
+    weight merge by the difference of their key sums, word by word in int64
+    (merge_rows), then by the id of the exact constant quotient
+    (_quotient_rows), a quotient of constant 0 having difference 0.  A
+    factored value is a constant times powers of pairwise coprime
+    irreducibles of a unique factorization domain, so distinct merge rows
+    are distinct eigenvalues: factored values are never evaluated, and
+    their quotient rows in canonical order, with the constants, are a
+    row-backed spectrum.  Otherwise one product per class and one quotient
+    per class pair are formed: numeric ones merge by sort and sweep at tol
+    (_sweep_numeric), exact ones by their _quotient_rows, rationals first,
+    joining values that coincide although their ids differ.  An exact zero
+    that a quotient divides by raises DivisionByZero."""
     backend, values = lift(values)
     k = len(values)
     source = values if backend == "symbolic" else factored
-    keys = None if source is None else exponent_keys(source)
+    keys = constants = None
+    if source is not None:
+        keys = exponent_keys(source)
+        constants = [v.ctx.field.embed(v.constant) for v in source]  # a rational may be in Q
+        if len(set(constants)) == 1 and constants[0]:
+            constants = None  # one nonzero constant: the keys alone are the ids
     if backend == "numeric":
         values = np.asarray(values, dtype=complex)
     if keys is None and backend != "numeric":
-        # exact values are canonical, so equal ones hash and compare equal;
-        # a class is numbered, and represented, by its first product
-        first_of = {}
-        cls = np.array([first_of.setdefault(a * b, len(first_of))
-                        for a, b in itertools.product(values, repeat=2)], dtype=np.intp)
-        reps = list(first_of)
+        cls, reps = _exact_classes(values)
         classes = len(reps)
     else:
         if keys is not None:
             ids = sums = (keys.keys[:, None] + keys.keys[None, :]).reshape(k * k, -1)
+            if constants is not None:
+                constant_cls, constant_reps = _exact_classes(constants)
+                ids = np.column_stack([sums, constant_cls])
         else:
             with np.errstate(all="ignore"):
                 products = np.multiply.outer(values, values).ravel()
@@ -467,67 +469,62 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     p, q = np.nonzero(totals)
     mults = totals[p, q]
     if keys is not None:
-        merged, mults = merge_rows(sums[first[p]] - sums[first[q]], mults)
+        merge = sums[first[p]] - sums[first[q]]
+        if constants is not None:
+            c = constant_cls[first]
+            _, tops, bottoms, columns = _quotient_rows(constant_reps, c[p], c[q])
+            zero, constant_ids = ~tops.any(axis=1), distinct_rows(columns)[1]
+            merge = np.column_stack([np.where(zero[:, None], 0, merge), constant_ids])
+        merged, mults = merge_rows(merge, mults)
         p, q = p[merged], q[merged]
         if backend == "symbolic":
             rows = keys.exponents[left] + keys.exponents[right]
-            quotients = rows[p] - rows[q]
-            order = canonical_order(quotients, values[0].ctx.nvars)
-            return SpectrumFactorization.from_rows(quotients[order], mults[order],
-                                                   keys.atoms, values[0].ctx, tol)
+            quotients, ctx = rows[p] - rows[q], values[0].ctx
+            if constants is None:
+                order, constant_rows = canonical_order(quotients, ctx.nvars), None
+            else:
+                quotients[zero[merged]] = 0
+                order = canonical_order(quotients, ctx.nvars, constant_ids[merged])
+                constant_rows = tops[merged[order]], bottoms[merged[order]]
+            return SpectrumFactorization.from_rows(quotients[order], mults[order], keys.atoms,
+                                                   ctx, tol, constant_rows)
     if backend == "numeric":
-        if keys is None and factored is not None and all(factored):
-            p, q, mults = _factored_quotient_classes(factored, left, right, p, q, mults)
         with np.errstate(all="ignore"):
             reps = values[left] * values[right]
             quotients = reps[p] / reps[q]
         return _sweep_numeric(quotients, mults, tol)
     if keys is not None:
         reps = [values[i] * values[j] for i, j in zip(left.tolist(), right.tolist())]
-    if backend == "symbolic":
-        inv = {b: inverse(reps[b]) for b in set(q.tolist())}
-        return SpectrumFactorization.merge_pairs(
-            [(reps[a] * inv[b], m) for a, b, m in zip(p.tolist(), q.tolist(), mults.tolist())],
-            backend, tol,
-        )
-    return _quotient_spectrum(reps, p, q, mults, tol)
+    field, tops, bottoms, columns = _quotient_rows(reps, p, q)
+    irrational = (tops[:, 1:] != 0).any(axis=1)  # sorts last, as in canonical_key
+    first, totals = merge_rows(np.column_stack([irrational, columns]), mults)
+    return SpectrumFactorization.from_coefficients(field, tops[first], bottoms[first], totals, tol)
 
 
-def _factored_quotient_classes(factored, left, right, p, q, mults):
-    """The class pairs (p, q) of one factored quotient merged into the
-    first of them, with their mults summed: the factored representatives
-    are factored[left] factored[right], nonzero, and equal factored
-    quotients are one eigenvalue at every point, so the numeric route
-    evaluates each once and rounding cannot split it into two."""
-    reps = [factored[i] * factored[j] for i, j in zip(left.tolist(), right.tolist())]
-    inv = {b: inverse(reps[b]) for b in set(q.tolist())}
-    group = {}
-    ids = np.array([group.setdefault(reps[a] * inv[b], len(group))
-                    for a, b in zip(p.tolist(), q.tolist())], dtype=np.intp)
-    first = np.unique(ids, return_index=True)[1]  # ids are numbered in order of first use
-    totals = np.zeros(len(group), dtype=np.int64)
-    np.add.at(totals, ids, mults)
-    return p[first], q[first], totals
+def _exact_classes(values):
+    """(cls, reps): the class of each product values[a] values[b] of exact,
+    hence canonical, values, numbered by first use, and its first product."""
+    first_of = {}
+    cls = np.array([first_of.setdefault(a * b, len(first_of))
+                    for a, b in itertools.product(values, repeat=2)], dtype=np.intp)
+    return cls, list(first_of)
 
 
-def _quotient_spectrum(reps, p, q, mults, tol):
-    """The eigenvalues reps[p] / reps[q] of the exact class representatives
-    reps (CycNum of one field), with multiplicities mults,
-    merged and listed by canonical key as a coefficient-row spectrum.  Each
-    class is inverted once; the quotients are one batch of row products,
-    and their coefficients in lowest terms, their canonical form, are
-    sorted with the rational ones first, as canonical_key sorts them."""
-    field, num, den, top = coefficient_rows(reps + [inverse(r) for r in reps])
-    classes = len(reps)
-    den = fit(den, top * top)
+def _quotient_rows(reps, p, q):
+    """(field, tops, bottoms, columns) for reps[p] / reps[q], reps CycNum of
+    one field: the coefficients in lowest terms (row i is the sort_key of
+    quotient i) and int64 columns ordered and equal as the sort_keys are.
+    Only the reps in q are inverted, once each; the products are one batch."""
+    named = np.bincount(q, minlength=len(reps)).tolist()
+    inverses = [inverse(r) if c else r for r, c in zip(reps, named)]  # r holds an unused place
+    field, num, den, top = coefficient_rows(reps + inverses)
+    classes, den = len(reps), fit(den, top * top)
     tops, bottoms = coefficient_pairs(field.mul_rows(num[p], num[classes:], q),
                                       den[p] * den[classes + q])
-    pairs = np.stack([tops, bottoms], axis=2).reshape(len(tops), 2 * field.degree)  # p0, q0, ...
-    if pairs.dtype == object:
-        pairs = np.column_stack([k for c in pairs.T for k in _int64_keys(c)])
-    irrational = (tops[:, 1:] != 0).any(axis=1)  # sorts last
-    first, totals = merge_rows(np.column_stack([irrational, pairs]), mults)
-    return SpectrumFactorization.from_coefficients(field, tops[first], bottoms[first], totals, tol)
+    columns = np.stack([tops, bottoms], axis=2).reshape(len(tops), 2 * field.degree)  # p0, q0, ...
+    if columns.dtype == object:
+        columns = np.column_stack([k for c in columns.T for k in _int64_keys(c)])
+    return field, tops, bottoms, columns
 
 
 def sorted_runs(rows):

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycField, CycNum
-from .errors import FieldMismatch, NotFactorable, ParseError
+from .cyclotomic import CycField, CycNum, coefficient_values
+from .errors import FieldMismatch, NotFactorable, NumericOverflow, ParseError
 
 
 class FactoredContext:
@@ -381,8 +381,8 @@ ExponentKeys = namedtuple("ExponentKeys", "exponents keys atoms")
 
 
 def exponent_keys(values):
-    """Additive integer keys of factored values of one context and one
-    nonzero constant.
+    """Additive integer keys of the exponents of factored values of one
+    context.
 
     exponents is the int64 matrix of the values' columns: the monomial
     coordinates and the powers of the atoms (coords, class) of the sorted
@@ -394,12 +394,9 @@ def exponent_keys(values):
     [-2 (hi - lo), 2 (hi - lo)], so per word keys[a] + keys[b] identifies
     the exponents of the product of a and b, and that sum minus the one of
     c and d identifies those of the quotient, all within (radix - 1) / 2 of
-    zero, hence in int64.  With one constant, keys are equal exactly for
-    equal values.  None when the constants differ or are zero, or when an
-    exponent or a digit is larger than KEY_RADIX_LIMIT."""
-    constants = {v.constant for v in values}
-    if len(constants) > 1 or not all(constants):
-        return None
+    zero, hence in int64.  The constants are not keyed: values of one
+    constant have equal keys exactly when they are equal.  NumericOverflow
+    when an exponent or a digit is larger than KEY_RADIX_LIMIT."""
     atom_list = sorted({a for v in values for a in v.factors})
     atoms = {a: j for j, a in enumerate(atom_list)}
     nvars = values[0].ctx.nvars if values else 0
@@ -414,7 +411,7 @@ def exponent_keys(values):
         lo, hi = min(col), max(col)
         width = 4 * (hi - lo) + 1
         if width > KEY_RADIX_LIMIT or max(hi, -lo) > KEY_RADIX_LIMIT:
-            return None
+            raise NumericOverflow(f"exponents in [{lo}, {hi}] are too wide for a key digit")
         if width > 1:
             if radix * width > KEY_RADIX_LIMIT:
                 words += 1
@@ -428,23 +425,26 @@ def exponent_keys(values):
     return ExponentKeys(exponents, keys, atom_list)
 
 
-def row_values(ctx, atoms, rows):
-    """The factored values of constant 1 whose exponents are the int64 rows,
-    with columns as in exponent_keys: the monomial, then the powers of the
-    atoms."""
-    one, nvars = ctx.field.one(), ctx.nvars
-    return [FactoredValue(ctx, one, tuple(row[:nvars]),
+def row_values(ctx, atoms, rows, constants=None):
+    """The factored values whose exponents are the int64 rows, with columns
+    as in exponent_keys: the monomial, then the powers of the atoms; their
+    constants are 1, or with constants = (tops, bottoms) the elements of
+    ctx.field with those coefficient rows (cyclotomic.coefficient_pairs)."""
+    nvars, field = ctx.nvars, ctx.field
+    constants = [field.one()] * len(rows) if constants is None else coefficient_values(field, *constants)
+    return [FactoredValue(ctx, c, tuple(row[:nvars]),
                           {atoms[j]: p for j, p in enumerate(row[nvars:]) if p})
-            for row in rows.tolist()]
+            for c, row in zip(constants, rows.tolist())]
 
 
-def canonical_order(exponents, nvars):
+def canonical_order(exponents, nvars, constants=None):
     """Stable argsort of exponent rows (columns as in exponent_keys) in the
-    order of FactoredValue.sort_key of values of one constant: the
-    monomial, then the list of (atom, power) pairs of the nonzero powers,
-    a list coming before any longer list that it begins.  In that order a
-    zero power at an atom sorts below every power when no later atom has a
-    nonzero power, and above every power otherwise."""
+    order of FactoredValue.sort_key: the monomial, then the list of (atom,
+    power) pairs of the nonzero powers, a list coming before any longer
+    list that it begins, then the constant, by its id in sort_key order
+    (None: one constant).  In that order a zero power at an atom sorts
+    below every power when no later atom has a nonzero power, and above
+    every power otherwise."""
     powers = exponents[:, nvars:]
     nonzero = powers != 0
     later = np.zeros_like(nonzero)
@@ -452,4 +452,6 @@ def canonical_order(exponents, nvars):
     top = int(np.abs(powers).max(initial=0)) + 1
     digits = np.where(nonzero, powers, np.where(later, top, -top))
     columns = [exponents[:, j] for j in range(nvars)] + list(digits.T)
+    if constants is not None:
+        columns.append(constants)
     return np.lexsort(columns[::-1]) if columns else np.arange(len(exponents))

@@ -844,13 +844,14 @@ class TestTextOutput:
 
 
 class TestRowBackedSpectra:
-    """Factored trace vectors of one constant give a spectrum held as exponent
-    rows, those of several constants the merge_pairs route: both give the
+    """Factored trace vectors give a spectrum held as exponent rows, with
+    the constants' coefficient rows when the constants differ: it has the
     entries, order and bytes of merge_pairs over every quadruple."""
 
     def test_kernel_and_render_equal_quadruple_loop(self):
         """1-2 torus variables, 0-3 atom powers in -2..2 per value, non-unit
-        constants and monomials, uniform or random weights."""
+        and zero constants and monomials, uniform or random weights; a zero
+        divisor raises DivisionByZero on both routes."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -859,7 +860,8 @@ class TestRowBackedSpectra:
             ctx = FactoredContext(draw(st.sampled_from([3, 5, 6])),
                                   draw(st.integers(min_value=1, max_value=2)))
             k = draw(st.integers(min_value=2, max_value=4))
-            pool = [ctx.field.one(), ctx.field.from_rational(Fraction(-3, 2)), ctx.field.zeta(1)]
+            pool = [ctx.field.one(), ctx.field.from_rational(Fraction(-3, 2)), ctx.field.zeta(1),
+                    ctx.field.zero()]
             constants = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
                                       unique_by=lambda c: c.sort_key()))
             one = draw(st.booleans())
@@ -881,7 +883,7 @@ class TestRowBackedSpectra:
                                                  max_size=k**4)), dtype=np.int64)
                 weights = weights.reshape((k,) * 4)
             # an atom of class ell/2 or more carries a sign into the constant
-            return values, weights, len({v.constant for v in values}) == 1
+            return values, weights, {v.constant for v in values} == {values[0].constant} != {0}
 
         routes = set()
 
@@ -891,11 +893,17 @@ class TestRowBackedSpectra:
             values, weights, shared = case
             routes.add(shared)
             w = np.broadcast_to(weights, (len(values),) * 4)
-            expect = SpectrumFactorization.merge_pairs(
-                [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
-                 for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "symbolic")
+            try:
+                expect = SpectrumFactorization.merge_pairs(
+                    [(values[a] * values[b] / (values[c] * values[d]), int(w[a, b, c, d]))
+                     for a, b, c, d in np.ndindex(*w.shape) if w[a, b, c, d]], "symbolic")
+            except errors.DivisionByZero:
+                routes.add("zero divisor")
+                with pytest.raises(errors.DivisionByZero):
+                    pair_class_spectrum(values, weights)
+                return
             got = pair_class_spectrum(values, weights)
-            assert (got.rows is not None) == shared
+            assert got.rows is not None and (got.constants is None) == shared
             text = render(got)
             assert got.rows is None or got._entries is None  # rendered from the rows
             assert_same_text(text, render(expect))
@@ -904,11 +912,12 @@ class TestRowBackedSpectra:
             assert got.entries == expect.entries
 
         check()
-        assert routes == {True, False}
+        assert routes == {True, False, "zero divisor"}
 
     # the JSON and text of char_poly_pivotalized over a signed split of
     # Vec_Z/2 with constant factored nu: equal constants take the row route
-    # ((1, 1) and (3, 3) have the same spectrum), unequal ones merge_pairs
+    # of constant 1 ((1, 1) and (3, 3) have the same spectrum), unequal ones
+    # carry their constants' rows
     PIVOTALIZED = {
         (1, 1): ("c24e22f55c6e8af69d4cccf780d662e0dddf74a9cc94a661f687252806f41bda",
                  "b2e6c8090eaf3b10cabcf57215220e800e2488bfd32dce57465e5cb0c226b4c8"),
@@ -930,6 +939,23 @@ class TestRowBackedSpectra:
             out = io.StringIO()
             print_spectrum(spec, as_json, out)
             assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, as_json
+
+    # charpoly --json, then without --json, of the Taft n=5 document with
+    # each m_vector entry x as (L - 1)*(x): five constants, whose quotients
+    # are the constants' alone
+    SEVERAL_CONSTANTS = ("7a149e753942c041490042c353fb5ec68b0bfa99bd2934013105a0b41ace31f1",
+                         "06ffe19662b3dbf6fe1bcf80e0eb3e01e961c8011ba01e1fbebfae0c585d346b")
+
+    def test_several_constants_digest(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "family", "taft", "--n", "5")
+        doc = json.loads(out)
+        doc["m_vector"] = [f"(L - 1)*({x})" for x in doc["m_vector"]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        for flags, digest in zip((["--json"], []), self.SEVERAL_CONSTANTS):
+            code, out, _ = run(capsys, "charpoly", str(path), *flags)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
     def test_text_of_a_symbolic_m_digest(self, capsys, tmp_path):
         """charpoly without --json on the u_q(sl2) ell=5 document, whose

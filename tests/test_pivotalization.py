@@ -17,7 +17,8 @@ from antipode_spectrum.pivotalization import (
     char_poly_pivotalized,
     from_matched_pivotal,
 )
-from antipode_spectrum.spectrum import char_poly_s2
+from antipode_spectrum.scalar import sign
+from antipode_spectrum.spectrum import SpectrumFactorization, char_poly_s2
 from support import fibonacci_fusion, matched_builtins, signed_spectrum
 
 
@@ -99,6 +100,32 @@ class TestCharPolyPivotalized:
         assert spec.total_degree == 8
         signs = {v.sign for v, _ in spec.entries}
         assert signs == {1, -1}
+
+    def test_galois_images_of_exact_nu(self):
+        """sigma_k(nu) with the same split gives sigma_k of each squared value
+        with its sign, for every unit k that keeps each nu positive: nu lies
+        in Q(zeta_7), with c = z + z^6 = 2 cos(2 pi / 7), so 1 + c turns
+        negative under sigma_3 and sigma_4 and 2 + c stays positive."""
+        F = CycField(7)
+        c = F.zeta(1) + F.zeta(6)
+        nu = [F.one(), c + 2, c + 1]
+        cycle = np.roll(np.eye(3, dtype=np.int64), 1, axis=1)
+        n_plus = {"a": np.eye(3, dtype=np.int64), "b": cycle}
+        n_minus = {"a": np.zeros((3, 3), dtype=np.int64), "b": cycle.T}
+        spec = char_poly_pivotalized(PivotalizationData(["0", "1", "2"], nu, n_plus, n_minus))
+        assert {v.sign for v, _ in spec.entries} == {1, -1}
+        checked = []
+        for k in range(1, 7):
+            image = [x.galois(k) for x in nu]
+            if min(sign(x) for x in image) < 0:
+                continue
+            got = char_poly_pivotalized(PivotalizationData(["0", "1", "2"], image, n_plus, n_minus))
+            expect = SpectrumFactorization.merge_pairs(
+                [(SignedEigenvalue(v.sign, v.squared.galois(k)), m) for v, m in spec.entries],
+                "signed")
+            assert got.entries == expect.entries, k
+            checked.append(k)
+        assert checked == [1, 2, 5, 6]
 
     def test_numeric_nu_matches_exact(self):
         from antipode_spectrum.scalar import numeric_value

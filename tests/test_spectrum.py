@@ -721,27 +721,53 @@ class TestExponentKeys:
         self.check(values, 1, 4)
 
     def test_constants_with_unequal_keys_merge(self):
-        # 2 * 2 / (4 * 1) = 1 = 1 * 1 / (1 * 1): unequal keys, one eigenvalue
+        # 2 * 2 / (4 * 1) = 1 = 1 * 1 / (1 * 1): unequal constant products,
+        # one eigenvalue; the keys are the exponents' alone, all equal here
         F = self.CTX.field
         values = [FactoredValue(self.CTX, F.from_rational(c)) for c in (1, 2, 4)]
         spec = pair_class_spectrum(values, 1)
         assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
         assert dict((str(v), m) for v, m in spec.entries)["(1)"] == 19
-        assert exponent_keys(values) is None
+        assert spec.rows is not None and spec.constants is not None
+        assert exponent_keys(values).keys.tolist() == [[0]] * 3
+        # a constant given in Q is read in the context's field
+        Q = CycField(1)
+        mixed = [FactoredValue(self.CTX, c) for c in (Q.one(), F.from_rational(2), Q.from_rational(4))]
+        assert pair_class_spectrum(mixed, 1).entries == spec.entries
 
     def test_zero_values_take_no_keys(self):
-        """Zeros share one constant, 0, but have no quotient: exponent_keys
-        refuses them, and the kernel raises as it does for CycNum zeros."""
+        """Zeros share one constant, 0, and have no quotient: exponent_keys
+        keys their exponents, all 0, and the kernel raises as it does for
+        CycNum zeros wherever a zero is a divisor."""
         ctx = self.CTX
         zero = FactoredValue(ctx, ctx.field.zero())
         atom = FactoredValue.atom(ctx, (1, 0), 2)
         for values in ([zero], [zero, zero], [zero, atom], [atom, zero * atom]):
-            assert exponent_keys(values) is None
+            assert not exponent_keys(values).exponents[[v.constant == 0 for v in values]].any()
             with pytest.raises(DivisionByZero):
                 pair_class_spectrum(values, 1)
         with pytest.raises(DivisionByZero):
             pair_class_spectrum([ctx.field.zero()] * 2, 1)
         assert exponent_keys([atom, atom * atom]) is not None
+
+    def test_zero_that_is_never_a_divisor(self):
+        """A zero in numerators alone is the eigenvalue 0: only the classes
+        that a quotient divides by are inverted, on the exact route, the
+        symbolic one and the numeric one with factored values."""
+        ctx = self.CTX
+        F = ctx.field
+        w = np.zeros((2,) * 4, dtype=np.int64)
+        w[0, 1, 1, 1], w[1, 1, 1, 1] = 1, 2
+        assert pair_class_spectrum([F.zero(), F.one()], w).entries == [(0, 1), (1, 2)]
+        atom = FactoredValue.atom(ctx, (1, 0), 2)
+        for one in (FactoredValue.one(ctx), atom):
+            values = [FactoredValue(ctx, F.zero()), one]
+            got = pair_class_spectrum(values, w)
+            assert got.rows is not None and got.entries == quadruple_loop(values, w).entries
+            assert [(str(v), m) for v, m in got.entries] == [("(0)", 1), ("(1)", 2)]
+            numeric = pair_class_spectrum([0, complex_at(one, (0.8 + 0.3j, 1.2 - 0.5j))], w,
+                                          factored=values)
+            assert numeric.entries == [(0j, 1), ((1 + 0j), 2)]
 
     def test_more_columns_than_one_radix(self):
         """Forty-two atoms with powers 0 and 1 need digits of width 5 each,
@@ -787,11 +813,15 @@ class TestExponentKeys:
             assert totals.tolist() == list(expect.values())
 
     def test_too_wide_a_digit_takes_the_canonical_route(self):
+        """A digit wider than KEY_RADIX_LIMIT is refused, as a total degree
+        that could leave int64 is; the CLI expands m under MAX_TERM_PAIRS
+        before any such exponent reaches the kernel."""
         big = FactoredValue.atom(self.CTX, (1, 0), 1, 2**61)
         values = [big, FactoredValue.atom(self.CTX, (1, 0), 1, -2**61), big * big]
-        assert exponent_keys(values) is None
-        spec = pair_class_spectrum(values, 1)
-        assert spec.entries == quadruple_loop(values, np.ones((3,) * 4, dtype=np.int64)).entries
+        with pytest.raises(NumericOverflow, match="too wide"):
+            exponent_keys(values)
+        with pytest.raises(NumericOverflow, match="too wide"):
+            pair_class_spectrum(values, 1)
 
 
 def lexsort_sweep(values, mults, tol):
