@@ -1,8 +1,9 @@
 """Linear algebra over one scalar backend.
 
-``nullspace``, ``rank`` and ``rref`` lift their entries with scalar.lift;
-exact entries (CycNum, rationals read into Q) take Gaussian elimination,
-numeric ones an SVD whose cutoff is tol times the largest singular value.
+``nullspace``, ``rank`` and ``rref`` lift their entries with scalar.lift,
+once; exact entries (CycNum, rationals read into Q) take Gaussian
+elimination on the lifted rows themselves, numeric ones an SVD whose cutoff
+is tol times the largest singular value.
 ``Subspace`` is an exact subspace held in reduced row echelon form; it
 reduces vectors of the kind its rows were lifted to.
 
@@ -17,23 +18,29 @@ from .scalar import DEFAULT_TOLERANCE, inverse, lift
 
 
 def _lifted(m):
-    """(backend, rows, cols): the entries of m brought into one backend."""
-    rows = [list(r) for r in m]
-    cols = len(rows[0]) if rows else 0
+    """(backend, rows, cols): the entries of m brought into one backend, in
+    rows of their own."""
+    cols = len(m[0]) if len(m) else 0
     if not cols:
         return None, [], 0
-    backend, flat = lift([x for r in rows for x in r])
+    backend, flat = lift([x for r in m for x in r])
     if backend == "numeric":
-        return backend, np.array(flat, dtype=complex).reshape(len(rows), cols), cols
+        return backend, np.array(flat, dtype=complex).reshape(-1, cols), cols
     return backend, [flat[i:i + cols] for i in range(0, len(flat), cols)], cols
 
 
 def rref(m):
     """Reduced row echelon form of exact rows, lifted into one kind; returns
-    (matrix, pivot_columns).  Entries are left as they are where elimination
-    does not reach: a zero of the scaled pivot row stays unscaled, and a row
-    is updated only at the pivot row's nonzero columns, listed once per pivot."""
-    m = [list(row) for row in _lifted(m)[1]]
+    (matrix, pivot_columns)."""
+    return _eliminate(_lifted(m)[1])
+
+
+def _eliminate(m):
+    """rref of the rows m, a list of fresh lists of one exact kind (as
+    _lifted makes them), reduced in place.  Entries are left as they are
+    where elimination does not reach: a zero of the scaled pivot row stays
+    unscaled, and a row is updated only at the pivot row's nonzero columns,
+    listed once per pivot."""
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -64,7 +71,7 @@ def rank(m, tol=DEFAULT_TOLERANCE) -> int:
     """Rank of m: exact, or the singular values above tol * the largest."""
     backend, a, cols = _lifted(m)
     if backend != "numeric":
-        return len(rref(a)[1])
+        return len(_eliminate(a)[1])
     s = np.linalg.svd(a, compute_uv=False)
     return int((s > tol * s[0]).sum())
 
@@ -81,8 +88,8 @@ def nullspace(m, tol=DEFAULT_TOLERANCE):
     if backend == "numeric":
         _, s, vh = np.linalg.svd(a)
         return [list(v.conj()) for i, v in enumerate(vh) if i >= len(s) or s[i] <= tol * s[0]]
-    red, pivots = rref(a)
     zero = a[0][0] * 0
+    red, pivots = _eliminate(a)
     one = zero + 1
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -18,12 +17,11 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import specfile
-from .cyclotomic import (TEXT_LINE, coefficient_approx, coefficient_pairs, coefficient_rows,
-                         coefficient_texts, joined_text)
+from .cyclotomic import TEXT_LINE, coefficient_approx, coefficient_texts, joined_text
 from .errors import BadParameters, DataError, InputError, ParseError, VerificationFailed
 from .pivotalization import char_poly_pivotalized, from_matched_pivotal
-from .scalar import (_round_digits, count_torus_vars, cyclotomic_field, from_literal,
-                     literal_to_cycnum, to_json, to_text)
+from .scalar import (_round_digits, count_torus_vars, from_literal, literal_to_cycnum, to_json,
+                     to_text)
 from .spectrum import (SpectrumFactorization, char_poly_s2, dimension_eigenspace, distinct_rows,
                        select_m)
 from .symbolic import monomial_text
@@ -81,24 +79,32 @@ def _json_text(obj, pad: str) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-# The direct writers below write to_json(v) of exact values and of factored
-# values of constant 1 as _json_text does at the indent of an eigenvalue's
-# "value", without building the payload's dicts.
+# The writers below write to_json(v) of each kind of array storage as
+# _json_text does at the indent of an eigenvalue's "value", without building
+# the payload's dicts, or to_text(v) as its line of the text output.
 
 _COEFF_SEP = '",\n          "'  # between the "coeffs" items of a cyclotomic value
 
 
-def _cyclotomic_texts(field, tops, bottoms, mults: list, as_json: bool) -> list:
-    """The entries of the eigenvalues with coefficient rows tops / bottoms
-    in field (as in SpectrumFactorization.coeffs) and multiplicities mults,
-    each as _item_text writes it or as its line of the text output.
-    "coeffs" and "str" come from the rows column by column through
-    cyclotomic.coefficient_texts, which str uses too; neither needs
+def _coefficient_strings(tops, bottoms):
+    """(coeffs, texts) for the coefficient rows tops / bottoms (as in
+    SpectrumFactorization.coeffs): each row's coefficients as str(Fraction)
+    writes them, and its str, column by column through
+    cyclotomic.coefficient_texts, which str uses too.  Neither needs JSON
     escapes, as they hold only digits, "/", "*", "z", "^", "+", "-" and
-    spaces.  "approx" comes from cyclotomic.coefficient_approx."""
+    spaces."""
     columns = [coefficient_texts(k, ps, qs)
                for k, (ps, qs) in enumerate(zip(tops.T.tolist(), bottoms.T.tolist()))]
-    texts = [joined_text("".join(pieces)) for pieces in zip(*[c[1] for c in columns])]
+    return (list(zip(*[c[0] for c in columns])),
+            [joined_text("".join(pieces)) for pieces in zip(*[c[1] for c in columns])])
+
+
+def _cyclotomic_texts(field, tops, bottoms, mults: list, as_json: bool) -> list:
+    """The entries of the eigenvalues with coefficient rows tops / bottoms
+    in field and multiplicities mults, each as _entry_texts writes it or as
+    its line of the text output.  "approx" comes from
+    cyclotomic.coefficient_approx."""
+    coeffs, texts = _coefficient_strings(tops, bottoms)
     approx = coefficient_approx(field, tops, bottoms)
     re, im = approx.tolist()
     if not as_json:
@@ -110,7 +116,7 @@ def _cyclotomic_texts(field, tops, bottoms, mults: list, as_json: bool) -> list:
             f'        ],\n        "coeffs": [\n          "{_COEFF_SEP.join(row)}"\n'
             f'        ],\n        "kind": "cyclotomic",\n        "order": {field.order},\n'
             f'        "str": "{text}"\n      }}\n    }}'
-            for m, row, text, x, y in zip(mults, zip(*[c[0] for c in columns]), texts,
+            for m, row, text, x, y in zip(mults, coeffs, texts,
                                           map(floats, re), map(floats, im))]
 
 
@@ -124,81 +130,86 @@ def _factor_part(ctx, item):
 
 
 def _entry_texts(entries, as_json: bool) -> list:
-    """The (value, multiplicity) pairs entries as _item_text writes them, or
-    as their lines of the text output (without newlines): every run of
-    CycNum of one field through _cyclotomic_texts, every other value
-    through to_json or to_text."""
-    out = []
-    runs = itertools.groupby(entries, key=lambda e: cyclotomic_field(e[0]))
-    for field, run in runs:
-        run = list(run)
-        if field is None:
-            out += [_item_text(m, _json_text(to_json(v), "      ")) if as_json
-                    else f"multiplicity {m}: {to_text(v)}" for v, m in run]
-        else:
-            _, num, den, _ = coefficient_rows([v for v, _ in run])
-            out += _cyclotomic_texts(field, *coefficient_pairs(num, den), [m for _, m in run],
-                                     as_json)
-    return out
+    """The (value, multiplicity) pairs entries of a spectrum built from a
+    list as their items of the JSON "eigenvalues" list, or as their lines
+    of the text output (without newlines), each through to_json or
+    to_text."""
+    if as_json:
+        return [f'    {{\n      "multiplicity": {int.__repr__(m)},\n'
+                f'      "value": {_json_text(to_json(v), "      ")}\n    }}' for v, m in entries]
+    return [f"multiplicity {m}: {to_text(v)}" for v, m in entries]
 
 
-def _item_text(m, value: str) -> str:
-    return f'    {{\n      "multiplicity": {int.__repr__(m)},\n      "value": {value}\n    }}'
-
-
-def _rows_chunk_text(spec, chunk) -> str:
-    """The entries rows[chunk] of a row-backed symbolic spectrum of
-    constants 1 as _entry_texts writes them, joined by ",\n", as one join
-    over a table of pieces: an entry is its head up to "factors" (one piece per
-    multiplicity), each factor's block, its middle up to "str" (per monomial
-    and whether there are factors), each factor's text and its tail.  numpy
-    finds the nonzero powers, in row order, the distinct ones and each
-    piece's place; the parts of each distinct monomial and (atom column,
-    power) are written once."""
+def _rows_chunk_text(spec, chunk, as_json: bool) -> str:
+    """The entries rows[chunk] of a row-backed symbolic spectrum as
+    _entry_texts writes them, joined by ",\n", or as their lines of the
+    text output, joined by "\n", as one join over a table of pieces.  An
+    entry is its head (one piece per multiplicity and constant: in JSON up
+    to "factors", with the constant's block), each factor's block (JSON
+    only), its middle (per constant, monomial and whether there are
+    factors: in JSON from the close of "factors" up to "str", then the text
+    of the constant and the monomial), each factor's text and its tail.
+    numpy finds the distinct constants, the nonzero powers in row order, the
+    distinct ones and each piece's place; the parts of each distinct
+    constant, monomial and (atom column, power) are written once.  No text
+    needs JSON escapes: a constant's is that of _coefficient_strings, and
+    the atoms and monomials hold only "L", digits, "^", "*", "z", "-",
+    spaces and parentheses."""
     ctx, rows, mults = spec.ctx, spec.rows[chunk], spec.mults[chunk]
     nvars = ctx.nvars
-    constant = _json_text({"coeffs": [str(c) for c in ctx.field.one().coeffs],
-                           "order": ctx.ell}, "        ")
-    mult_at, mult_ids = distinct_rows(mults[:, None])
-    mono_at, mono_ids = distinct_rows(rows[:, :nvars])
-    monos = rows[mono_at, :nvars]
+    if spec.constants is None:  # every constant is 1
+        key = np.array([ctx.field.one().sort_key()])
+        tops, bottoms, const_ids = key[..., 0], key[..., 1], np.zeros(len(rows), np.intp)
+    else:
+        tops, bottoms = (c[chunk] for c in spec.constants)
+        const_at, const_ids = distinct_rows(np.column_stack([tops, bottoms]))
+        tops, bottoms = tops[const_at], bottoms[const_at]
+    coeffs, texts = _coefficient_strings(tops, bottoms)
+    constants = [_list_text([f'"{c}"' for c in row], "          ") for row in coeffs]
+    texts = ["" if text == "1" else f"({text})" for text in texts]
+    by = [const_ids] if len(texts) > 1 else []  # the constant's id first, where there are several
+    head_at, head_ids = distinct_rows(np.column_stack(by + [mults]))
+    pieces = [f'    {{\n      "multiplicity": {m},\n      "value": {{\n        "constant": {{\n'
+              f'          "coeffs": {constants[c]},\n          "order": {ctx.ell}\n'
+              f'        }},\n        "factors": ' if as_json else f"multiplicity {m}: "
+              for m, c in zip(mults[head_at].tolist(), const_ids[head_at].tolist())]
     powers = rows[:, nvars:]
     r, c = np.nonzero(powers)
     items = np.stack([c, powers[r, c]], axis=1)
     item_at, item_ids = distinct_rows(items)
     factors = [_factor_part(ctx, (spec.atoms[a], p)) for a, p in items[item_at].tolist()]
-    middle = ',\n        "kind": "factored",\n        "monomial": '
-    pieces = [f'    {{\n      "multiplicity": {m},\n      "value": {{\n'
-              f'        "constant": {constant},\n        "factors": '
-              for m in mults[mult_at].tolist()]
     first = len(pieces)
     pieces += [f"[\n          {block}" for block, _ in factors]
     pieces += [f",\n          {block}" for block, _ in factors]
-    pieces += [encode_basestring_ascii(text)[1:-1] for _, text in factors]
-    pieces += [encode_basestring_ascii("*" + text)[1:-1] for _, text in factors]
+    pieces += [text for _, text in factors]
+    pieces += ["*" + text for _, text in factors]
+    start_at, start_ids = distinct_rows(np.column_stack(by + [rows[:, :nvars]]))
+    starts = [(_list_text([str(e) for e in mono], "        "),
+               "*".join(filter(None, (texts[c], monomial_text(mono, nvars)))))
+              for c, mono in zip(const_ids[start_at].tolist(), rows[start_at, :nvars].tolist())]
     mid = len(pieces)
-    monomials = [(_list_text([str(e) for e in m], "        "), monomial_text(m, nvars))
-                 for m in monos.tolist()]
+    middle = ',\n        "kind": "factored",\n        "monomial": '
     for close in ("[]", "\n        ]"):
-        for block, text in monomials:
+        for block, text in starts:
             if close == "[]":
-                text = text or "(1)"  # no factor and no monomial
-            pieces.append(f'{close}{middle}{block},\n        "str": "'
-                          f'{encode_basestring_ascii(text)[1:-1]}')
+                text = text or "(1)"  # no constant, monomial or factor
+            pieces.append(f'{close}{middle}{block},\n        "str": "{text}' if as_json else text)
     tail = len(pieces)
-    pieces += ['"\n      }\n    },\n', '"\n      }\n    }']
-    # entry e: head, its f factor blocks, middle, its f factor texts, tail
+    pieces += ['"\n      }\n    },\n', '"\n      }\n    }'] if as_json else ["\n", ""]
+    # entry e: head, its b factor blocks (f in JSON, else 0), middle, its f factor texts, tail
     u, f = len(item_at), np.bincount(r, minlength=len(rows))
-    start = np.cumsum(3 + 2 * f) - (3 + 2 * f)
-    ids = np.empty(int(start[-1] + 3 + 2 * f[-1]), np.intp)
-    ids[start] = mult_ids
-    ids[start + 1 + f] = mid + mono_ids + len(monos) * (f > 0)
-    ids[start + 2 + 2 * f] = tail
+    b = f * as_json
+    start = np.cumsum(3 + b + f) - (3 + b + f)
+    ids = np.empty(int(start[-1] + 3 + b[-1] + f[-1]), np.intp)
+    ids[start] = head_ids
+    ids[start + 1 + b] = mid + start_ids + len(starts) * (f > 0)
+    ids[start + 2 + b + f] = tail
     ids[-1] = tail + 1
     j = np.arange(len(r)) - (np.cumsum(f) - f)[r]  # the place of a power in its row
-    ids[start[r] + 1 + j] = first + item_ids + u * (j > 0)
-    starred = (j > 0) | monos.any(axis=1)[mono_ids[r]]
-    ids[start[r] + 2 + f[r] + j] = first + item_ids + u * (2 + starred)
+    if as_json:
+        ids[start[r] + 1 + j] = first + item_ids + u * (j > 0)
+    starred = (j > 0) | np.array([bool(text) for _, text in starts])[start_ids[r]]
+    ids[start[r] + 2 + b[r] + j] = first + item_ids + u * (2 + starred)
     return "".join(np.array(pieces, object)[ids].tolist())
 
 
@@ -307,12 +318,16 @@ def _write_floats(x, digits, field):
         field[slow] = np.array(texts, f"S{field.shape[1]}").view(np.uint8).reshape(len(slow), -1)
 
 
-def _numeric_chunk_text(values, mults, digits) -> str:
+def _numeric_chunk_text(values, mults, digits, as_json: bool) -> str:
     """The entries of the arrays values (complex) and mults (int64) as
-    _entry_texts writes them, joined by ",\n": one uint8 row per entry from
-    the template, its fields written by column as digit words with the bytes
-    not kept set to NUL, and one gather of the bytes that are not NUL.
-    digits are the rounding digits of the spectrum's tolerance."""
+    _entry_texts writes them, joined by ",\n", or as their lines of the
+    text output, joined by "\n".  The JSON is one uint8 row per entry from
+    the template, its fields written by column as digit words with the
+    bytes not kept set to NUL, and one gather of the bytes that are not
+    NUL.  digits are the rounding digits of the spectrum's tolerance."""
+    if not as_json:
+        return "\n".join([f"multiplicity {m}: {z.real:.9g}{z.imag:+.9g}j"
+                          for z, m in zip(values.tolist(), mults.tolist())])
     text = np.tile(_NUMERIC_ROW, (len(values), 1))
     _write_ints(mults, text[:, _NUMERIC_FIELDS[0]])
     for column, field in zip((values.imag, values.real), _NUMERIC_FIELDS[1:]):
@@ -326,10 +341,10 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
     "total_degree"} laid out byte for byte as the json module writes it with
     indent=2 and sort_keys=True, plus a newline.  Either is rendered and
     written JSON_CHUNK entries at a time, without building the document, by
-    the writer of spec's storage: the JSON of an array- or row-backed
-    spectrum straight from its arrays (of rows only when every constant is
-    1), coefficient rows through _cyclotomic_texts, and every other chunk
-    from its entries alone."""
+    the writer of spec's storage, in the format asked for: coefficient rows
+    through _cyclotomic_texts, numeric arrays through _numeric_chunk_text,
+    exponent rows through _rows_chunk_text, and a spectrum built from a list
+    entry by entry through _entry_texts."""
     out = out or sys.stdout
     if as_json:
         out.write(f'{{\n  "backend": {_json_text(spec.backend, "  ")},\n  "eigenvalues": ')
@@ -346,13 +361,13 @@ def print_spectrum(spec: SpectrumFactorization, as_json: bool, out=None):
             tops, bottoms = spec.coeffs
             text = join.join(_cyclotomic_texts(spec.field, tops[chunk], bottoms[chunk],
                                                spec.mults[chunk].tolist(), as_json))
-        elif as_json and spec.values is not None:
+        elif spec.values is not None:
             text = _numeric_chunk_text(spec.values[chunk], spec.mults[chunk],
-                                       _round_digits(spec.tol))
-        elif as_json and spec.rows is not None and spec.constants is None:
-            text = _rows_chunk_text(spec, chunk)
+                                       _round_digits(spec.tol), as_json)
+        elif spec.rows is not None:
+            text = _rows_chunk_text(spec, chunk, as_json)
         else:
-            text = join.join(_entry_texts(spec.entries_in(chunk), as_json))
+            text = join.join(_entry_texts(spec.entries[chunk], as_json))
         out.write(sep)
         out.write(text)
         sep = join

@@ -258,8 +258,11 @@ class CycField:
         return self._zetas[e % self.order]
 
     def embed(self, x) -> "CycNum":
-        """x, an element of this field or of one of degree 1 (a rational), as
-        an element of this field, a zero as its zero; FieldMismatch else."""
+        """x, an element of this field or of one of degree 1, or an int or
+        Fraction, as an element of this field, a zero as its zero;
+        FieldMismatch else."""
+        if not isinstance(x, CycNum):
+            return self.from_rational(x) if x else self._zero
         if x.field is self:
             return x
         if x.field.degree != 1:

@@ -78,11 +78,11 @@ def lift(values):
     """(backend, values) with every value brought into one kind.
 
     symbolic when any value is a FactoredValue (constants become constant
-    FactoredValues), else numeric when any value is neither exact nor
-    rational (all become complex), else cyclotomic: CycNum in the one field
-    present (Q when every value is rational), a rational taken into it or
-    into the symbolic context's.  Every rational zero becomes the field's
-    one shared zero."""
+    FactoredValues, which read them in the context's field), else numeric
+    when any value is neither exact nor rational (all become complex), else
+    cyclotomic: CycNum in the one field present (Q when every value is
+    rational), a rational taken into it.  Every rational zero becomes the
+    field's one shared zero."""
     field = ctx = None
     numeric = mixed = False
     for v in values:
@@ -96,22 +96,17 @@ def lift(values):
         elif not isinstance(v, _RATIONAL):
             numeric = True
     if ctx is not None:
-        mixed = mixed or field not in (None, ctx.field)
-        field = ctx.field
-    elif numeric:
+        return "symbolic", [v if isinstance(v, FactoredValue) else FactoredValue.from_constant(ctx, v)
+                            for v in values]
+    if numeric:
         return "numeric", [numeric_value(v) for v in values]
-    elif field is None:
+    if field is None:
         field = CycField(1)
     if mixed:
         values = [field.embed(v) if isinstance(v, CycNum) else v for v in values]
     zero = field.zero()
-    exact = [v if isinstance(v, (CycNum, FactoredValue)) else field.from_rational(v) if v else zero
-             for v in values]
-    if ctx is None:
-        return "cyclotomic", exact
-    return "symbolic", [
-        v if isinstance(v, FactoredValue) else FactoredValue.from_constant(ctx, v) for v in exact
-    ]
+    return "cyclotomic", [v if isinstance(v, CycNum) else field.from_rational(v) if v else zero
+                          for v in values]
 
 
 # -- keys and comparisons ----------------------------------------------------------
@@ -265,8 +260,8 @@ def to_json(v):
 
 def to_text(v) -> str:
     """An eigenvalue as the text output prints it; cli.print_spectrum calls it
-    per entry of a chunk built alone, save for runs of CycNum, which
-    cli._cyclotomic_texts writes from their rows through TEXT_LINE too."""
+    per entry of a spectrum built from a list, and writes the array storages
+    with the same lines."""
     v = _exact(v)
     if isinstance(v, (SignedEigenvalue, FactoredValue)):
         return str(v)
@@ -281,11 +276,6 @@ def to_literal(x) -> str:
     if isinstance(_exact(x), (CycNum, FactoredValue)):
         return str(x)
     raise ParseError(f"cannot serialize {type(x).__name__} exactly; use the cyclotomic backend")
-
-
-def cyclotomic_field(x):
-    """The field of a CycNum; None for every other kind."""
-    return x.field if isinstance(x, CycNum) else None
 
 
 def literal_order(values) -> int:

@@ -74,10 +74,9 @@ class SpectrumFactorization:
     coefficient tops[i, j] / bottoms[i, j] of eigenvalue i in the power
     basis of ``field`` in lowest terms (row i is the sort_key of the
     eigenvalue), int64 or, where a value passes cyclotomic.ROW_LIMIT,
-    object.  ``entries`` is then built from the arrays on first use;
-    ``entries_in(chunk)`` builds only the pairs of one chunk, as the text
-    output does, and leaves ``entries`` unbuilt.  Every other spectrum
-    keeps its entries list, and ``mults`` is None."""
+    object.  ``entries`` is then built from the arrays on first use; the
+    output writes each storage from its arrays and never builds it.  Every
+    other spectrum keeps its entries list, and ``mults`` is None."""
 
     values = mults = rows = constants = coeffs = field = None
 
@@ -90,10 +89,10 @@ class SpectrumFactorization:
     @classmethod
     def _from_mults(cls, backend, mults, tol, make_values):
         """A spectrum with multiplicities mults whose eigenvalues, in the same
-        order, make_values(chunk) lists for each slice chunk of them.  The total
-        degree is summed in int64 over the high and the low 32 bits of each
-        multiplicity apart, exact for any int64 mults; NumericOverflow when
-        there are so many that a half could wrap."""
+        order, make_values() lists.  The total degree is summed in int64 over
+        the high and the low 32 bits of each multiplicity apart, exact for any
+        int64 mults; NumericOverflow when there are so many that a half could
+        wrap."""
         if len(mults) >= 2**31:
             raise NumericOverflow(
                 f"the total degree of {len(mults)} multiplicities may leave int64")
@@ -107,7 +106,7 @@ class SpectrumFactorization:
     def from_arrays(cls, values, mults, tol=DEFAULT_TOLERANCE):
         """The numeric spectrum of the sorted distinct eigenvalues values
         with multiplicities mults, held as the arrays themselves."""
-        spec = cls._from_mults("numeric", mults, tol, lambda chunk: values[chunk].tolist())
+        spec = cls._from_mults("numeric", mults, tol, values.tolist)
         spec.values = values
         return spec
 
@@ -117,8 +116,8 @@ class SpectrumFactorization:
         rows and constants 1, or the coefficient rows constants = (tops,
         bottoms) in ctx.field, sorted in canonical order, and multiplicities
         mults, held as the arrays themselves."""
-        spec = cls._from_mults("symbolic", mults, tol, lambda chunk: row_values(
-            ctx, atoms, rows[chunk], constants and (constants[0][chunk], constants[1][chunk])))
+        spec = cls._from_mults("symbolic", mults, tol,
+                               lambda: row_values(ctx, atoms, rows, constants))
         spec.rows, spec.atoms, spec.ctx, spec.constants = rows, atoms, ctx, constants
         return spec
 
@@ -128,22 +127,15 @@ class SpectrumFactorization:
         tops / bottoms in field, sorted by canonical key,
         and multiplicities mults, held as the arrays themselves."""
         spec = cls._from_mults("cyclotomic", mults, tol,
-                               lambda chunk: coefficient_values(field, tops[chunk], bottoms[chunk]))
+                               lambda: coefficient_values(field, tops, bottoms))
         spec.coeffs, spec.field = (tops, bottoms), field
         return spec
 
     @property
     def entries(self):
         if self._entries is None:
-            self._entries = self.entries_in(slice(None))
+            self._entries = list(zip(self._make_values(), self.mults.tolist()))
         return self._entries
-
-    def entries_in(self, chunk: slice):
-        """The (value, multiplicity) pairs entries[chunk], built from the
-        arrays alone while entries is not built."""
-        if self._entries is not None:
-            return self._entries[chunk]
-        return list(zip(self._make_values(chunk), self.mults[chunk].tolist()))
 
     @classmethod
     def merge_pairs(cls, pairs, backend, tol=DEFAULT_TOLERANCE):
@@ -189,7 +181,7 @@ class SpectrumFactorization:
             z = np.empty(n, dtype=complex)
             z.real, z.imag = coefficient_approx(self.field, *self.coeffs)
         if not unit_roots(z) or (self.coeffs is not None
-                                 and not roots_of_unity(self._make_values(slice(None)))):
+                                 and not roots_of_unity(self._make_values())):
             return None
         return (n, int(self.mults[0]))
 
@@ -439,7 +431,7 @@ def pair_class_spectrum(values, weights, tol=DEFAULT_TOLERANCE, factored=None):
     keys = constants = None
     if source is not None:
         keys = exponent_keys(source)
-        constants = [v.ctx.field.embed(v.constant) for v in source]  # a rational may be in Q
+        constants = [v.constant for v in source]
         if len(set(constants)) == 1 and constants[0]:
             constants = None  # one nonzero constant: the keys alone are the ids
     if backend == "numeric":
@@ -561,11 +553,9 @@ def merge_rows(rows, mults):
 
 def _int64_keys(col):
     """int64 columns, most significant first, whose lexicographic order and
-    equality are those of the integers col: col itself when it is int64,
-    else its 62-bit digits in two's complement (x = hi 2^62 + lo with
-    0 <= lo < 2^62)."""
-    if col.dtype != object:
-        return [col]
+    equality are those of the integers of the object array col: their
+    62-bit digits in two's complement (x = hi 2^62 + lo with 0 <= lo <
+    2^62)."""
     keys = []
     while max_abs(col) >= ROW_LIMIT:
         keys.append((col & (ROW_LIMIT - 1)).astype(np.int64))

@@ -154,17 +154,15 @@ def _lex_positive(exp):
 
 def _is_one(c) -> bool:
     """c == 1, for a CycNum read off its canonical form."""
-    if type(c) is CycNum:
-        return c.den == 1 and c.num == c.field.one().num
-    return c == 1
+    return c.den == 1 and c.num == c.field.one().num
 
 
 def _product(a, b):
-    """a * b for constants of factored values; nearly all are the CycNum 1,
-    and a product with it is skipped."""
-    if _is_one(b) and type(a) is CycNum:
+    """a * b for constants of factored values; nearly all are 1, and a
+    product with it is skipped."""
+    if _is_one(b):
         return a
-    if _is_one(a) and type(b) is CycNum:
+    if _is_one(a):
         return b
     return a * b
 
@@ -179,27 +177,17 @@ def monomial_text(exp, nvars):
     return "*".join(parts)
 
 
-def constant_text(c):
-    """The text of the constant c in str(FactoredValue): "(c)", "" for 1."""
-    return "" if _is_one(c) else f"({c})"
-
-
-def value_text(constant, monomial, factors):
-    """str(FactoredValue) from the texts of its parts: the constant, the
-    monomial and the factor powers in sorted order; "(1)" when all are
-    empty."""
-    return "*".join(filter(None, (constant, monomial, *factors))) or "(1)"
-
-
 class FactoredValue:
     """constant * L^monomial * product of atom powers; canonical, never
-    expanded.  A zero constant drops the monomial and the factors."""
+    expanded.  The constant is held in ctx.field, wherever it was given (a
+    rational, or an element of Q), and a zero constant drops the monomial
+    and the factors."""
 
     __slots__ = ("ctx", "constant", "monomial", "factors", "_hash")
 
     def __init__(self, ctx, constant: CycNum, monomial: tuple = None, factors: dict = None):
         self.ctx = ctx
-        self.constant = constant
+        self.constant = constant = ctx.field.embed(constant)
         if not constant:
             monomial = factors = None
         self.monomial = monomial if monomial is not None else ctx.zero_exp()
@@ -367,10 +355,14 @@ class FactoredValue:
         return self.text(sorted(self.factors.items()))
 
     def text(self, factors):
-        """str(self), given its factor items sorted."""
+        """str(self), given its factor items sorted: the texts of the
+        constant ("(c)", none for 1), the monomial and the factor powers,
+        joined by "*"; "(1)" when all are empty."""
         ctx = self.ctx
-        return value_text(constant_text(self.constant), monomial_text(self.monomial, ctx.nvars),
-                          [ctx.atom_text(atom, p) for atom, p in factors])
+        parts = ("" if _is_one(self.constant) else f"({self.constant})",
+                 monomial_text(self.monomial, ctx.nvars),
+                 *[ctx.atom_text(atom, p) for atom, p in factors])
+        return "*".join(filter(None, parts)) or "(1)"
 
 
 # every packed key word stays below this radix, so a key, the sum of two keys

@@ -44,9 +44,9 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def render(spec):
+def render(spec, as_json=True):
     out = io.StringIO()
-    print_spectrum(spec, True, out)
+    print_spectrum(spec, as_json, out)
     return out.getvalue()
 
 
@@ -830,6 +830,20 @@ class TestTextOutput:
         assert spec.rows is not None
         self.check(spec)
 
+    def test_exponent_rows_of_several_constants(self):
+        """Constants 1, -3/2, zeta and 2^40 zeta^2, whose quotients pass
+        cyclotomic.ROW_LIMIT and are held as object rows; the JSON too."""
+        ctx = FactoredContext(5, 2)
+        F = ctx.field
+        constants = [F.one(), F.from_rational(Fraction(-3, 2)), F.zeta(1), F.zeta(2) * 2**40]
+        values = [FactoredValue(ctx, c, (e, 1 - e)) for e, c in enumerate(constants)]
+        values[3] = values[3] * FactoredValue.atom(ctx, (1, 1), 2, -1)
+        weights = np.arange(4**4, dtype=np.int64).reshape((4,) * 4) % 3
+        spec = pair_class_spectrum(values, weights)
+        assert spec.rows is not None and spec.constants[0].dtype == object
+        self.check(spec)
+        assert_same_text(render(spec), render(SpectrumFactorization(spec.entries, "symbolic")))
+
     @pytest.mark.parametrize("field", [None, CycField(5)])
     def test_coefficient_rows(self, field):
         if field is None:
@@ -841,6 +855,36 @@ class TestTextOutput:
         spec = pair_class_spectrum(values, weights)
         assert spec.coeffs is not None and spec.field is (field or CycField(1))
         self.check(spec)
+
+
+def test_array_storages_never_take_the_entry_path(monkeypatch):
+    """print_spectrum writes numeric arrays, exponent rows of constant 1 and
+    of several constants, and coefficient rows, in both formats, without
+    to_json or to_text; only a spectrum built from a list reaches them."""
+    ctx = FactoredContext(5, 1)
+    F = ctx.field
+    atom = FactoredValue.atom(ctx, (1,), 2)
+    weights = np.arange(3**4, dtype=np.int64).reshape((3,) * 4) % 4
+    spectra = [pair_class_spectrum(values, weights) for values in (
+        [0.5 + 0.1j, 1.5, -2j],
+        [FactoredValue(ctx, F.one(), (1,)), atom, atom * atom],
+        [FactoredValue(ctx, F.from_rational(2), (1,)), atom, FactoredValue(ctx, F.zeta(1)) * atom],
+        [F.zeta(1), F.from_rational(2), F.zeta(3) - F.from_rational(Fraction(1, 3))])]
+    assert spectra[0].values is not None and spectra[3].coeffs is not None
+    assert spectra[1].constants is None and spectra[2].constants is not None
+    listed = [SpectrumFactorization(s.entries, s.backend, s.tol) for s in spectra]
+    want = [(render(s), render(s, False)) for s in listed]
+
+    def refuse(v):
+        raise AssertionError(f"{v} took the per-entry path")
+
+    monkeypatch.setattr(cli, "to_json", refuse)
+    monkeypatch.setattr(cli, "to_text", refuse)
+    for spec, (text_json, text) in zip(spectra, want):
+        assert_same_text(render(spec), text_json)
+        assert_same_text(render(spec, False), text)
+    with pytest.raises(AssertionError, match="per-entry path"):
+        render(listed[0])
 
 
 class TestRowBackedSpectra:
@@ -908,6 +952,7 @@ class TestRowBackedSpectra:
             assert got.rows is None or got._entries is None  # rendered from the rows
             assert_same_text(text, render(expect))
             assert_same_text(text, stdlib_render(expect))
+            assert_same_text(render(got, False), render(expect, False))
             assert (len(got), got.total_degree) == (len(expect), expect.total_degree)
             assert got.entries == expect.entries
 

@@ -208,7 +208,7 @@ class TestSparseElimination:
             m, v = mv
             copy = [list(row) for row in m]
             got_null, got_rank = nullspace(m), rank(m)
-            with mock.patch.object(_linalg, "rref", dense_rref):
+            with mock.patch.object(_linalg, "_eliminate", dense_rref):
                 assert typed(nullspace(m)) == typed(got_null)
                 assert rank(m) == got_rank
             # rref and Subspace lift int and Fraction rows into Q, as nullspace

@@ -286,6 +286,16 @@ class TestFactoredValues:
         assert a == b
         assert len((a * b).factors) == 1
 
+    def test_constant_is_read_in_the_context_field(self):
+        """A constant given in Q, or as an int or Fraction, is the element of
+        ctx.field it names, so equal values compare and hash equal."""
+        own = FactoredValue(self.ctx, self.ctx.field.from_rational(2))
+        for c in (CycField(1).from_rational(2), 2, Fraction(4, 2)):
+            v = FactoredValue(self.ctx, c)
+            assert v == own and hash(v) == hash(own)
+            assert v.constant.field is self.ctx.field
+        assert FactoredValue(self.ctx, CycField(1).zero()) == FactoredValue(self.ctx, 0)
+
     def test_context_mismatch(self):
         other = FactoredContext(7, 1)
         with pytest.raises(FieldMismatch):
